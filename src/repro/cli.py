@@ -317,9 +317,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # --------------------------------------------------------------- subcommands
+def _read_source(path: str) -> str:
+    """A Verilog source file's text; an unreadable path is a clean error."""
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except OSError as exc:
+        raise SystemExit(f"error: cannot read {path}: {exc.strerror}") from None
+
+
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    with open(args.source) as handle:
-        source = handle.read()
+    source = _read_source(args.source)
 
     from repro.pipeline import Budget
 
@@ -617,10 +625,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.pipeline import Job
     from repro.service import job_to_dict, request, wait_for_result
 
-    source = None
-    if args.source:
-        with open(args.source) as handle:
-            source = handle.read()
+    source = _read_source(args.source) if args.source else None
     job = Job(
         name=args.name or args.design,
         design=args.design,

@@ -226,8 +226,8 @@ def eval_pattern(pattern: Pattern, env: dict):
     """Evaluate a pattern over a ``Z ∪ {*}`` valuation of its variables.
 
     Delegates every operator to the shipped :func:`~repro.ir.evaluate._apply`
-    so the audit semantics can never drift from the evaluator the verifier
-    trusts.  (Patterns contain no VAR leaves — pattern variables play that
+    so the audit semantics can never drift from the reference evaluator the
+    verifier's compiled simulation is tested against.  (Patterns contain no VAR leaves — pattern variables play that
     role — so the env parameter of ``_apply`` is never consulted.)
     """
     if isinstance(pattern, PatternVar):

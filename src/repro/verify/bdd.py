@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import time
 from typing import Callable
 
@@ -31,6 +32,10 @@ _DEADLINE_POLL_INTERVAL = 256
 #: hits do work without inserting nodes, so insertion-only polling would
 #: let lookup-dominated phases run unchecked past the deadline.
 _ITE_POLL_INTERVAL = 4096
+
+#: Variable index of the terminal rows: after every real variable in the
+#: order, so :meth:`BDD.ite` needs no terminal special case.
+_TERMINAL_VAR = sys.maxsize
 
 
 class BDD:
@@ -62,8 +67,12 @@ class BDD:
         self.clock: Callable[[], float] = (
             clock if clock is not None else time.monotonic
         )
-        # nodes[i] = (var, low, high); two placeholder rows for terminals.
-        self._nodes: list[tuple[int, int, int]] = [(-1, 0, 0), (-1, 1, 1)]
+        # nodes[i] = (var, low, high); the two terminal rows point at
+        # themselves under a variable index past every real variable.
+        self._nodes: list[tuple[int, int, int]] = [
+            (_TERMINAL_VAR, 0, 0),
+            (_TERMINAL_VAR, 1, 1),
+        ]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._ite_memo: dict[tuple[int, int, int], int] = {}
         self._ite_calls = 0
@@ -82,11 +91,11 @@ class BDD:
         found = self._unique.get(key)
         if found is not None:
             return found
-        if len(self._nodes) >= self.node_limit:
-            raise BddLimitError(
-                f"BDD exceeded {self.node_limit} nodes", nodes=len(self._nodes)
-            )
         node_id = len(self._nodes)
+        if node_id >= self.node_limit:
+            raise BddLimitError(
+                f"BDD exceeded {self.node_limit} nodes", nodes=node_id
+            )
         if (
             self.deadline is not None
             and node_id % _DEADLINE_POLL_INTERVAL == 0
@@ -99,18 +108,6 @@ class BDD:
         self._nodes.append(key)
         self._unique[key] = node_id
         return node_id
-
-    def _top_var(self, *ids: int) -> int:
-        tops = [self._nodes[i][0] for i in ids if i > 1]
-        return min(tops)
-
-    def _cofactors(self, node: int, var: int) -> tuple[int, int]:
-        if node <= 1:
-            return node, node
-        node_var, low, high = self._nodes[node]
-        if node_var == var:
-            return low, high
-        return node, node
 
     def ite(self, f: int, g: int, h: int) -> int:
         """If-then-else: ``f ? g : h``."""
@@ -125,26 +122,43 @@ class BDD:
                     "nodes",
                     nodes=len(self._nodes),
                 )
-        if f == self.TRUE:
+        # Terminal cases, with TRUE == 1 and FALSE == 0 spelled as literals
+        # on this hot path.
+        if f == 1:
             return g
-        if f == self.FALSE:
+        if f == 0:
             return h
         if g == h:
             return g
-        if g == self.TRUE and h == self.FALSE:
+        if g == 1 and h == 0:
             return f
         key = (f, g, h)
-        found = self._ite_memo.get(key)
+        memo = self._ite_memo
+        found = memo.get(key)
         if found is not None:
             return found
-        var = self._top_var(f, g, h)
-        f0, f1 = self._cofactors(f, var)
-        g0, g1 = self._cofactors(g, var)
-        h0, h1 = self._cofactors(h, var)
+        # Top variable and cofactors straight from the node rows.  f is
+        # internal here; a terminal row's variable sorts after every real
+        # one, so it is never the top and its cofactors are itself.
+        nodes = self._nodes
+        f_var, f0, f1 = nodes[f]
+        g_var, g0, g1 = nodes[g]
+        h_var, h0, h1 = nodes[h]
+        var = f_var
+        if g_var < var:
+            var = g_var
+        if h_var < var:
+            var = h_var
+        if f_var != var:
+            f0 = f1 = f
+        if g_var != var:
+            g0 = g1 = g
+        if h_var != var:
+            h0 = h1 = h
         low = self.ite(f0, g0, h0)
         high = self.ite(f1, g1, h1)
         result = self._mk(var, low, high)
-        self._ite_memo[key] = result
+        memo[key] = result
         return result
 
     # ------------------------------------------------------------- operators

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -10,7 +11,7 @@ from typing import Callable, Mapping
 
 from repro.intervals import IntervalSet
 from repro.ir import expr as ir
-from repro.ir.evaluate import evaluate, input_variables
+from repro.ir.evaluate import compile_evaluator, input_variables
 from repro.ir.expr import Expr
 from repro.synth.lower import LoweringError, lower_to_netlist
 from repro.verify.bdd import BDD, BddLimitError
@@ -120,14 +121,17 @@ def check_equivalent(
     except LoweringError:
         # A form the netlist cannot realize: fall back to randomized
         # simulation (reported as such, not as a proof).
-        return _random_check(a, b, domains, random_trials, seed, limit, clock)
+        spent = 0
     except BddLimitError as blown:
         # BDD blow-up (node quota or deadline): degrade to randomized
         # simulation, carrying the abandoned proof's node spend so a
         # governed Verify stage still charges it into the ledger.
-        result = _random_check(a, b, domains, random_trials, seed, limit, clock)
-        result.bdd_nodes = blown.nodes
-        return result
+        spent = blown.nodes
+    # Trials run outside the handler: the exception's traceback would keep
+    # the abandoned BDD (up to the whole node cap) alive through them.
+    result = _random_check(a, b, domains, random_trials, seed, limit, clock)
+    result.bdd_nodes = spent
+    return result
 
 
 def prove_equivalent(
@@ -142,10 +146,6 @@ def prove_equivalent(
 
 
 # ---------------------------------------------------------------- strategies
-class _DeadlineHit(Exception):
-    """Internal: the check's deadline passed between trials."""
-
-
 def _exhaustive(
     a: Expr,
     b: Expr,
@@ -155,37 +155,22 @@ def _exhaustive(
 ) -> EquivalenceResult:
     names = sorted(domains)
     values = [list(domains[n].iter_values()) for n in names]
-    trials = 0
+    simulate = compile_evaluator(a, b)
     bounded = not math.isinf(limit)
-
-    def rec(index: int, env: dict[str, int]):
-        nonlocal trials
-        if index == len(names):
-            if bounded and clock() > limit:
-                raise _DeadlineHit
-            trials += 1
-            va, vb = evaluate(a, env), evaluate(b, env)
-            if va != vb:
-                return dict(env)
-            return None
-        for v in values[index]:
-            env[names[index]] = v
-            bad = rec(index + 1, env)
-            if bad is not None:
-                return bad
-        return None
-
-    try:
-        counterexample = rec(0, {})
-    except _DeadlineHit:
-        # An incomplete sweep that saw no difference is not a proof.
-        return EquivalenceResult(None, "timeout", trials=trials)
-    return EquivalenceResult(
-        equivalent=counterexample is None,
-        method="exhaustive",
-        counterexample=counterexample,
-        trials=trials,
-    )
+    trials = 0
+    # Lexicographic over the sorted names, the last one varying fastest.
+    for point in itertools.product(*values):
+        if bounded and clock() > limit:
+            # An incomplete sweep that saw no difference is not a proof.
+            return EquivalenceResult(None, "timeout", trials=trials)
+        trials += 1
+        env = dict(zip(names, point, strict=True))
+        va, vb = simulate(env)
+        if va != vb:
+            return EquivalenceResult(
+                False, "exhaustive", counterexample=env, trials=trials
+            )
+    return EquivalenceResult(True, "exhaustive", trials=trials)
 
 
 def _domain_condition(widths: dict[str, int], ranges: Mapping[str, IntervalSet]) -> Expr | None:
@@ -296,6 +281,7 @@ def _random_check(
     for name, domain in domains.items():
         parts = domain.parts
         samplers[name] = parts
+    simulate = compile_evaluator(a, b)
     bounded = not math.isinf(limit)
 
     for trial in range(trials):
@@ -307,7 +293,7 @@ def _random_check(
         for name, parts in samplers.items():
             piece = parts[rng.randrange(len(parts))]
             env[name] = rng.randint(piece.lo, piece.hi)
-        va, vb = evaluate(a, env), evaluate(b, env)
+        va, vb = simulate(env)
         if va != vb:
             return EquivalenceResult(False, "random", counterexample=env, trials=trial + 1)
     return EquivalenceResult(None, "random", trials=trials)

@@ -61,6 +61,33 @@ class TestCli:
         assert "module optimized" in out.read_text()
         assert "not checked" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "{path}"],
+            ["{path}"],  # the bare legacy alias
+            ["submit", "unused.sock", "fp_sub", "--source", "{path}"],
+        ],
+    )
+    def test_missing_source_is_a_clean_error(self, tmp_path, argv):
+        missing = tmp_path / "missing.v"
+        with pytest.raises(SystemExit) as stop:
+            main([arg.format(path=missing) for arg in argv])
+        assert stop.value.code == (
+            f"error: cannot read {missing}: No such file or directory"
+        )
+
+    def test_unreadable_source_exits_nonzero_without_traceback(self, tmp_path):
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", str(tmp_path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: cannot read {tmp_path}: Is a directory\n"
+
     def test_parser_flags(self):
         parser = build_parser()
         args = parser.parse_args(
