@@ -46,9 +46,13 @@ def phased_schedule() -> None:
 
 
 def batch_session() -> None:
-    """The whole registry on a process pool, as JSON-able records."""
+    """The whole registry on a process pool, as JSON-able records.
+
+    The pool has one process per usable CPU (at most one per design);
+    ``run(workers=1)`` keeps every job in this process.
+    """
     print("\n== batch session (all registry designs, process pool)")
-    records = Session.for_designs(iter_limit=4, node_limit=8_000).run(parallel=True)
+    records = Session.for_designs(iter_limit=4, node_limit=8_000).run()
     for record in records:
         print(f"   {record.job:<16} {record.stop_reason:<16} "
               f"delay -{record.delay_improvement:4.0%}  "

@@ -21,7 +21,9 @@ Batch / pipeline quickstart::
 
     from repro.pipeline import Session
 
-    records = Session.for_designs(iter_limit=4, node_limit=8000).run(parallel=True)
+    # One process per usable CPU where workers fork (Linux);
+    # ``.run(workers=1)`` stays in-process.
+    records = Session.for_designs(iter_limit=4, node_limit=8000).run()
     for record in records:
         print(record.to_json())
 

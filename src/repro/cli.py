@@ -11,8 +11,9 @@ Subcommands (on the composable pipeline API):
 
 ``bench``
     Batch-optimize registry designs through a :class:`repro.pipeline.Session`
-    (``--parallel`` fans out over a process pool) and print a Table III
-    style comparison; ``--records`` appends the JSON run records.
+    (fanned out over one process per usable CPU; ``--workers 1`` runs them
+    in-process) and print a Table III style comparison; ``--records``
+    appends the JSON run records.
 
 ``report``
     Re-render a comparison table from a saved ``--records`` file.
@@ -159,6 +160,17 @@ def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def positive_int(text: str) -> int:
+    """An integer of at least 1 (process counts)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -183,10 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--verify", action="store_true", help="equivalence-check results")
     bench.add_argument(
-        "--parallel", action="store_true", help="fan jobs out over a process pool"
-    )
-    bench.add_argument(
-        "--workers", type=int, default=None, help="process pool size (with --parallel)"
+        "--workers", type=positive_int, default=None, metavar="N",
+        help="process pool size (default: one per usable CPU, at most one "
+        "per design, or in-process with --budget-ms; 1 runs in-process)",
     )
     bench.add_argument(
         "--records", metavar="FILE", help="append JSON run records to this file"
@@ -243,13 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-entries", type=int, default=128, metavar="N",
         help="in-memory cache capacity (default: 128)",
-    )
-    serve.add_argument(
-        "--parallel", action="store_true",
-        help="dispatch each fair round over a process pool",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=None, help="process pool size"
     )
     _add_budget_arguments(serve)
 
@@ -422,8 +426,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     session = Session.for_designs(
         names,
-        # --budget-ms is the whole batch's ceiling, split across jobs by
-        # --budget-policy; per-design limits still apply underneath.
+        workers=args.workers,
+        # --budget-ms is the whole batch's ceiling.  Without --workers the
+        # batch then runs in-process, split across jobs by --budget-policy;
+        # an explicit --workers N races its jobs against one deadline.
+        # Per-design limits still apply underneath.
         budget=(
             Budget.of_ms(args.budget_ms) if args.budget_ms is not None else None
         ),
@@ -446,7 +453,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         shard_parallel=args.shard_parallel,
         extract_objective=args.objective,
     )
-    records = session.run(parallel=args.parallel, max_workers=args.workers)
+    records = session.run()
 
     print(_records_table(records))
     for record in records:
@@ -606,8 +613,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ),
         budget_policy=args.budget_policy,
         cache=ResultCache(capacity=args.cache_entries, path=args.cache_file),
-        parallel=args.parallel,
-        max_workers=args.workers,
     )
     daemon = OptimizationDaemon(args.socket, queue)
     print(f"serving on {args.socket}", file=sys.stderr)

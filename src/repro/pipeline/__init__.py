@@ -15,8 +15,8 @@ ROVER) into stages over a shared context:
 >>> ctx = pipe.run(input_ranges={"x": IntervalSet.of(128, 255)})  # doctest: +SKIP
 
 Batch work goes through :class:`Session` — named :class:`Job`\\ s over the
-designs registry, optionally on a process pool, each producing a
-JSON-round-trippable :class:`RunRecord`.
+designs registry, fanned out over a process pool by default, each
+producing a JSON-round-trippable :class:`RunRecord`.
 
 :class:`~repro.opt.optimizer.DatapathOptimizer` remains the one-call preset
 over exactly these stages.

@@ -3,10 +3,11 @@
 A :class:`Session` runs a list of named :class:`Job`\\ s — each referencing
 a registry design plus schedule knobs — and returns one JSON-serializable
 :class:`RunRecord` per job.  Jobs are plain picklable value objects, so a
-session can opt into a :class:`~concurrent.futures.ProcessPoolExecutor`
-(``parallel=True``) and fan the batch out across cores; each worker
-reconstructs the design from the registry by name (IR trees and interned
-interval sets never cross the process boundary).
+session fans a batch out over a
+:class:`~concurrent.futures.ProcessPoolExecutor` sized to the usable cores
+(``workers``, see :class:`Session`); each worker reconstructs the design
+from the registry by name (IR trees and interned interval sets never cross
+the process boundary).
 
 The record stream is the bench trajectory format: ``RunRecord.to_json`` /
 ``from_json`` round-trip exactly, and ``benchmarks/test_bench_perf.py``
@@ -17,8 +18,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
+import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Iterable, Sequence
 
@@ -32,7 +36,12 @@ from repro.pipeline.budget import (
 )
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.pipeline import Pipeline
-from repro.pipeline.shard import MergeShards, Shard, ShardSchedule
+from repro.pipeline.shard import (
+    MergeShards,
+    Shard,
+    ShardSchedule,
+    _nested_pool_available,
+)
 from repro.pipeline.stages import (
     Extract,
     Ingest,
@@ -62,7 +71,7 @@ class Job:
     ``auto_shard_nodes`` is set, in which case a multi-output design whose
     DAG reaches that size auto-splits per output).  ``shard_parallel`` fans
     shards out over a nested process pool — two-level parallelism when the
-    session itself runs ``parallel=True``.  Sharding composes with the
+    session itself runs its jobs on a pool.  Sharding composes with the
     single-phase schedule only (phased schedules raise).
 
     ``budget`` puts the whole job under one accounted
@@ -406,8 +415,14 @@ def record_from_context(
             sorted({r.stop_reason.value for r in finals})
         )
     else:
-        nodes = report.nodes if report else 0
-        classes = report.classes if report else 0
+        if report is not None and report.iterations:
+            nodes, classes = report.nodes, report.classes
+        elif ctx.egraph is not None:
+            # No saturation iteration ran (e.g. an exact warm-start hit):
+            # the graph is the one loaded, not an empty one.
+            nodes, classes = ctx.egraph.node_count, ctx.egraph.class_count
+        else:
+            nodes = classes = 0
         stop_reason = report.stop_reason.value if report else ""
     saturate_s = sum(r.total_time for r in ctx.reports)
     nodes_per_s = round(nodes / saturate_s, 1) if saturate_s else 0.0
@@ -493,48 +508,113 @@ def execute_job(job: Job) -> RunRecord:
         )
         return record_from_context(job.name, job.design, design.output, ctx)
     except Exception as err:  # exercised via bad jobs and strict Verify
-        return RunRecord(
-            job=job.name,
-            design=job.design,
-            status="error",
-            error=f"{type(err).__name__}: {err}",
+        return _error_record(
+            job,
+            err,
             runtime_s=ctx.total_seconds,
             stage_timings=ctx.stage_timings(),
             budget=ctx.governor.as_dict() if ctx.governor is not None else {},
         )
 
 
+def _error_record(job: Job, err: BaseException, **fields) -> RunRecord:
+    """The ``status="error"`` record of a job that failed with ``err``."""
+    return RunRecord(
+        job=job.name,
+        design=job.design,
+        status="error",
+        error=f"{type(err).__name__}: {err}",
+        **fields,
+    )
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _forks() -> bool:
+    """Whether pool workers start by ``fork``, so they never re-import the
+    caller's ``__main__`` (``spawn``/``forkserver`` workers do, and die in
+    a script that calls :meth:`Session.run` without a main guard)."""
+    method = multiprocessing.get_start_method(allow_none=True)
+    return (method or multiprocessing.get_all_start_methods()[0]) == "fork"
+
+
+def _run_on_pool(jobs: Sequence[Job], workers: int) -> list[RunRecord] | None:
+    """One record per job, in job order, from a ``workers``-process pool.
+
+    ``None`` means the pool could not start (fd/process limits,
+    sandboxing) and the caller should run the jobs in-process.  A worker
+    that dies (OOM-killed, signalled) breaks the pool: every job still on
+    it gets an error record naming ``BrokenProcessPool``.
+    """
+    futures: list[Future] = []
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for job in jobs:
+                futures.append(pool.submit(execute_job, job))
+    except OSError:
+        return None
+    except BrokenProcessPool as err:  # a worker died while jobs were queueing
+        unqueued = [_error_record(job, err) for job in jobs[len(futures):]]
+    else:
+        unqueued = []
+    records = []
+    for job, future in zip(jobs[:len(futures)], futures, strict=True):
+        try:
+            records.append(future.result())
+        except Exception as err:  # the pool broke, or the job did not pickle
+            records.append(_error_record(job, err))
+    return records + unqueued
+
+
 class Session:
     """A batch of named jobs over the designs registry.
 
     >>> session = Session.for_designs(iter_limit=4, node_limit=8000)
-    >>> records = session.run(parallel=True)   # doctest: +SKIP
+    >>> records = session.run()   # doctest: +SKIP
 
-    ``parallel=True`` fans jobs out over a process pool (opt-in: workers
-    re-import the package, so tiny batches are faster serially); records
-    always come back in job order.
+    ``workers`` sizes the process pool the jobs fan out over: ``1`` runs
+    every job in this process, ``N > 1`` uses up to ``N`` processes, and
+    ``None`` (the default) picks one process per usable CPU, capped at the
+    number of jobs.  A one-job batch, a one-CPU machine, a daemonic process
+    (which cannot have children) and a pool that fails to start all run
+    in-process.  Records always come back in job order, and a job whose
+    worker dies comes back as an error record.
+
+    ``None`` stays in-process in two more cases.  Where pool workers would
+    not start by ``fork`` (``spawn`` on macOS and Windows), because those
+    workers re-import the caller's ``__main__``: a script that calls
+    :meth:`run` at top level would fail every job.  And under a session
+    ``budget``, so that the ``budget_policy`` split below holds.  Pass
+    ``workers`` explicitly to pool anyway.  ``fork`` is unsafe in a
+    process that runs threads: keep ``workers=1`` there, as
+    :class:`~repro.service.queue.OptimizationQueue` does.
 
     ``budget`` is a *session-level* ceiling: one
     :class:`~repro.pipeline.budget.Budget` split across the jobs by
-    ``budget_policy`` and intersected with any per-job budget.  Serial runs
-    draw live from the pool (the adaptive policy recycles fast jobs'
+    ``budget_policy`` and intersected with any per-job budget.  In-process
+    runs draw live from the pool (the adaptive policy recycles fast jobs'
     slack); process-pool runs race the session's absolute deadline —
     ``time.monotonic`` is machine-wide, so the ceiling survives the fan-out
-    across worker processes.
+    across worker processes, but jobs still queued behind a busy worker
+    start with whatever time is left.
     """
 
     def __init__(
         self,
         jobs: Iterable[Job] = (),
-        parallel: bool = False,
-        max_workers: int | None = None,
+        workers: int | None = None,
         budget: Budget | None = None,
         budget_policy: str = "adaptive",
         clock=None,
     ) -> None:
         self.jobs: list[Job] = list(jobs)
-        self.parallel = parallel
-        self.max_workers = max_workers
+        self.workers = _checked_workers(workers)
         self.budget = budget
         self.budget_policy = budget_policy
         # Injectable monotonic clock for deterministic budget-ledger tests.
@@ -553,8 +633,7 @@ class Session:
     def for_designs(
         cls,
         names: Sequence[str] | None = None,
-        parallel: bool = False,
-        max_workers: int | None = None,
+        workers: int | None = None,
         budget: Budget | None = None,
         budget_policy: str = "adaptive",
         **overrides,
@@ -565,8 +644,7 @@ class Session:
         per-job knobs (including ``Job.budget``) go through ``overrides``.
         """
         session = cls(
-            parallel=parallel,
-            max_workers=max_workers,
+            workers=workers,
             budget=budget,
             budget_policy=budget_policy,
         )
@@ -579,38 +657,49 @@ class Session:
         return session
 
     # -------------------------------------------------------------- running
-    def run(
-        self,
-        parallel: bool | None = None,
-        max_workers: int | None = None,
-    ) -> list[RunRecord]:
-        """Execute every job; one record per job, in order."""
-        use_parallel = self.parallel if parallel is None else parallel
-        workers = max_workers if max_workers is not None else self.max_workers
-        if self.budget is None:
-            if use_parallel and len(self.jobs) > 1:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    return list(pool.map(execute_job, self.jobs))
-            return [execute_job(job) for job in self.jobs]
-        return self._run_budgeted(use_parallel, workers)
+    def _pool_size(self, workers: int | None = None) -> int:
+        """How many processes :meth:`run` fans out over (1: in-process)."""
+        workers = _checked_workers(workers)
+        if workers is None:
+            workers = self.workers
+        if workers is None:
+            if self.budget is not None or not _forks():
+                return 1
+            workers = _usable_cpus()
+        return max(1, min(workers, len(self.jobs)))
 
-    def _run_budgeted(
-        self, use_parallel: bool, workers: int | None
-    ) -> list[RunRecord]:
-        """Enforce the session ceiling: every job draws from one pool."""
-        allocator = allocator_for(self.budget_policy)
-        weights = [1.0] * len(self.jobs)
-        if use_parallel and len(self.jobs) > 1:
-            children = concurrent_children(
-                self.budget, weights, allocator, self.clock()
-            )
-            jobs = [
-                replace(job, budget=self._ceiling(job, child))
-                for job, child in zip(self.jobs, children, strict=True)
-            ]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(execute_job, jobs))
-        pool = BudgetPool(self.budget, weights, allocator)
+    def run(self, workers: int | None = None) -> list[RunRecord]:
+        """Execute every job; one record per job, in order.
+
+        ``workers`` overrides the session's pool size for this run.
+        """
+        size = self._pool_size(workers)
+        if size > 1 and _nested_pool_available():
+            jobs = self.jobs
+            if self.budget is not None:
+                children = concurrent_children(
+                    self.budget,
+                    [1.0] * len(jobs),
+                    allocator_for(self.budget_policy),
+                    self.clock(),
+                )
+                jobs = [
+                    replace(job, budget=self._ceiling(job, child))
+                    for job, child in zip(jobs, children, strict=True)
+                ]
+            records = _run_on_pool(jobs, size)
+            if records is not None:
+                return records
+        if self.budget is None:
+            return [execute_job(job) for job in self.jobs]
+        return self._run_budgeted()
+
+    def _run_budgeted(self) -> list[RunRecord]:
+        """Enforce the session ceiling in-process: every job draws live
+        from one pool."""
+        pool = BudgetPool(
+            self.budget, [1.0] * len(self.jobs), allocator_for(self.budget_policy)
+        )
         records = []
         for job in self.jobs:
             record = execute_job(replace(job, budget=self._ceiling(job, pool.draw())))
@@ -631,3 +720,9 @@ class Session:
     @staticmethod
     def _ceiling(job: Job, child: Budget) -> Budget:
         return child if job.budget is None else job.budget.intersect(child)
+
+
+def _checked_workers(workers: int | None) -> int | None:
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    return workers

@@ -17,10 +17,10 @@ Draining runs each submission through three explicit scheduler phases:
   ``remaining / pending`` slice of the tenant's e-match allowance), so one
   churn-heavy submission cannot starve the tenant's later jobs of matches;
 - **dispatch** — hand the allotted round to the existing
-  :class:`~repro.pipeline.session.Session` machinery (its process pool
-  fans a round out when ``parallel=True``), then settle the ledger from
-  each record's governor block and stamp service provenance
-  (``tenant``/``queue_wait_s``) onto the record.
+  :class:`~repro.pipeline.session.Session` machinery, in-process (the
+  daemon dispatches from its drain thread, and forking a threaded process
+  is unsafe), then settle the ledger from each record's governor block and
+  stamp service provenance (``tenant``/``queue_wait_s``) onto the record.
 
 Rounds are round-robin across tenants (one job per tenant per round), so a
 tenant with a deep backlog cannot head-of-line-block the others.
@@ -158,8 +158,6 @@ class OptimizationQueue:
         budget_policy: str = "verify-aware",
         cache: ResultCache | None = None,
         feed: EventFeed | None = None,
-        parallel: bool = False,
-        max_workers: int | None = None,
         clock: Clock | None = None,
     ) -> None:
         if not tenants:
@@ -171,8 +169,6 @@ class OptimizationQueue:
         self.budget_policy = budget_policy
         self.cache = cache if cache is not None else ResultCache()
         self.feed = feed if feed is not None else EventFeed()
-        self.parallel = parallel
-        self.max_workers = max_workers
         self.clock: Clock = clock if clock is not None else time.monotonic
         allocator = allocator_for(budget_policy)
         if budget is None:
@@ -311,11 +307,7 @@ class OptimizationQueue:
         """Run one allotted round through the Session machinery."""
         if not executed:
             return []
-        session = Session(
-            jobs=[job for _, job in executed],
-            parallel=self.parallel and len(executed) > 1,
-            max_workers=self.max_workers,
-        )
+        session = Session(jobs=[job for _, job in executed], workers=1)
         records = []
         for sub, record in zip(
             [s for s, _ in executed], session.run(), strict=True

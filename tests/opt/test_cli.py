@@ -146,6 +146,35 @@ class TestSubcommands:
         assert saved["wall_s"] == 0.2
         assert len(saved["records"]) == 1
 
+    @pytest.mark.parametrize("workers", ("0", "-2", "two"))
+    def test_workers_must_be_a_positive_integer(self, workers, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--workers", workers])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --workers" in err and "Traceback" not in err
+
+    def test_workers_defaults(self):
+        parser = build_parser()
+        assert parser.parse_args(["bench"]).workers is None  # one per usable CPU
+        assert parser.parse_args(["bench", "--workers", "3"]).workers == 3
+
+    def test_bench_runs_in_process_with_one_worker(self, monkeypatch, capsys):
+        import repro.pipeline.session as session_mod
+
+        def boom(*args, **kwargs):
+            raise AssertionError("--workers 1 must not build a process pool")
+
+        monkeypatch.setattr(session_mod, "ProcessPoolExecutor", boom)
+        code = main(
+            [
+                "bench", "--designs", "lzc_example,float_to_unorm",
+                "--iters", "1", "--workers", "1",
+            ]
+        )
+        assert code == 0
+        assert "float_to_unorm" in capsys.readouterr().out
+
     def test_sweep_prints_objective_curve(self, capsys):
         code = main(
             ["sweep", "lzc_example", "--iters", "3", "--area-weights", "0,0.05"]

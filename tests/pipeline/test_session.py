@@ -1,6 +1,9 @@
 """Batch sessions over the registry and the RunRecord trajectory format."""
 
 import json
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -39,6 +42,63 @@ def stable(record: RunRecord) -> tuple:
     return tuple(getattr(record, name) for name in STABLE_FIELDS)
 
 
+_REAL_EXECUTE_JOB = session_mod.execute_job
+
+
+def _execute_unless_doomed(job: Job) -> RunRecord:
+    """``execute_job``, except that a job named ``doomed`` kills its worker
+    process outright (as an OOM kill would).  Module level, so a pool can
+    pickle it by name."""
+    if job.name == "doomed":
+        os._exit(1)
+    return _REAL_EXECUTE_JOB(job)
+
+
+def _cheap_jobs(count: int) -> list[Job]:
+    return [
+        Job(name=f"j{k}", design="lzc_example", iter_limit=1, node_limit=8_000)
+        for k in range(count)
+    ]
+
+
+class CountingExecutor(session_mod.ProcessPoolExecutor):
+    """A real process pool that logs each construction's ``max_workers``."""
+
+    built: list = []
+
+    def __init__(self, *args, **kwargs):
+        CountingExecutor.built.append(kwargs.get("max_workers"))
+        super().__init__(*args, **kwargs)
+
+
+@pytest.fixture
+def counting_pool(monkeypatch):
+    """The pool sizes ``Session.run`` builds, in order."""
+    built: list = []
+    monkeypatch.setattr(CountingExecutor, "built", built)
+    monkeypatch.setattr(session_mod, "ProcessPoolExecutor", CountingExecutor)
+    return built
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Fail the test if ``Session.run`` constructs a process pool."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("this run must not build a process pool")
+
+    monkeypatch.setattr(session_mod, "ProcessPoolExecutor", boom)
+
+
+def _machine(monkeypatch, cpus: int, start_method: str = "fork") -> None:
+    """Pretend this process may use ``cpus`` CPUs and pools start workers
+    by ``start_method`` (only the automatic pool size reads it)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(
+        multiprocessing, "get_start_method", lambda allow_none=False: start_method
+    )
+
+
 class TestSessionBatch:
     def test_batch_covers_every_registry_design(self):
         session = Session.for_designs(**FAST)
@@ -51,28 +111,16 @@ class TestSessionBatch:
             assert record.optimized_delay <= record.original_delay
             assert set(record.stage_timings) >= {"ingest", "saturate", "extract"}
 
-    def test_parallel_run_uses_process_workers(self, monkeypatch):
-        calls = []
-        real_executor = session_mod.ProcessPoolExecutor
-
-        class CountingExecutor(real_executor):
-            def __init__(self, *args, **kwargs):
-                calls.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(session_mod, "ProcessPoolExecutor", CountingExecutor)
+    def test_parallel_run_uses_process_workers(self, counting_pool):
         session = Session.for_designs(**FAST)
-        parallel = session.run(parallel=True, max_workers=2)
-        assert calls == [2], "parallel=True must go through the process pool"
+        parallel = session.run(workers=2)
+        assert counting_pool == [2], "workers=2 must go through the process pool"
 
-        serial = session.run(parallel=False)
+        serial = session.run(workers=1)
+        assert counting_pool == [2], "workers=1 must stay in-process"
         assert [stable(r) for r in parallel] == [stable(r) for r in serial]
 
-    def test_serial_run_stays_in_process(self, monkeypatch):
-        def boom(*args, **kwargs):
-            raise AssertionError("serial run must not spawn workers")
-
-        monkeypatch.setattr(session_mod, "ProcessPoolExecutor", boom)
+    def test_serial_run_stays_in_process(self, no_pool):
         records = Session.for_designs(["lzc_example"], **FAST).run()
         assert records[0].status == "ok"
 
@@ -100,6 +148,99 @@ class TestSessionBatch:
         labels = set(record.stage_timings)
         assert "saturate:structural" in labels
         assert "saturate:assume+condition+narrowing" in labels
+
+
+class TestPoolPolicy:
+    """``workers=None`` fans out over one process per usable CPU, capped at
+    the number of jobs; everything that cannot use a pool runs in-process."""
+
+    def test_default_builds_one_pool_per_usable_cpu(self, monkeypatch, counting_pool):
+        _machine(monkeypatch, 2)
+        records = Session(_cheap_jobs(6)).run()
+        assert counting_pool == [2]
+        assert [r.job for r in records] == [f"j{k}" for k in range(6)]
+        assert all(r.status == "ok" for r in records)
+
+    def test_pool_never_outnumbers_the_jobs(self, monkeypatch, counting_pool):
+        _machine(monkeypatch, 8)
+        Session(_cheap_jobs(3)).run()
+        assert counting_pool == [3]
+
+    def test_one_usable_cpu_stays_in_process(self, monkeypatch, no_pool):
+        _machine(monkeypatch, 1)
+        records = Session(_cheap_jobs(3)).run()
+        assert all(r.status == "ok" for r in records)
+
+    def test_workers_one_stays_in_process(self, monkeypatch, no_pool):
+        _machine(monkeypatch, 4)
+        assert Session(_cheap_jobs(2), workers=1).run()[1].status == "ok"
+        assert Session(_cheap_jobs(2)).run(workers=1)[1].status == "ok"
+
+    def test_daemonic_process_stays_in_process(self, monkeypatch, no_pool):
+        _machine(monkeypatch, 2)
+        monkeypatch.setattr(session_mod, "_nested_pool_available", lambda: False)
+        assert all(r.status == "ok" for r in Session(_cheap_jobs(2)).run())
+
+    def test_pool_that_cannot_start_runs_in_process(self, monkeypatch):
+        def no_processes(*args, **kwargs):
+            raise OSError("process limit reached")
+
+        _machine(monkeypatch, 2)
+        monkeypatch.setattr(session_mod, "ProcessPoolExecutor", no_processes)
+        records = Session(_cheap_jobs(2)).run()
+        assert [r.status for r in records] == ["ok", "ok"]
+
+    def test_workers_below_one_are_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            Session(_cheap_jobs(2), workers=0)
+        with pytest.raises(ValueError, match="at least 1"):
+            Session(_cheap_jobs(2)).run(workers=-1)
+
+    def test_spawning_platform_pools_only_when_asked(self, monkeypatch, counting_pool):
+        _machine(monkeypatch, 2, start_method="spawn")
+        assert all(r.status == "ok" for r in Session(_cheap_jobs(3)).run())
+        assert counting_pool == [], "an unguarded script would fail every job"
+        Session(_cheap_jobs(3), workers=2).run()
+        assert counting_pool == [2]
+
+    def test_pool_broken_while_queueing_fails_the_unqueued_jobs(self, monkeypatch):
+        sizes = []
+
+        class BreaksOnJ1(session_mod.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                sizes.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+            def submit(self, fn, job):
+                if job.name == "j1":
+                    raise BrokenProcessPool("a worker died")
+                return super().submit(fn, job)
+
+        monkeypatch.setattr(session_mod, "ProcessPoolExecutor", BreaksOnJ1)
+        records = Session(_cheap_jobs(3), workers=2).run()
+        assert sizes == [2], "nothing reruns"
+        assert [(r.job, r.status) for r in records] == [
+            ("j0", "ok"), ("j1", "error"), ("j2", "error")
+        ]
+        assert records[2].error == "BrokenProcessPool: a worker died"
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers must inherit the patched execute_job",
+    )
+    def test_dead_worker_yields_error_records_not_exception(self, monkeypatch):
+        monkeypatch.setattr(session_mod, "execute_job", _execute_unless_doomed)
+        jobs = _cheap_jobs(3)
+        jobs.insert(1, Job(name="doomed", design="lzc_example"))
+        records = Session(jobs, workers=2).run()
+        assert [r.job for r in records] == ["j0", "doomed", "j1", "j2"]
+        assert records[1].status == "error"
+        # The dead worker breaks the pool: every job that had not finished
+        # by then fails with it, naming the cause; none is rerun.
+        for record in records:
+            assert record.status == "ok" or record.error.startswith(
+                "BrokenProcessPool: "
+            ), record.error
 
 
 class TestShardedJobs:
@@ -258,6 +399,7 @@ class TestSessionBudgetCeiling:
     def test_serial_session_budget_governs_every_job(self):
         session = Session.for_designs(
             ["lzc_example", "float_to_unorm"],
+            workers=1,
             budget=Budget(time_s=30.0),
             **FAST,
         )
@@ -272,6 +414,7 @@ class TestSessionBudgetCeiling:
         """The second job's window reflects what the first actually left."""
         session = Session.for_designs(
             ["lzc_example", "float_to_unorm"],
+            workers=1,
             budget=Budget(time_s=30.0),
             budget_policy="adaptive",
             **FAST,
@@ -282,23 +425,25 @@ class TestSessionBudgetCeiling:
         assert first.budget["allocated"]["time_s"] <= 15.0 + 1e-6
         assert second.budget["allocated"]["time_s"] > 15.0
 
-    def test_parallel_session_budget_shares_one_deadline(self, monkeypatch):
-        calls = []
-        real_executor = session_mod.ProcessPoolExecutor
+    def test_default_budgeted_batch_recycles_in_process(self, monkeypatch, no_pool):
+        """Without explicit workers a budgeted batch stays in-process even
+        with spare CPUs, so later jobs still get the slack earlier ones left
+        instead of racing one deadline from the back of a pool's queue."""
+        _machine(monkeypatch, 2)
+        session = Session(_cheap_jobs(3), budget=Budget(time_s=30.0))
+        first, second, third = session.run()
+        assert first.budget["allocated"]["time_s"] <= 10.0 + 1e-6
+        assert second.budget["allocated"]["time_s"] > 10.0
+        assert third.budget["allocated"]["time_s"] > 10.0
 
-        class CountingExecutor(real_executor):
-            def __init__(self, *args, **kwargs):
-                calls.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(session_mod, "ProcessPoolExecutor", CountingExecutor)
+    def test_parallel_session_budget_shares_one_deadline(self, counting_pool):
         session = Session.for_designs(
             ["lzc_example", "float_to_unorm"],
             budget=Budget(time_s=30.0),
             **FAST,
         )
-        records = session.run(parallel=True, max_workers=2)
-        assert calls == [2]
+        records = session.run(workers=2)
+        assert counting_pool == [2]
         assert all(r.status == "ok" for r in records)
         assert all(r.budget for r in records)
 
@@ -329,8 +474,6 @@ class TestSessionBudgetCeiling:
 @pytest.mark.slow
 class TestSessionSlow:
     def test_parallel_full_registry_with_verification(self):
-        records = Session.for_designs(verify=True, iter_limit=4).run(
-            parallel=True
-        )
+        records = Session.for_designs(verify=True, iter_limit=4).run()
         assert all(r.status == "ok" for r in records)
         assert all(r.verified in (True, None) for r in records)

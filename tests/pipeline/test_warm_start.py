@@ -17,6 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.designs import DESIGNS, get_design
+from repro.egraph.serialize import load_egraph
 from repro.pipeline import (
     Extract,
     Ingest,
@@ -210,6 +211,21 @@ class TestJobIntegration:
         assert warm.warm_start.startswith("hit:")
         assert warm.optimized_area == cold.optimized_area
         assert warm.optimized_delay == cold.optimized_delay
+
+    def test_exact_hit_record_reports_the_loaded_graph(self, tmp_path):
+        """No saturation runs on an exact hit, so the record's size comes
+        from the loaded e-graph rather than an empty saturation report."""
+        artifact = tmp_path / "fam.egraph"
+        execute_job(Job(name="c", design="lzc_example", save_egraph=str(artifact)))
+        loaded = load_egraph(artifact).egraph
+        warm = execute_job(
+            Job(name="w", design="lzc_example", warm_start=str(artifact))
+        )
+        assert warm.status == "ok" and warm.warm_start.startswith("hit:")
+        assert warm.iterations == 0
+        assert (warm.nodes, warm.classes) == (loaded.node_count, loaded.class_count)
+        assert warm.nodes > 0 and warm.classes > 0
+        assert warm.nodes_per_s == 0.0
 
     def test_warm_start_refuses_sharded_schedules(self):
         record = execute_job(

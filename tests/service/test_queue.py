@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+
+import repro.pipeline.session as session_mod
 from repro.pipeline import Budget, Job
 from repro.service import (
     EventFeed,
@@ -258,3 +261,19 @@ class TestEventFeed:
         assert record.queue_wait_s == 2.5  # dispatched at 12.5
         events = events_from_record(record)
         assert events[0].kind == "queued" and events[0].wall_s == 2.5
+
+
+class TestDispatch:
+    """A round dispatches in-process, whatever the machine's CPU count."""
+
+    def test_dispatch_stays_in_process(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("dispatch must not build a process pool")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(session_mod, "ProcessPoolExecutor", boom)
+        queue = OptimizationQueue(TENANTS)
+        queue.submit(_job("a-0"), "team-a")
+        queue.submit(_job("b-0"), "team-b")
+        records = queue.drain()
+        assert [r.status for r in records] == ["ok", "ok"]
