@@ -27,6 +27,7 @@ from repro.egraph.runner import (
     StopReason,
 )
 from repro.egraph.rewrite import Rewrite
+from repro.ir.digest import canonical_digest
 from repro.ir.expr import Expr
 from repro.rewrites import compose_rules
 from repro.rewrites.casesplit import case_split_on
@@ -167,10 +168,6 @@ class WarmStart:
                 status = f"hit:{saved.header.digest[:12]}"
         exact = False
         if egraph is not None and saved.header.digest:
-            # Runtime import: the canonical digest lives with the service
-            # cache, which imports the pipeline package.
-            from repro.service.cache import canonical_digest  # lint: ok(AR-LAYER): service owns the canonical digest; warm-start validates against it lazily to keep the package DAG acyclic
-
             exact = saved.header.digest == canonical_digest(
                 ctx.roots, ctx.input_ranges
             )
@@ -209,8 +206,9 @@ class SaveEGraph:
     Placed after the last ``Saturate`` (monolithic schedules) or after a
     stitched ``MergeShards``; a no-op when the context carries no e-graph
     (e.g. a sharded run without the stitch phase).  The header's digest is
-    the service cache's canonical DAG digest of the context's roots, so the
-    artifact is attributable; the write itself is atomic
+    the canonical DAG digest (:mod:`repro.ir.digest`) of the context's
+    roots, the one the service cache keys on, so the artifact is
+    attributable; the write itself is atomic
     (:func:`repro.egraph.serialize.save_egraph`).
     """
 
@@ -223,11 +221,7 @@ class SaveEGraph:
     def run(self, ctx: PipelineContext) -> None:
         if ctx.egraph is None:
             return
-        # Runtime import: the canonical digest lives with the service cache,
-        # which imports the pipeline package — a module-level import here
-        # would close that loop.
         from repro.egraph.serialize import save_egraph
-        from repro.service.cache import canonical_digest  # lint: ok(AR-LAYER): service owns the canonical digest; persisted e-graphs stamp it lazily to keep the package DAG acyclic
 
         save_egraph(
             self.path,

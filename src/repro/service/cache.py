@@ -8,14 +8,12 @@ operators does not change the key, while any semantic difference (widths,
 constants, operator structure, input-range constraints, schedule knobs,
 budget class) does.
 
-Canonicalization assigns variables alpha ids greedily: at each step the
-unassigned variable whose tentative assignment minimizes the whole-DAG
-digest gets the next id.  Digests are computed bottom-up over the shared
-DAG with commutative children sorted by digest, so the comparison is
-structure-only — two candidates tie exactly when they are symmetric under
-the partial assignment, in which case either choice yields the same final
-form.  The id assignment is a bijection, so equal keys mean the DAGs agree
-up to input renaming and commutative reordering (up to SHA-256 collision).
+The digest itself lives below the pipeline in :mod:`repro.ir.digest` (the
+pipeline's warm-start stages stamp and check it too) and is re-exported
+here.  A job's key binds each output *name* to its root's canonical
+digest, so two designs that compute the same set of functions under
+swapped output names get distinct keys — their records report different
+per-output costs.
 
 The cache itself is two-tier: a bounded in-memory LRU in front of an
 optional on-disk JSON file the daemon persists on shutdown and reloads on
@@ -33,7 +31,6 @@ e-graph and warm-starts from it instead of saturating cold.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -41,13 +38,9 @@ import tempfile
 from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
-from typing import Mapping
 
-from repro.designs.registry import design_roots, get_design
 from repro.egraph.serialize import EGraphFormatError, read_header
-from repro.intervals import IntervalSet
-from repro.ir import ops
-from repro.ir.expr import Expr, subterms
+from repro.ir.digest import _digest, canonical_digest, output_digests
 from repro.pipeline.budget import Budget
 from repro.pipeline.session import (
     Job,
@@ -67,98 +60,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-
-def _digest(*parts: object) -> str:
-    """SHA-256 over a deterministic rendering of the parts."""
-    payload = repr(parts).encode()
-    return hashlib.sha256(payload).hexdigest()
-
-
-def _dag_digests(
-    roots: tuple[Expr, ...],
-    var_ids: Mapping[Expr, int],
-    var_ranges: Mapping[str, tuple],
-) -> list[str]:
-    """Bottom-up digest per root under a (possibly partial) var assignment.
-
-    VAR nodes drop their name: assigned variables render as their alpha id,
-    unassigned ones as an anonymous ``?``.  Width and any input-range
-    constraint stay part of the leaf (so the greedy assignment sees them —
-    a constrained input is never symmetric with an unconstrained one).
-    Children of commutative operators contribute as a sorted multiset of
-    digests.
-    """
-    memo: dict[Expr, str] = {}
-
-    def rec(node: Expr) -> str:
-        found = memo.get(node)
-        if found is not None:
-            return found
-        if node.op is ops.VAR:
-            ident = var_ids.get(node)
-            tag = ("?",) if ident is None else ("v", ident)
-            result = _digest(
-                "var",
-                node.var_width,
-                var_ranges.get(node.var_name, ()),
-                tag,
-            )
-        else:
-            kids = [rec(child) for child in node.children]
-            if node.op in ops.COMMUTATIVE:
-                kids.sort()
-            result = _digest(node.op.name, node.attrs, tuple(kids))
-        memo[node] = result
-        return result
-
-    return [rec(root) for root in roots]
-
-
-def canonical_digest(
-    roots: Expr | Mapping[str, Expr],
-    input_ranges: Mapping[str, IntervalSet] | None = None,
-) -> str:
-    """Alpha- and commutativity-invariant digest of an ``Expr`` DAG.
-
-    ``roots`` is one expression or a mapping of output name → expression;
-    output names are interface labels, not structure, so multi-output
-    designs hash the sorted multiset of per-root canonical forms.
-    ``input_ranges`` constraints (keyed by source variable name) travel
-    with their variable's leaf — a constraint on ``x`` follows ``x``
-    through the renaming, so constraining ``x`` or ``y`` of a symmetric
-    ``x + y`` yields the same key.
-    """
-    root_tuple = (
-        (roots,) if isinstance(roots, Expr) else tuple(roots[k] for k in sorted(roots))
-    )
-    variables = sorted(
-        (node for node in subterms(root_tuple) if node.is_var),
-        key=lambda node: (node.var_width, node.var_name),
-    )
-    var_ranges = {
-        name: tuple((part.lo, part.hi) for part in iset.parts)
-        for name, iset in (input_ranges or {}).items()
-    }
-
-    def combined(assignment: Mapping[Expr, int]) -> str:
-        return _digest(
-            tuple(sorted(_dag_digests(root_tuple, assignment, var_ranges)))
-        )
-
-    var_ids: dict[Expr, int] = {}
-    for next_id in range(len(variables)):
-        best_node = best_key = None
-        for node in variables:
-            if node in var_ids:
-                continue
-            candidate = combined({**var_ids, node: next_id})
-            # Ties mean the candidates are symmetric under the current
-            # partial assignment; the name-ordered scan picks the first.
-            if best_key is None or candidate < best_key:
-                best_node, best_key = node, candidate
-        var_ids[best_node] = next_id
-    return combined(var_ids)
 
 
 def budget_class(budget: Budget | None) -> str:
@@ -206,11 +107,7 @@ _SCHEDULE_FIELDS = (
 
 def job_digest(job: Job) -> str:
     """Canonical structural digest of the job's design (source-aware)."""
-    if job.source is not None:
-        roots, input_ranges = resolve_design(job)
-        return canonical_digest(roots, input_ranges)
-    design = get_design(job.design)
-    return canonical_digest(design_roots(job.design), design.input_ranges)
+    return canonical_digest(*resolve_design(job))
 
 
 #: Digest of the ruleset-selecting knobs — the same key the pipeline's
@@ -232,13 +129,15 @@ def warm_family(job: Job) -> str:
 def job_cache_key(job: Job) -> str:
     """Content address of a job: design structure + schedule + budget class.
 
-    The design contributes through :func:`canonical_digest` of its
-    elaborated roots (memoized in the registry for registry designs, or
-    elaborated from ``job.source`` for ad-hoc submissions), so registry
-    aliases of the same structure — or a renamed copy of an existing
-    design — share cache entries.
+    The design contributes each output's root digest under the canonical
+    labeling of its elaborated roots (memoized in the registry for registry
+    designs, or elaborated from ``job.source`` for ad-hoc submissions), so
+    registry aliases of the same structure — or a copy with renamed inputs
+    — share cache entries.  Output names stay bound to their roots: the
+    record reports per-output results, so a design whose outputs swap
+    their logic is a different problem.
     """
-    structure = job_digest(job)
+    structure = tuple(sorted(output_digests(*resolve_design(job)).items()))
     schedule = tuple(getattr(job, name) for name in _SCHEDULE_FIELDS)
     classes = (budget_class(job.budget), budget_class(job.verify_budget))
     return _digest(structure, schedule, classes)

@@ -22,6 +22,7 @@ from repro.service import (
     budget_class,
     canonical_digest,
     job_cache_key,
+    job_digest,
 )
 
 FAST = dict(iter_limit=2, node_limit=8_000)
@@ -144,6 +145,35 @@ class TestCacheKeys:
             assert job_cache_key(base) != job_cache_key(
                 replace(base, **change)
             ), change
+
+
+_SWAP_SOURCE = """
+module m(input [7:0] {x}, output [9:0] p, output [9:0] q);
+  assign {first} = {x} + 8'd1;
+  assign {second} = {x} * 2'd2;
+endmodule
+"""
+
+
+class TestOutputBinding:
+    """Regression: two designs computing the same *set* of functions under
+    swapped output names share a canonical digest, so a key built on the
+    digest alone served one design the other's per-output record (A's ``p``
+    costs delay 6 / area 22.5, B's ``p`` delay 14 / area 108)."""
+
+    def _job(self, first: str, second: str, x: str = "x") -> Job:
+        source = _SWAP_SOURCE.format(first=first, second=second, x=x)
+        return Job(name="m", design="m", source=source, **FAST)
+
+    def test_swapped_outputs_get_distinct_keys(self):
+        a, b = self._job("p", "q"), self._job("q", "p")
+        assert job_digest(a) == job_digest(b)
+        assert job_cache_key(a) != job_cache_key(b)
+
+    def test_renamed_inputs_still_share_a_key(self):
+        assert job_cache_key(self._job("p", "q")) == job_cache_key(
+            self._job("p", "q", x="renamed")
+        )
 
 
 class TestResultCache:
