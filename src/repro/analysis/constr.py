@@ -31,11 +31,6 @@ CONSTR_OPS = frozenset(
 )
 
 
-def _point(egraph, analysis_name: str, class_id: int) -> int | None:
-    """The singleton value of a class's abstraction, if any."""
-    return egraph.data(class_id, analysis_name).iset.as_point()
-
-
 def constr_candidates(egraph, constraint: int, cache: dict | None) -> tuple:
     """Member e-nodes of a *canonical* class with a ``Constr``-shaped op.
 
@@ -74,6 +69,7 @@ def decode_constr(
     interpretable ``Constr`` about the target class.
     """
     find = egraph.find
+    class_data = egraph.class_data
     target = find(target_id)
     constraint = find(constraint_id)
     implied: IntervalSet | None = None
@@ -93,14 +89,17 @@ def decode_constr(
             continue
         if op not in (ops.LT, ops.LE, ops.GT, ops.GE, ops.EQ, ops.NE):
             continue
-        left, right = (find(c) for c in enode.children)
+        children = enode.children
+        left = find(children[0])
+        right = find(children[1])
         if left == target:
-            k = _point(egraph, analysis_name, right)
+            # The singleton value of the other side's abstraction, if any.
+            k = class_data[right][analysis_name].iset.as_point()
             if k is None:
                 continue
             target_on_left = True
         elif right == target:
-            k = _point(egraph, analysis_name, left)
+            k = class_data[left][analysis_name].iset.as_point()
             if k is None:
                 continue
             target_on_left = False
@@ -134,8 +133,10 @@ def constraint_refinement(
     this is what lets the optimizer prune unreachable muxes).
     """
     implied = IntervalSet.top()
+    find = egraph.find
+    class_data = egraph.class_data
     for cid in constraint_ids:
-        cond_range = egraph.data(cid, analysis_name).iset
+        cond_range = class_data[find(cid)][analysis_name].iset
         if cond_range.as_point() == 0 or cond_range.is_empty:
             return IntervalSet.empty()
         decoded = decode_constr(egraph, analysis_name, cid, target_id, cache)

@@ -22,12 +22,12 @@ ANALYSIS_NAME = "datapath"
 
 def range_of(egraph: EGraph, class_id: int) -> IntervalSet:
     """The interval abstraction of a class."""
-    return egraph.data(class_id, ANALYSIS_NAME).iset
+    return egraph.class_data[egraph.find(class_id)][ANALYSIS_NAME].iset
 
 
 def total_of(egraph: EGraph, class_id: int) -> bool:
     """Whether the class provably never evaluates to ``*``."""
-    return egraph.data(class_id, ANALYSIS_NAME).total
+    return egraph.class_data[egraph.find(class_id)][ANALYSIS_NAME].total
 
 
 def range_width(iset: IntervalSet, default: int = 64) -> int:
@@ -95,7 +95,11 @@ class DatapathAnalysis(Analysis):
         if op is ops.CONST:
             return AbsVal(IntervalSet.point(enode.attrs[0]), True)
 
-        kids = [egraph.data(c, self.name) for c in enode.children]
+        # The engine hands ``make`` an e-node whose children are canonical,
+        # so their data is one index away.
+        class_data = egraph.class_data
+        name = self.name
+        kids = [class_data[c][name] for c in enode.children]
 
         if op is ops.ASSUME:
             guarded = kids[0]
@@ -142,7 +146,7 @@ class DatapathAnalysis(Analysis):
     # ----------------------------------------------------------------- modify
     def modify(self, egraph: EGraph, class_id: int) -> None:
         class_id = egraph.find(class_id)
-        data: AbsVal = egraph.data(class_id, self.name)
+        data: AbsVal = egraph.class_data[class_id][self.name]
         value = data.iset.as_point()
         if value is None:
             return

@@ -279,7 +279,18 @@ class CoreGraph:
         if nid is not None:
             cls = self.node_class[nid]
             return cls if parent[cls] == cls else find(cls)
+        return self.insert(op_id, attr_id, canon_kids, sig)
 
+    def insert(
+        self, op_id: int, attr_id: int, canon_kids: tuple[int, ...], sig: tuple
+    ) -> int:
+        """Allocate the node for a signature the hashcons just missed.
+
+        ``canon_kids`` must be canonical *now* and ``sig`` must be
+        ``(op_id, attr_id, canon_kids)``: this is :meth:`add` after its
+        probe, shared with the compiled right-hand-side builders
+        (:func:`repro.egraph.query.compile_builder`), which probe inline.
+        """
         nid = len(self.node_op)
         self.node_op.append(op_id)
         self.node_attr.append(attr_id)
@@ -310,7 +321,7 @@ class CoreGraph:
                 data[analysis.name] = analysis.make(owner, enode)
             for analysis in self.analyses:
                 analysis.modify(owner, class_id)
-        return find(class_id)
+        return self.uf.find(class_id)
 
     def lookup(self, op: Op, attrs: tuple, children: tuple[int, ...]) -> int | None:
         """Class id of an interned e-node, else None (no allocation)."""
@@ -385,8 +396,14 @@ class CoreGraph:
                 old_gone = gdata[analysis.name]
                 joined = analysis.join(old_keep, old_gone)
                 kdata[analysis.name] = joined
-                keep_changed = keep_changed or joined != old_keep
-                gone_changed = gone_changed or joined != old_gone
+                # Joins return an operand unchanged most of the time: test
+                # identity before paying for a structural comparison.
+                keep_changed = keep_changed or (
+                    joined is not old_keep and joined != old_keep
+                )
+                gone_changed = gone_changed or (
+                    joined is not old_gone and joined != old_gone
+                )
         self.class_data[gone] = None
         if self.analyses:
             pend = self.analysis_pending
@@ -532,7 +549,7 @@ class CoreGraph:
                     for analysis in self.analyses:
                         old = data[analysis.name]
                         new = analysis.join(old, analysis.make(owner, enode))
-                        if new != old:
+                        if new is not old and new != old:
                             data[analysis.name] = new
                             pend.update(self.class_parents[root])
                             analysis.modify(owner, root)

@@ -100,13 +100,28 @@ class EClass:
 class EGraph:
     """A hashconsed, analysis-carrying e-graph (façade over the flat core)."""
 
-    __slots__ = ("core", "_class_views")
+    __slots__ = ("core", "_class_views", "find", "class_data")
 
     def __init__(self, analyses: Iterable[Analysis] = ()) -> None:
         #: The flat storage + congruence engine.  Hot paths consume this
         #: directly; the façade methods below are thin delegations.
         self.core = CoreGraph(analyses, owner=self)
         self._class_views: dict[int, EClass] = {}
+        self._bind_core()
+
+    def _bind_core(self) -> None:
+        """Expose the core's own union-find and data column without a hop.
+
+        ``find(class_id)`` is the union-find's bound method: the canonical id
+        of the class containing ``class_id``.  ``class_data[class_id]`` is
+        the analysis-slot dict of a class id that is canonical *now* (an
+        absorbed id holds ``None``) — what analysis hooks, rule conditions
+        and cost models read in their inner loops, e.g. ``make`` over an
+        e-node's children, which the core always hands over canonical.
+        Both objects live as long as the core, so binding them once is safe.
+        """
+        self.find = self.core.uf.find
+        self.class_data = self.core.class_data
 
     @property
     def analyses(self) -> tuple[Analysis, ...]:
@@ -119,10 +134,6 @@ class EGraph:
         return self.core.version
 
     # ------------------------------------------------------------------ sizes
-    def find(self, class_id: int) -> int:
-        """Canonical id of the class containing ``class_id``."""
-        return self.core.uf.find(class_id)
-
     @property
     def class_count(self) -> int:
         """Number of canonical e-classes."""
@@ -145,7 +156,7 @@ class EGraph:
         return iter([getitem(cid) for cid in self.core.class_ids()])
 
     def __getitem__(self, class_id: int) -> EClass:
-        root = self.core.uf.find(class_id)
+        root = self.find(class_id)
         view = self._class_views.get(root)
         if view is None:
             if self.core.class_nodes[root] is None:
@@ -156,7 +167,7 @@ class EGraph:
 
     def data(self, class_id: int, analysis: str) -> Any:
         """Analysis data of the class, by analysis name."""
-        return self.core.class_data[self.core.uf.find(class_id)][analysis]
+        return self.class_data[self.find(class_id)][analysis]
 
     def set_data(self, class_id: int, analysis: str, value: Any) -> None:
         """Overwrite analysis data (used to seed input assumptions).
@@ -333,6 +344,7 @@ def _egraph_from_core(core: CoreGraph) -> EGraph:
     egraph = EGraph.__new__(EGraph)
     egraph.core = core
     egraph._class_views = {}
+    egraph._bind_core()
     core.owner = egraph
     return egraph
 

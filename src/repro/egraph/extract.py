@@ -124,7 +124,7 @@ class Extractor:
         self.complete = True
         self._best: dict[int, tuple[Any, ENode]] = {}
         self._memo: dict[int, Expr] = {}
-        if hasattr(egraph, "core") and hasattr(cost_fn, "own_cost"):
+        if hasattr(egraph, "core") and hasattr(cost_fn, "pricer"):
             self._run_fixpoint_core()
         else:
             self._run_fixpoint()
@@ -197,8 +197,9 @@ class Extractor:
 
         Same worklist as :meth:`_run_fixpoint`, but over the core's int
         arrays: candidates are nids iterated straight from the member sets
-        (no :class:`ENode` views), each node's *own* (delay, area) is cached
-        by nid, and the combine — ``delay = own + max(children)``,
+        (no :class:`ENode` views), each node's *own* (delay, area) comes from
+        the cost function's per-run ``pricer`` and is cached by nid, and the
+        combine — ``delay = own + max(children)``,
         ``area = own + sum(children)``, ASSUME = its guarded child — runs on
         plain floats, with comparison keys built by ``cost_fn.key`` and full
         cost objects materialized only when a class's best improves (so the
@@ -206,7 +207,7 @@ class Extractor:
         """
         core = self.egraph.core
         cost_fn = self.cost_fn
-        own_cost = cost_fn.own_cost
+        price = cost_fn.pricer(self.egraph)
         key_fn = cost_fn.key
         from_parts = cost_fn.cost_from_parts
         clock = self.clock
@@ -266,7 +267,7 @@ class Extractor:
                     else:
                         d = own_delay[nid]
                         if d != d:  # NaN: not computed yet
-                            parts = own_cost(self.egraph, root, node_enode(nid))
+                            parts = price(root, node_enode(nid))
                             own_delay[nid] = d = parts[0]
                             own_area[nid] = parts[1]
                         delay += d

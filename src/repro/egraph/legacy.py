@@ -51,6 +51,18 @@ class LegacyEClass:
     rev: int = 0
 
 
+class _ClassData:
+    """``class_data`` of the legacy engine: class id -> analysis-slot dict."""
+
+    __slots__ = ("_egraph",)
+
+    def __init__(self, egraph: "LegacyEGraph") -> None:
+        self._egraph = egraph
+
+    def __getitem__(self, class_id: int) -> dict[str, Any]:
+        return self._egraph[class_id].data
+
+
 class LegacyEGraph:
     """A hashconsed, analysis-carrying e-graph (per-object representation)."""
 
@@ -77,6 +89,9 @@ class LegacyEGraph:
         #: Incremented on every successful union; rewrite runners use this to
         #: detect saturation.
         self.version = 0
+        #: ``class_data[class_id]``: the analysis-slot dict of the class
+        #: (any id; resolved through ``find``).
+        self.class_data = _ClassData(self)
 
     # ------------------------------------------------------------------ sizes
     def find(self, class_id: int) -> int:

@@ -32,32 +32,66 @@ Generated code for ``(* ?a 2)`` looks like::
             if kids[_f0 + 1] != _lc0: continue
             out.append((node_class[n0], {"a": v0}))
             if len(out) >= limit: return
+
+The apply side is lowered the same way: :func:`compile_builder` turns a
+right-hand side into one straight-line function per pattern that builds it
+bottom-up with one inline hashcons probe per node and calls
+:meth:`CoreGraph.insert` only on a miss.  Generated code for ``(<< ?a 1)``::
+
+    def _build(core, env):
+        parent = core.uf._parent
+        ... memo, node_class, op_ids, attr_ids ...
+        _op2 = op_ids.get(_K3)         # CONST, resolved per call
+        _at5 = attr_ids.get(_K6)       # (1,)
+        _op7 = op_ids.get(_K8)         # SHL
+        _at10 = attr_ids.get(_K11)     # ()
+        c1 = env['a']
+        if parent[c1] != c1: c1 = core.uf.find(c1)
+        ... the Const(1) leaf into c4, same probe shape as below ...
+        if _op7 is None: _op7 = core.intern_op(_K8)
+        if parent[c1] != c1: c1 = core.uf.find(c1)  # c4's modify may
+        if parent[c4] != c4: c4 = core.uf.find(c4)  # have unioned c1
+        t9 = (c1, c4, )
+        if _at10 is None: _at10 = core.intern_attrs(_K11)
+        s9 = (_op7, _at10, t9)
+        n9 = memo.get(s9)
+        if n9 is None:
+            c9 = core.insert(_op7, _at10, t9, s9)
+        else:
+            c9 = node_class[n9]
+            if parent[c9] != c9: c9 = core.uf.find(c9)
+        return c9
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.egraph.pattern import AttrVar, PatternNode, PatternVar
+from repro.egraph.pattern import AttrVar, Pattern, PatternNode, PatternVar
+from repro.ir import ops
 from repro.ir.ops import Op
 
 #: Compiled matcher: ``matcher(core, candidate_nids, limit, out)`` appends
 #: ``(root_class_id, env)`` pairs to ``out``, stopping at ``limit``.
 Matcher = Callable[[object, list, int, list], None]
 
-_COMPILED: dict[PatternNode, Matcher] = {}
+#: Compiled right-hand side: ``build(core, env)`` instantiates the pattern in
+#: the core and returns its canonical class id.
+Builder = Callable[[object, dict], int]
+
+#: Generated code per ``("match", lhs)`` / ``("build", rhs)`` pattern.
+_COMPILED: dict[tuple[str, Pattern], Callable] = {}
 
 
-class _Emitter:
-    """Builds the source of one compiled matcher."""
+class _Codegen:
+    """Source lines, fresh local names and interned constants of one
+    generated function."""
 
-    def __init__(self, pattern: PatternNode) -> None:
+    def __init__(self, pattern: Pattern) -> None:
         self.pattern = pattern
         self.prelude: list[str] = []
         self.body: list[str] = []
         self.globals: dict[str, object] = {}
-        #: var name -> local holding its binding (class id or attr value).
-        self.bound: dict[str, str] = {}
         self._serial = 0
 
     def fresh(self, prefix: str) -> str:
@@ -69,6 +103,23 @@ class _Emitter:
         name = self.fresh("_K")
         self.globals[name] = value
         return name
+
+    def define(self, src: str, name: str) -> Callable:
+        """Execute the generated source; returns the function ``name``."""
+        namespace = dict(self.globals)
+        exec(src, namespace)  # noqa: S102 - internal codegen, no user input
+        fn = namespace[name]
+        fn.__source__ = src  # debugging aid (inspect the emitted code)
+        return fn
+
+
+class _Emitter(_Codegen):
+    """Builds the source of one compiled matcher."""
+
+    def __init__(self, pattern: PatternNode) -> None:
+        super().__init__(pattern)
+        #: var name -> local holding its binding (class id or attr value).
+        self.bound: dict[str, str] = {}
 
     def op_id(self, op: Op) -> str:
         """Prelude local holding the op's interned id (guarded)."""
@@ -214,63 +265,182 @@ class _Emitter:
                 *self.body,
             ]
         )
-        namespace = dict(self.globals)
-        exec(src, namespace)  # noqa: S102 - internal codegen, no user input
-        matcher = namespace["_matcher"]
-        matcher.__source__ = src  # debugging aid (inspect the emitted loops)
-        return matcher
+        return self.define(src, "_matcher")
 
 
 def compile_pattern(pattern: PatternNode) -> Matcher:
     """Compile (with caching) a pattern into a flat-core matcher."""
-    matcher = _COMPILED.get(pattern)
+    key = ("match", pattern)
+    matcher = _COMPILED.get(key)
     if matcher is None:
         matcher = _Emitter(pattern).compile()
-        _COMPILED[pattern] = matcher
+        _COMPILED[key] = matcher
     return matcher
 
 
+class _BuilderEmitter(_Codegen):
+    """Builds the source of one compiled right-hand side.
+
+    The emitted statements replay :func:`repro.egraph.pattern.instantiate`
+    followed by :meth:`CoreGraph.add` step for step — the same post-order,
+    the same ``find`` calls on the same ids, interning in the same order —
+    so a compiled build leaves the graph exactly as the interpreted one
+    would.  Children are re-canonicalized just before each probe because a
+    sibling's analysis ``modify`` can union classes mid-build.
+    """
+
+    def __init__(self, pattern: Pattern) -> None:
+        super().__init__(pattern)
+        #: (table, constant) -> (prelude id local, global constant name).
+        self.ids: dict[tuple[str, object], tuple[str, str]] = {}
+
+    def interned(self, table: str, value: object) -> tuple[str, str]:
+        """``(local, constant)`` for a constant op or attr tuple: the prelude
+        local holds its id (``None`` until interned, which happens lazily at
+        its first probe, in :meth:`CoreGraph.add`'s order)."""
+        key = (table, value)
+        names = self.ids.get(key)
+        if names is None:
+            names = (self.fresh("_op" if table == "op_ids" else "_at"), self.lit(value))
+            self.prelude.append(f"    {names[0]} = {table}.get({names[1]})")
+            self.ids[key] = names
+        return names
+
+    def emit(self, pat: Pattern) -> str:
+        """Statements building ``pat``; returns the local holding its class."""
+        if isinstance(pat, PatternVar):
+            local = self.fresh("c")
+            self.body.append(f"    {local} = env[{pat.name!r}]")
+            self.body.append(f"    if parent[{local}] != {local}: {local} = core.uf.find({local})")
+            return local
+        kids = [self.emit(child) for child in pat.children]
+        op_local, op_const = self.interned("op_ids", pat.op)
+        self.body.append(f"    if {op_local} is None: {op_local} = core.intern_op({op_const})")
+        for kid in kids:
+            self.body.append(f"    if parent[{kid}] != {kid}: {kid} = core.uf.find({kid})")
+        serial = self.fresh("")
+        tup = f"t{serial}"
+        if pat.op is ops.ASSUME and kids:
+            tail = ", ".join(kids[1:])
+            self.body.append(
+                f"    {tup} = ({kids[0]}, *sorted({{{tail}}}))"
+                if kids[1:] else f"    {tup} = ({kids[0]},)"
+            )
+        else:
+            self.body.append(f"    {tup} = ({''.join(f'{k}, ' for k in kids)})")
+        if any(isinstance(a, AttrVar) for a in pat.attrs):
+            attrs = "".join(
+                f"env[{a.name!r}], " if isinstance(a, AttrVar)
+                else f"{self.lit(a)}, "
+                for a in pat.attrs
+            )
+            at_local = f"a{serial}"
+            self.body.append(f"    {at_local} = attr_ids.get(({attrs}))")
+            self.body.append(
+                f"    if {at_local} is None: {at_local} = core.intern_attrs(({attrs}))"
+            )
+        else:
+            at_local, at_const = self.interned("attr_ids", pat.attrs)
+            self.body.append(
+                f"    if {at_local} is None: {at_local} = core.intern_attrs({at_const})"
+            )
+        sig, nid, cls = f"s{serial}", f"n{serial}", f"c{serial}"
+        self.body += [
+            f"    {sig} = ({op_local}, {at_local}, {tup})",
+            f"    {nid} = memo.get({sig})",
+            f"    if {nid} is None:",
+            f"        {cls} = core.insert({op_local}, {at_local}, {tup}, {sig})",
+            "    else:",
+            f"        {cls} = node_class[{nid}]",
+            f"        if parent[{cls}] != {cls}: {cls} = core.uf.find({cls})",
+        ]
+        return cls
+
+    def compile(self) -> Builder:
+        result = self.emit(self.pattern)
+        src = "\n".join(
+            [
+                "def _build(core, env):",
+                "    parent = core.uf._parent",
+                "    memo = core.memo",
+                "    node_class = core.node_class",
+                "    op_ids = core.op_ids",
+                "    attr_ids = core.attr_ids",
+                *self.prelude,
+                *self.body,
+                f"    return {result}",
+            ]
+        )
+        return self.define(src, "_build")
+
+
+def compile_builder(pattern: Pattern) -> Builder:
+    """Compile (with caching) a right-hand side into a flat-core builder.
+
+    ``compile_builder(rhs)(core, env)`` is :func:`instantiate` on the
+    façade over ``core``, with every id, count, ``version`` and hashcons
+    entry identical.  Builders hold no per-core state, so one serves any
+    graph.
+    """
+    key = ("build", pattern)
+    build = _COMPILED.get(key)
+    if build is None:
+        build = _BuilderEmitter(pattern).compile()
+        _COMPILED[key] = build
+    return build
+
+
 class QueryPlan:
-    """All pattern rules of a runner, grouped by root op for batched search.
+    """All rules of a runner, lowered once: compiled matchers grouped by root
+    op for batched search, and compiled right-hand-side builders.
 
     One ``search`` call snapshots the per-op candidate list once per root
     operator and runs every rule's compiled matcher over it — the shared
-    scan that replaces pattern-at-a-time ``ematch``.  Rules with callable
-    (dynamic) searchers are not part of the plan; the runner keeps
-    dispatching those through :meth:`Rewrite.search`.
+    scan that replaces pattern-at-a-time ``ematch``.  Rules are keyed by
+    their *position* in the runner's rule list, never by name: two rules may
+    share a name, and each must get its own matcher, matches and builder.
+    Rules with callable (dynamic) searchers are not part of the search plan;
+    the runner keeps dispatching those through :meth:`Rewrite.search`.
     """
 
     def __init__(self, rules) -> None:
-        self.groups: dict[Op, list] = {}
-        self.matchers: dict[str, Matcher] = {}
-        for rule in rules:
+        #: root op -> [(rule position, compiled matcher), ...]
+        self.groups: dict[Op, list[tuple[int, Matcher]]] = {}
+        self.positions: set[int] = set()
+        #: rule position -> compiled builder of its declarative RHS.
+        self.builders: dict[int, Builder] = {}
+        for position, rule in enumerate(rules):
             searcher = rule.searcher
             if isinstance(searcher, PatternNode):
-                self.groups.setdefault(searcher.op, []).append(rule)
-                self.matchers[rule.name] = compile_pattern(searcher)
+                self.groups.setdefault(searcher.op, []).append(
+                    (position, compile_pattern(searcher))
+                )
+                self.positions.add(position)
+            if not callable(rule.applier):
+                self.builders[position] = compile_builder(rule.applier)
 
-    def __contains__(self, rule_name: str) -> bool:
-        return rule_name in self.matchers
+    def __contains__(self, position: int) -> bool:
+        return position in self.positions
 
-    def search(self, core, budgets: dict[str, int]) -> dict[str, list]:
-        """Match every rule named in ``budgets`` (name -> match limit).
+    def search(self, core, budgets: dict[int, int]) -> dict[int, list]:
+        """Match every rule whose position is in ``budgets`` (-> match limit).
 
-        Returns rule name -> ``[(class_id, env), ...]`` for each searched
+        Returns rule position -> ``[(class_id, env), ...]`` for each searched
         rule (present even when empty, so schedulers can record a zero).
         The core must be clean (just rebuilt).
         """
-        results: dict[str, list] = {}
+        results: dict[int, list] = {}
         op_ids = core.op_ids
         op_nodes = core.op_nodes
-        for op, rules in self.groups.items():
-            wanted = [rule for rule in rules if rule.name in budgets]
+        for op, entries in self.groups.items():
+            wanted = [entry for entry in entries if entry[0] in budgets]
             if not wanted:
                 continue
             op_id = op_ids.get(op)
             cands = list(op_nodes[op_id]) if op_id is not None else []
-            for rule in wanted:
+            for position, matcher in wanted:
                 out: list = []
                 if cands:
-                    self.matchers[rule.name](core, cands, budgets[rule.name], out)
-                results[rule.name] = out
+                    matcher(core, cands, budgets[position], out)
+                results[position] = out
         return results

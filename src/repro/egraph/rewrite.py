@@ -25,6 +25,7 @@ from repro.egraph.pattern import (
     instantiate,
     pattern_vars,
 )
+from repro.egraph.query import Builder, compile_builder
 
 #: A condition receives (egraph, env) and vetoes the application when False.
 Condition = Callable[[EGraph, dict], bool]
@@ -62,18 +63,57 @@ class Rewrite:
 
     def apply(self, egraph: EGraph, class_id: int, env: dict) -> bool:
         """Apply to one match; returns True when the graph changed."""
-        for cond in self.conditions:
-            if not cond(egraph, env):
-                return False
-        before = egraph.version
-        if callable(self.applier):
-            new_id = self.applier(egraph, env, egraph.find(class_id))
-        else:
-            new_id = instantiate(egraph, self.applier, env)
-        if new_id is None:
+        builder = None
+        if hasattr(egraph, "core") and not callable(self.applier):
+            builder = compile_builder(self.applier)
+        return self.bind(egraph, builder)(class_id, env)
+
+    def bind(
+        self, egraph: EGraph, builder: "Builder | None" = None
+    ) -> Callable[[int, dict], bool]:
+        """The per-match apply step on ``egraph``: ``step(class_id, env)``
+        checks the conditions, builds the right-hand side, unions it with
+        the matched class and returns True when the graph changed.
+
+        Everything that does not depend on the match is resolved here, once.
+        On the flat core a declarative right-hand side is built by
+        ``builder``, its :func:`~repro.egraph.query.compile_builder` output
+        (the runner's :class:`~repro.egraph.query.QueryPlan` compiles them
+        with the matchers).  The legacy oracle engine keeps interpreting it
+        through :func:`instantiate`.
+        """
+        conditions = self.conditions
+        applier = self.applier
+        core = getattr(egraph, "core", None)
+        if core is not None and not callable(applier):
+            if builder is None:
+                raise ValueError(f"rule {self.name}: flat-core apply needs its builder")
+            union = core.union
+
+            def step(class_id: int, env: dict) -> bool:
+                for cond in conditions:
+                    if not cond(egraph, env):
+                        return False
+                before = core.version
+                union(class_id, builder(core, env))
+                return core.version != before
+
+            return step
+
+        def step(class_id: int, env: dict) -> bool:
+            for cond in conditions:
+                if not cond(egraph, env):
+                    return False
+            before = egraph.version
+            if callable(applier):
+                new_id = applier(egraph, env, egraph.find(class_id))
+            else:
+                new_id = instantiate(egraph, applier, env)
+            if new_id is not None:
+                egraph.union(class_id, new_id)
             return egraph.version != before
-        egraph.union(class_id, new_id)
-        return egraph.version != before
+
+        return step
 
     def __repr__(self) -> str:
         return f"Rewrite({self.name})"

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -97,8 +96,7 @@ class RunnerReport:
     stop_reason: StopReason
     iterations: list[IterationStats]
     total_time: float
-    #: The budget the run was governed by (legacy-kwarg runs carry their
-    #: shimmed equivalent).
+    #: The budget the run was governed by.
     budget: "Budget | None" = None
 
     @property
@@ -200,23 +198,15 @@ class BackoffScheduler:
         self._banned_until[rule.name] = iteration + (self.ban_length << banned)
 
 
-#: Shimmed defaults for the deprecated ``iter_limit``/``node_limit``/
-#: ``time_limit`` kwargs (their historical values).
-_LEGACY_ITERS = 16
-_LEGACY_NODES = 50_000
-_LEGACY_TIME_S = 120.0
-
-
 class Runner:
     """Drive a set of rewrites over an e-graph until a stop condition.
 
     The stop condition is a :class:`~repro.pipeline.budget.Budget` — wall
     clock (relative span and/or inherited absolute deadline), e-node cap,
-    iteration quota, match quota.  The legacy ``iter_limit`` / ``node_limit``
-    / ``time_limit`` kwargs still work as a deprecated shim that builds an
-    equivalent budget; new call sites should pass ``budget=``, which is how
-    a pipeline's :class:`~repro.pipeline.budget.ResourceGovernor` threads
-    one shared deadline through nested saturation stages instead of letting
+    iteration quota, match quota — defaulting to
+    :data:`~repro.pipeline.budget.RUNNER_DEFAULT_BUDGET`.  A pipeline's
+    :class:`~repro.pipeline.budget.ResourceGovernor` threads one shared
+    deadline through nested saturation stages this way instead of letting
     each restart the clock.
     """
 
@@ -224,74 +214,30 @@ class Runner:
         self,
         egraph: EGraph,
         rules: Sequence[Rewrite],
-        iter_limit: int | None = None,
-        node_limit: int | None = None,
-        time_limit: float | None = None,
+        *,
         scheduler: BackoffScheduler | None = None,
         check_invariants: bool = False,
-        *,
         budget: "Budget | None" = None,
         clock: Callable[[], float] | None = None,
     ) -> None:
-        from repro.pipeline.budget import Budget  # runtime: cycle-free
+        from repro.pipeline.budget import RUNNER_DEFAULT_BUDGET  # cycle-free
 
         self.egraph = egraph
         self.rules = list(rules)
-        legacy = {
-            key: value
-            for key, value in (
-                ("iter_limit", iter_limit),
-                ("node_limit", node_limit),
-                ("time_limit", time_limit),
-            )
-            if value is not None
-        }
-        if budget is not None:
-            if legacy:
-                raise ValueError(
-                    "pass either budget= or the legacy "
-                    f"{sorted(legacy)} kwargs, not both"
-                )
-        else:
-            if legacy:
-                warnings.warn(
-                    "Runner(iter_limit=..., node_limit=..., time_limit=...) "
-                    "is deprecated; pass budget=Budget(iters=..., nodes=..., "
-                    "time_s=...) instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            budget = Budget(
-                iters=iter_limit if iter_limit is not None else _LEGACY_ITERS,
-                nodes=node_limit if node_limit is not None else _LEGACY_NODES,
-                time_s=time_limit if time_limit is not None else _LEGACY_TIME_S,
-            )
-        self.budget = budget
+        self.budget = budget if budget is not None else RUNNER_DEFAULT_BUDGET
         self.clock = clock if clock is not None else time.monotonic
         self.scheduler = scheduler if scheduler is not None else BackoffScheduler()
         #: Assert e-graph invariants after every rebuild (tests only — the
         #: check is a full sweep).
         self.check_invariants = check_invariants
         self._spent_once_rules: set[str] = set()
-        #: Compiled multi-pattern plan (flat-core e-graphs only): all
-        #: pattern-searcher rules lowered once, searched in one batched
-        #: per-op scan each iteration.  Legacy graphs keep the generic
-        #: pattern-at-a-time path.
+        #: Compiled plan (flat-core e-graphs only): every rule lowered once —
+        #: pattern searchers into matchers searched in one batched per-op
+        #: scan each iteration, declarative right-hand sides into builders
+        #: (see :meth:`Rewrite.bind`).  Legacy graphs keep the generic
+        #: pattern-at-a-time search and the interpreted ``instantiate``.
         self._plan = QueryPlan(self.rules) if hasattr(egraph, "core") else None
-
-    # Legacy views of the budget (read-only; the shim keeps old call sites
-    # and introspection working).
-    @property
-    def iter_limit(self) -> int | None:
-        return self.budget.iters
-
-    @property
-    def node_limit(self) -> int | None:
-        return self.budget.nodes
-
-    @property
-    def time_limit(self) -> float | None:
-        return self.budget.time_s
+        self._builders = self._plan.builders if self._plan is not None else {}
 
     def run(self) -> RunnerReport:
         """Run to saturation or budget exhaustion; the e-graph is mutated
@@ -316,6 +262,8 @@ class Runner:
         matches_seen = 0
         iterations: list[IterationStats] = []
         stop: StopReason | None = None
+        #: rule position -> its bound per-match apply step (see Rewrite.bind).
+        steps: dict[int, Callable[[int, dict], bool]] = {}
 
         self.egraph.rebuild()
         if self.check_invariants:
@@ -338,19 +286,19 @@ class Runner:
 
             # --- search phase -------------------------------------------
             t0 = clock()
-            matches: list[tuple[Rewrite, list[tuple[int, dict]]]] = []
-            plan_results: dict[str, list] = {}
+            matches: list[tuple[int, list[tuple[int, dict]]]] = []
+            plan_results: dict[int, list] = {}
             if self._plan is not None and clock() <= deadline:
                 budgets = {
-                    rule.name: self.scheduler.budget(rule)
-                    for rule in self.rules
-                    if rule.name in self._plan
+                    position: self.scheduler.budget(rule)
+                    for position, rule in enumerate(self.rules)
+                    if position in self._plan
                     and not (rule.once and rule.name in self._spent_once_rules)
                     and self.scheduler.enabled(rule, iteration)
                 }
                 if budgets:
                     plan_results = self._plan.search(self.egraph.core, budgets)
-            for rule in self.rules:
+            for position, rule in enumerate(self.rules):
                 if clock() > deadline:
                     stop = StopReason.TIME_LIMIT
                     break
@@ -358,7 +306,7 @@ class Runner:
                     continue
                 if not self.scheduler.enabled(rule, iteration):
                     continue
-                found = plan_results.get(rule.name)
+                found = plan_results.get(position)
                 if found is None:
                     # Dynamic rule, legacy graph, or the plan was skipped
                     # (deadline already blown): generic search path.
@@ -369,7 +317,7 @@ class Runner:
                     )
                 self.scheduler.record(rule, len(found), iteration)
                 if found:
-                    matches.append((rule, found))
+                    matches.append((position, found))
                     matches_seen += len(found)
                     if matches_seen > match_limit:
                         stop = StopReason.MATCH_LIMIT
@@ -379,19 +327,31 @@ class Runner:
             # --- apply phase --------------------------------------------
             t0 = clock()
             if stop is None:
-                for rule, found in matches:
+                egraph = self.egraph
+                for position, found in matches:
+                    rule = self.rules[position]
+                    step = steps.get(position)
+                    if step is None:
+                        # Bound on the rule's first match of the run: the
+                        # conditions and compiled builder stay out of the
+                        # per-match loop below.
+                        step = steps[position] = rule.bind(
+                            egraph, self._builders.get(position)
+                        )
                     applied = 0
                     for class_id, env in found:
-                        if rule.apply(self.egraph, class_id, env):
+                        if step(class_id, env):
                             applied += 1
-                        if self.egraph.node_count > node_limit:
+                        if egraph.node_count > node_limit:
                             stop = StopReason.NODE_LIMIT
                             break
                         if clock() > deadline:
                             stop = StopReason.TIME_LIMIT
                             break
                     if applied:
-                        stats.applied[rule.name] = applied
+                        stats.applied[rule.name] = (
+                            stats.applied.get(rule.name, 0) + applied
+                        )
                         if rule.once:
                             self._spent_once_rules.add(rule.name)
                     if stop is not None:

@@ -82,7 +82,12 @@ _INTERN_CAP = 1 << 16
 class IntervalSet:
     """Immutable canonical union of integer intervals (hash-consed)."""
 
-    __slots__ = ("parts", "_hash")
+    #: ``_storage`` memoizes :meth:`storage_width` (``-1`` until first
+    #: asked): extraction prices every e-node from its classes' widths, and
+    #: interning makes one set serve every class with that range.  Pickling
+    #: ships only ``parts`` (see :meth:`__reduce__`), so the memo never
+    #: crosses a process boundary.
+    __slots__ = ("parts", "_hash", "_storage")
 
     parts: tuple[Interval, ...]
 
@@ -94,6 +99,7 @@ class IntervalSet:
         self = super().__new__(cls)
         self.parts = parts
         self._hash = hash(parts)
+        self._storage = -1
         if len(_INTERN) >= _INTERN_CAP:
             _INTERN.clear()
         _INTERN[parts] = self
@@ -570,10 +576,13 @@ class IntervalSet:
 
     def storage_width(self) -> int | None:
         """Bits needed in hardware: unsigned if possible, else signed."""
-        width = self.unsigned_width()
-        if width is not None:
-            return width
-        return self.signed_width()
+        width = self._storage
+        if width == -1:
+            width = self.unsigned_width()
+            if width is None:
+                width = self.signed_width()
+            self._storage = width
+        return width
 
     def __repr__(self) -> str:
         if not self.parts:

@@ -117,8 +117,8 @@ SHARED_STATE_ALLOWLIST: dict[tuple[str, str], str] = {
     ("repro.egraph.pattern", "_SYMBOLS"):
         "parser symbol table; written once at import",
     ("repro.egraph.query", "_COMPILED"):
-        "compiled-matcher memo; value is a pure function of the pattern, "
-        "racy double-compile is idempotent",
+        "compiled matcher/builder memo; value is a pure function of the "
+        "(role, pattern) key, racy double-compile is idempotent",
     ("repro.rewrites.rulesets", "RULESETS"):
         "ruleset registry; written once at import (immutability pinned by "
         "tests/test_parallel_safety.py)",

@@ -149,6 +149,11 @@ class Budget:
         return out
 
 
+#: The budget a :class:`~repro.egraph.runner.Runner` runs under when none
+#: is passed: 16 iterations, 50k e-nodes, two minutes.
+RUNNER_DEFAULT_BUDGET = Budget(iters=16, nodes=50_000, time_s=120.0)
+
+
 def spend_dict(
     *,
     time_s: float = 0.0,

@@ -133,12 +133,13 @@ def extraction_problem(
     """Build the cone's program from a saturated e-graph.
 
     ``cost_fn`` needs the decomposed interface of
-    :class:`~repro.synth.cost.DelayAreaCost`: ``own_cost(egraph, cid,
-    enode)`` and a monotone ``key(delay, area)``.  Returns ``None`` when the
+    :class:`~repro.synth.cost.DelayAreaCost`: ``pricer(egraph)`` (own
+    delay/area per ``(cid, enode)``) and a monotone ``key(delay, area)``.  Returns ``None`` when the
     reachable cone exceeds ``max_classes`` — the caller's quota-blow-up
     signal, which degrades to greedy instead of building a hopeless model.
     """
     find = egraph.find
+    price = cost_fn.pricer(egraph)
     roots = tuple(dict.fromkeys(find(r) for r in root_ids))
     candidates: dict[int, tuple[Candidate, ...]] = {}
     stack = list(roots)
@@ -156,7 +157,7 @@ def extraction_problem(
                 own_delay = own_area = 0.0
             else:
                 children = tuple(find(c) for c in enode.children)
-                own_delay, own_area = cost_fn.own_cost(egraph, cid, enode)
+                own_delay, own_area = price(cid, enode)
             if cid in children:
                 # A self-loop can never appear in an acyclic selection.
                 continue

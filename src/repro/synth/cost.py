@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.analysis import range_of, range_width
+from repro.analysis import ANALYSIS_NAME, range_width
 from repro.egraph.egraph import EGraph
 from repro.egraph.enode import ENode
 from repro.egraph.extract import CostFunction
@@ -141,7 +141,7 @@ class DelayAreaCost(CostFunction):
         cache_key = (class_id, enode)
         own = self._model_cache.get(cache_key)
         if own is None:
-            own = self._model(egraph, class_id, enode)
+            own = self.pricer(egraph)(class_id, enode)
             self._model_cache[cache_key] = own
         own_delay, own_area = own
         delay = own_delay + max((c.delay for c in child_costs), default=0.0)
@@ -149,30 +149,42 @@ class DelayAreaCost(CostFunction):
         return DelayArea(delay, area, self.key(delay, area))
 
     # Decomposed interface consumed by the extractor's flat-core fixpoint
-    # (`Extractor._run_fixpoint_core`): the node's own contribution and the
-    # parts -> cost-object constructor, so the fixpoint can fold delay/area
-    # as plain floats and only materialize `DelayArea` on improvement.
-    def own_cost(
-        self, egraph: EGraph, class_id: int, enode: ENode
-    ) -> tuple[float, float]:
-        """(delay, area) of the node itself, before child contributions."""
-        return self._model(egraph, class_id, enode)
+    # (`Extractor._run_fixpoint_core`) and the ILP builder: the node's own
+    # contribution and the parts -> cost-object constructor, so the fixpoint
+    # can fold delay/area as plain floats and only materialize `DelayArea`
+    # on improvement.
+    def pricer(self, egraph: EGraph) -> Callable[[int, ENode], tuple[float, float]]:
+        """``price(class_id, enode)``: the (delay, area) of the node itself,
+        before child contributions, over ``egraph`` as it stands.
+
+        Ranges are read straight from the engine's ``class_data`` column;
+        operand widths come memoized on the hash-consed ranges themselves
+        (:meth:`IntervalSet.storage_width`), so nothing is re-derived per
+        (e-node, operand) pair.  Valid while the graph does not change, as
+        during one extraction.
+        """
+        class_data = egraph.class_data
+        find = egraph.find
+        class_const = egraph.class_const
+        hint_positions = CONST_HINT_POSITIONS
+
+        def price(class_id: int, enode: ENode) -> tuple[float, float]:
+            op = enode.op
+            children = enode.children
+            consts = [False] * len(children)
+            # class_const scans the operand's member set: only pay for it at
+            # the positions whose model actually reads the hint.
+            for position in hint_positions.get(op, ()):
+                consts[position] = class_const(children[position]) is not None
+            return operator_model(
+                op,
+                class_data[find(class_id)][ANALYSIS_NAME].iset,
+                [class_data[find(c)][ANALYSIS_NAME].iset for c in children],
+                consts,
+            )
+
+        return price
 
     def cost_from_parts(self, delay: float, area: float) -> DelayArea:
         """Rebuild the ordered cost object from folded parts."""
         return DelayArea(delay, area, self.key(delay, area))
-
-    def _model(self, egraph: EGraph, class_id: int, enode: ENode) -> tuple[float, float]:
-        # class_const scans the child's member set — only pay for it at the
-        # operand positions whose model actually reads the hint.
-        consts = [False] * len(enode.children)
-        for position in CONST_HINT_POSITIONS.get(enode.op, ()):
-            consts[position] = (
-                egraph.class_const(enode.children[position]) is not None
-            )
-        return operator_model(
-            enode.op,
-            range_of(egraph, class_id),
-            [range_of(egraph, c) for c in enode.children],
-            consts,
-        )

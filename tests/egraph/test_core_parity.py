@@ -181,3 +181,30 @@ def test_registry_designs_optimized_costs_match_legacy(name, monkeypatch):
     flat = _optimize(design, EGraph, monkeypatch)
     legacy = _optimize(design, LegacyEGraph, monkeypatch)
     assert flat == legacy
+
+
+def test_rules_sharing_a_name_keep_their_own_matchers():
+    """Two rules may share a name: each must search with its own matcher and
+    apply its own right-hand side.  Keyed by name, the MUL matcher ran over
+    the ADD candidates and its matches were applied with the ADD rule's RHS,
+    merging ``a+b`` with ``a*b`` on the flat core only."""
+    from repro.pipeline.budget import Budget
+
+    rules = [
+        rewrite("comm", "(+ ?x ?y)", "(+ ?y ?x)"),
+        rewrite("comm", "(* ?x ?y)", "(* ?y ?x)"),
+    ]
+    shapes = {}
+    for engine in ENGINES:
+        g = engine()
+        a = g.add_node(ops.VAR, ("a", 8))
+        b = g.add_node(ops.VAR, ("b", 8))
+        add = g.add_node(ops.ADD, (), (a, b))
+        mul = g.add_node(ops.MUL, (), (a, b))
+        g.rebuild()
+        report = Runner(g, rules, budget=Budget(iters=3), check_invariants=True).run()
+        assert g.find(add) != g.find(mul)
+        assert g.find(g.add_node(ops.ADD, (), (b, a))) == g.find(add)
+        assert g.find(g.add_node(ops.MUL, (), (b, a))) == g.find(mul)
+        shapes[engine] = (g.class_count, g.node_count, report.stop_reason)
+    assert shapes[EGraph] == shapes[LegacyEGraph]

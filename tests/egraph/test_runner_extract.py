@@ -11,6 +11,7 @@ from repro.egraph import (
 )
 from repro.egraph.runner import BackoffScheduler
 from repro.ir import ops, var
+from repro.pipeline.budget import Budget
 
 
 BASIC_RULES = [
@@ -25,7 +26,7 @@ class TestRunner:
     def test_saturates_on_small_graph(self):
         g = EGraph()
         root = g.add_expr((var("x", 4) * 2) >> 1)
-        report = Runner(g, BASIC_RULES, iter_limit=10).run()
+        report = Runner(g, BASIC_RULES, budget=Budget(iters=10)).run()
         assert report.stop_reason is StopReason.SATURATED
         assert Extractor(g, AstSizeCost()).expr_of(root) == var("x", 4)
 
@@ -41,7 +42,7 @@ class TestRunner:
         for i in range(6):
             e = e + var(f"y{i}", 4)
         g.add_expr(e)
-        report = Runner(g, rules, iter_limit=3, node_limit=10**6).run()
+        report = Runner(g, rules, budget=Budget(iters=3, nodes=10**6)).run()
         assert report.stop_reason is StopReason.ITERATION_LIMIT
         assert len(report.iterations) == 3
 
@@ -55,28 +56,28 @@ class TestRunner:
         for i in range(1, 8):
             e = e + var(f"x{i}", 4)
         g.add_expr(e)
-        report = Runner(g, rules, iter_limit=50, node_limit=500).run()
+        report = Runner(g, rules, budget=Budget(iters=50, nodes=500)).run()
         assert report.stop_reason is StopReason.NODE_LIMIT
 
     def test_once_rules_fire_once(self):
         g = EGraph()
         g.add_expr(var("x", 4) + 0)
         rule = rewrite("add-zero-once", "(+ ?a 0)", "?a", once=True)
-        report = Runner(g, [rule], iter_limit=5).run()
+        report = Runner(g, [rule], budget=Budget(iters=5)).run()
         total = sum(it.applied.get("add-zero-once", 0) for it in report.iterations)
         assert total == 1
 
     def test_report_summary_mentions_counts(self):
         g = EGraph()
         g.add_expr(var("x", 4) * 2)
-        report = Runner(g, BASIC_RULES, iter_limit=4).run()
+        report = Runner(g, BASIC_RULES, budget=Budget(iters=4)).run()
         text = report.summary()
         assert "nodes" in text and "classes" in text
 
     def test_iteration_stats_record_before_and_after(self):
         g = EGraph()
         g.add_expr((var("x", 4) * 2) + 0)
-        report = Runner(g, BASIC_RULES, iter_limit=5).run()
+        report = Runner(g, BASIC_RULES, budget=Budget(iters=5)).run()
         growing = report.iterations[0]
         # The first iteration applies rewrites, so the graph really grows —
         # and both sides of the growth are visible, not overwritten.
@@ -98,7 +99,7 @@ class TestRunner:
         for i in range(1, 8):
             e = e + var(f"x{i}", 4)
         g.add_expr(e)
-        report = Runner(g, rules, iter_limit=50, node_limit=10**6, time_limit=0.0).run()
+        report = Runner(g, rules, budget=Budget(iters=50, nodes=10**6, time_s=0.0)).run()
         assert report.stop_reason is StopReason.TIME_LIMIT
         assert len(report.iterations) == 1
         assert report.iterations[0].applied == {}
@@ -109,7 +110,7 @@ class TestRunner:
         for i in range(1, 5):
             e = (e + var(f"x{i}", 4)) * 2
         g.add_expr(e + 0)
-        report = Runner(g, BASIC_RULES, iter_limit=6, check_invariants=True).run()
+        report = Runner(g, BASIC_RULES, budget=Budget(iters=6), check_invariants=True).run()
         assert report.iterations  # check_invariants raised nowhere
 
 
@@ -135,21 +136,21 @@ class TestExtraction:
         g = EGraph()
         x = var("x", 4)
         root = g.add_expr((x + 0) + 0)
-        Runner(g, BASIC_RULES, iter_limit=5).run()
+        Runner(g, BASIC_RULES, budget=Budget(iters=5)).run()
         assert Extractor(g, AstSizeCost()).expr_of(root) == x
 
     def test_cost_of_reports_minimum(self):
         g = EGraph()
         x = var("x", 4)
         root = g.add_expr(x + 0)
-        Runner(g, BASIC_RULES, iter_limit=5).run()
+        Runner(g, BASIC_RULES, budget=Budget(iters=5)).run()
         assert Extractor(g, AstSizeCost()).cost_of(root) == 1
 
     def test_depth_cost(self):
         g = EGraph()
         x = var("x", 4)
         root = g.add_expr((x + 0) * 2)
-        Runner(g, BASIC_RULES, iter_limit=5).run()
+        Runner(g, BASIC_RULES, budget=Budget(iters=5)).run()
         ex = Extractor(g, AstDepthCost())
         assert ex.expr_of(root).depth() == 2  # x << 1 or x * 2
 

@@ -40,6 +40,7 @@ from repro.pipeline import (
     Saturate,
     allocator_for,
 )
+from repro.pipeline.budget import RUNNER_DEFAULT_BUDGET
 
 GROWING_RULES = [
     rewrite("assoc", "(+ (+ ?a ?b) ?c)", "(+ ?a (+ ?b ?c))"),
@@ -253,20 +254,16 @@ class TestRunnerBudget:
         assert governed.stop_reason is StopReason.ITERATION_LIMIT
         assert len(governed.iterations) == 3
 
-    def test_legacy_kwargs_still_work_but_warn(self):
-        g = chain_graph(6)
-        with pytest.warns(DeprecationWarning, match="budget=Budget"):
-            runner = Runner(g, GROWING_RULES, iter_limit=2, node_limit=9_000)
+    def test_default_budget_keeps_the_historical_limits(self):
+        runner = Runner(chain_graph(6), GROWING_RULES)
+        assert runner.budget == RUNNER_DEFAULT_BUDGET
+        assert runner.budget == Budget(iters=16, nodes=50_000, time_s=120.0)
         report = runner.run()
-        assert len(report.iterations) == 2
-        # The shim is a real budget underneath (and readable through the
-        # legacy property views).
-        assert runner.budget.iters == runner.iter_limit == 2
-        assert runner.budget.nodes == runner.node_limit == 9_000
+        assert report.budget == RUNNER_DEFAULT_BUDGET
 
-    def test_budget_and_legacy_kwargs_together_are_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            Runner(chain_graph(4), GROWING_RULES, iter_limit=2, budget=Budget(iters=2))
+    def test_removed_limit_kwargs_are_rejected(self):
+        with pytest.raises(TypeError):
+            Runner(chain_graph(4), GROWING_RULES, iter_limit=2)
 
     def test_match_quota_stops_with_match_limit(self):
         report = Runner(
