@@ -16,7 +16,7 @@ import pytest
 
 from benchmarks.common import run_design
 from repro.designs import DESIGNS
-from repro.synth import area_delay_sweep
+from repro.solve.pareto import sweep_points
 
 pytestmark = pytest.mark.slow
 
@@ -29,13 +29,13 @@ def _sweeps():
 
         run = run_design(DESIGNS["fp_sub"])
         _STATE["run"] = run
-        _STATE["behavioural"] = area_delay_sweep(
+        _STATE["behavioural"] = sweep_points(
             run.behavioural, run.design.input_ranges, points=8
         )
-        _STATE["tool"] = area_delay_sweep(
+        _STATE["tool"] = sweep_points(
             run.optimized, run.design.input_ranges, points=8
         )
-        _STATE["dual-path"] = area_delay_sweep(
+        _STATE["dual-path"] = sweep_points(
             fp_sub_dual_path_ir(), run.design.input_ranges, points=8
         )
     return _STATE
@@ -72,7 +72,7 @@ def test_fig3_monotonicity():
     """All curves must be monotone: looser targets never cost more area.
 
     Failed at the seed commit (one sweep point's area was non-monotone);
-    fixed by ``area_delay_sweep`` carrying its best-so-far implementation
+    fixed by ``sweep_points`` carrying its best-so-far implementation
     across targets (prefix-min on the frontier) instead of trusting each
     greedy critical-path-upgrade run independently.
     """

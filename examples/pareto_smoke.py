@@ -4,7 +4,7 @@ worse than the greedy sweep it generalizes.
 Run:  PYTHONPATH=src python examples/pareto_smoke.py
 
 Characterizes the area/delay trade-off of a registry design two ways —
-the legacy greedy ``area_delay_sweep`` (critical-path adder upgrades) and
+the greedy ``sweep_points`` series (critical-path adder upgrades) and
 the epsilon-constraint :func:`repro.solve.pareto.pareto_front` over the
 full architecture-assignment space — then checks the contract CI cares
 about:
@@ -18,8 +18,7 @@ about:
 
 from repro.designs.registry import get_design
 from repro.rtl import module_to_ir
-from repro.solve.pareto import pareto_front
-from repro.synth.sweep import area_delay_sweep
+from repro.solve.pareto import pareto_front, sweep_points
 
 DESIGN = "lzc_example"
 POINTS = 6
@@ -32,7 +31,7 @@ def main() -> None:
     front = pareto_front(
         expr, design.input_ranges, mode="epsilon", points=POINTS
     )
-    legacy = area_delay_sweep(expr, design.input_ranges, points=POINTS)
+    legacy = sweep_points(expr, design.input_ranges, points=POINTS)
 
     print(f"=== {DESIGN}: epsilon front ({front.status}) ===")
     for point in front.points:

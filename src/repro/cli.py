@@ -34,7 +34,9 @@ Subcommands (on the composable pipeline API):
         python -m repro status /tmp/repro.sock --stats
 
 Bare legacy invocations (``python -m repro design.v ...``) map to
-``optimize`` unchanged.
+``optimize`` unchanged.  Knob combinations follow the schedule's one table
+of composition rules (:data:`repro.pipeline.schedule.COMPOSITION_RULES`);
+``optimize`` exits 1 with ``error: <reason>`` on a violation.
 """
 
 from __future__ import annotations
@@ -95,7 +97,8 @@ def _add_optimize_arguments(parser: argparse.ArgumentParser) -> None:
         "--stitch", action="store_true",
         help="after a sharded run, re-union the shard e-graphs on shared "
         "subexpressions and re-extract from the stitched graph "
-        "(requires --shards/--auto-shard-nodes)",
+        "(requires a sharded run: --shards, or --auto-shard-nodes without "
+        "--warm-start or --objective ilp)",
     )
     _add_budget_arguments(parser)
     _add_shard_arguments(parser)
@@ -158,6 +161,13 @@ def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
         "--shard-parallel", action="store_true",
         help="fan shards out over a process pool",
     )
+
+
+def _ms_budget(milliseconds: float | None):
+    """The wall-clock ``Budget`` of a ``--*-budget-ms`` flag (None: unset)."""
+    from repro.pipeline import Budget
+
+    return Budget.of_ms(milliseconds) if milliseconds is not None else None
 
 
 def positive_int(text: str) -> int:
@@ -333,27 +343,8 @@ def _read_source(path: str) -> str:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     source = _read_source(args.source)
 
-    from repro.pipeline import Budget
+    from repro.pipeline import CompositionError
 
-    auto_shard_nodes = args.auto_shard_nodes or None
-    if args.warm_start:
-        if args.shards > 0:
-            raise SystemExit(
-                "error: --warm-start composes with the monolithic flow "
-                "only (drop --shards)"
-            )
-        # Warm-starting seeds one monolithic graph; the auto-shard
-        # default must not silently force the sharded flow.
-        auto_shard_nodes = None
-    if args.objective == "ilp":
-        if args.shards > 0:
-            raise SystemExit(
-                "error: --objective ilp composes with the monolithic flow "
-                "only (drop --shards)"
-            )
-        # The ILP refinement plans its own per-output cones; the auto-shard
-        # default must not silently force the sharded flow either.
-        auto_shard_nodes = None
     config = OptimizerConfig(
         iter_limit=args.iters,
         node_limit=args.nodes,
@@ -361,24 +352,22 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         verify=not args.no_verify,
         split_threshold=None if args.no_split else args.split_threshold,
         shards=args.shards,
-        auto_shard_nodes=auto_shard_nodes,
+        auto_shard_nodes=args.auto_shard_nodes or None,
         shard_parallel=args.shard_parallel,
-        budget=(
-            Budget.of_ms(args.budget_ms) if args.budget_ms is not None else None
-        ),
+        budget=_ms_budget(args.budget_ms),
         budget_policy=args.budget_policy,
-        verify_budget=(
-            Budget.of_ms(args.verify_budget_ms)
-            if args.verify_budget_ms is not None
-            else None
-        ),
+        verify_budget=_ms_budget(args.verify_budget_ms),
         warm_start=args.warm_start,
         save_egraph=args.save_egraph,
         stitch=args.stitch,
         extract_objective=args.objective,
     )
     tool = DatapathOptimizer(dict(args.ranges), config)
-    module = tool.optimize_verilog(source)
+    try:
+        # The schedule check raises before any stage runs.
+        module = tool.optimize_verilog(source)
+    except CompositionError as err:
+        raise SystemExit(f"error: {err}") from None
 
     for name, result in module.outputs.items():
         before, after = result.original_cost, result.optimized_cost
@@ -417,7 +406,7 @@ def _records_table(records) -> str:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.designs.registry import design_names
-    from repro.pipeline import Budget, Session
+    from repro.pipeline import Session
 
     names = (
         [n.strip() for n in args.designs.split(",") if n.strip()]
@@ -431,25 +420,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         # batch then runs in-process, split across jobs by --budget-policy;
         # an explicit --workers N races its jobs against one deadline.
         # Per-design limits still apply underneath.
-        budget=(
-            Budget.of_ms(args.budget_ms) if args.budget_ms is not None else None
-        ),
+        budget=_ms_budget(args.budget_ms),
         budget_policy=args.budget_policy,
         iter_limit=args.iters,
         node_limit=args.nodes,
         time_limit=args.time_limit,
         verify=args.verify,
-        verify_budget=(
-            Budget.of_ms(args.verify_budget_ms)
-            if args.verify_budget_ms is not None
-            else None
-        ),
+        verify_budget=_ms_budget(args.verify_budget_ms),
         shards=args.shards,
-        # An ilp objective runs monolithically (it plans its own per-output
-        # cones), so the auto-shard default must not force the sharded flow.
-        auto_shard_nodes=(
-            None if args.objective == "ilp" else args.auto_shard_nodes or None
-        ),
+        auto_shard_nodes=args.auto_shard_nodes or None,
         shard_parallel=args.shard_parallel,
         extract_objective=args.objective,
     )
@@ -516,20 +495,32 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 1 if failed else 0  # same contract as `bench`
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _designer_schedule(args: argparse.Namespace, **knobs):
+    """A registry design and the monolithic schedule ``sweep``/``pareto``
+    saturate it under (``--iters``/``--nodes`` override its limits)."""
     from repro.designs.registry import get_design
-    from repro.pipeline import Extract, Ingest, Pipeline, Saturate
-    from repro.synth.cost import weighted_key
+    from repro.pipeline import Schedule
 
     design = get_design(args.design)
-    iters = args.iters if args.iters is not None else design.iterations
-    nodes = args.nodes if args.nodes is not None else design.node_limit
+    schedule = Schedule(
+        iter_limit=args.iters if args.iters is not None else design.iterations,
+        node_limit=args.nodes if args.nodes is not None else design.node_limit,
+        **knobs,
+    )
+    return design, schedule
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.pipeline import Extract, Pipeline, build_stages
+    from repro.synth.cost import weighted_key
+
+    design, schedule = _designer_schedule(args)
     weights = [float(w) for w in args.area_weights.split(",") if w.strip()]
 
-    # Saturate once; re-extract per objective on the same context.
-    ctx = Pipeline(
-        [Ingest(source=design.verilog), Saturate(iter_limit=iters, node_limit=nodes)]
-    ).run(input_ranges=design.input_ranges)
+    # Saturate once (the schedule's stages before its extraction), then
+    # re-extract per objective on the same context.
+    *saturation, _extract = build_stages(schedule, source=design.verilog)
+    ctx = Pipeline(saturation).run(input_ranges=design.input_ranges)
     print(f"{args.design}: {ctx.report.summary()}", file=sys.stderr)
     print(f"{'area_weight':>11} {'delay':>8} {'area':>10}")
     for weight in weights:
@@ -540,21 +531,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_pareto(args: argparse.Namespace) -> int:
-    from repro.designs.registry import get_design
-    from repro.pipeline import Extract, Ingest, Pipeline, Saturate
-    from repro.solve import OptimalExtract, pareto_front
+    from repro.pipeline import Pipeline, build_stages
+    from repro.solve import pareto_front
 
-    design = get_design(args.design)
-    iters = args.iters if args.iters is not None else design.iterations
-    nodes = args.nodes if args.nodes is not None else design.node_limit
-    extract = OptimalExtract() if args.objective == "ilp" else Extract()
-    ctx = Pipeline(
-        [
-            Ingest(source=design.verilog),
-            Saturate(iter_limit=iters, node_limit=nodes),
-            extract,
-        ]
-    ).run(input_ranges=design.input_ranges)
+    design, schedule = _designer_schedule(args, extract_objective=args.objective)
+    ctx = Pipeline(build_stages(schedule, source=design.verilog)).run(
+        input_ranges=design.input_ranges
+    )
     front = pareto_front(
         ctx.extracted[design.output],
         ctx.input_ranges,
@@ -599,7 +582,6 @@ def _parse_tenants(text: str):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.pipeline import Budget
     from repro.service import (
         OptimizationDaemon,
         OptimizationQueue,
@@ -608,9 +590,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     queue = OptimizationQueue(
         _parse_tenants(args.tenants),
-        budget=(
-            Budget.of_ms(args.budget_ms) if args.budget_ms is not None else None
-        ),
+        budget=_ms_budget(args.budget_ms),
         budget_policy=args.budget_policy,
         cache=ResultCache(capacity=args.cache_entries, path=args.cache_file),
     )

@@ -84,6 +84,7 @@ _RANK = {unit: index for index, unit in enumerate(LAYERS)}
 ENTRY_POINTS: tuple[str, ...] = (
     "repro",
     "repro.pipeline.stages",
+    "repro.pipeline.schedule",
     "repro.pipeline",
     "repro.opt",
     "repro.opt.report",

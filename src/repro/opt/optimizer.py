@@ -17,27 +17,15 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.egraph import EGraph, RunnerReport
-from repro.egraph.rewrite import Rewrite
 from repro.intervals import IntervalSet
 from repro.ir.expr import Expr
 from repro.pipeline import (
     Budget,
-    CaseSplit,
-    Extract,
-    Ingest,
-    Job,
-    MergeShards,
     Pipeline,
     PipelineContext,
-    SaveEGraph,
-    Saturate,
-    Shard,
-    ShardSchedule,
-    Verify,
-    WarmStart,
-    job_schedule_key,
+    Schedule,
+    build_stages,
 )
-from repro.rewrites import compose_rules
 from repro.rtl import emit_verilog
 from repro.synth.cost import DelayArea, default_key
 from repro.verify import EquivalenceResult
@@ -45,7 +33,18 @@ from repro.verify import EquivalenceResult
 
 @dataclass
 class OptimizerConfig:
-    """Knobs of the tool (defaults follow the paper's settings)."""
+    """Knobs of the tool (defaults follow the paper's settings).
+
+    Each knob means what the same-named
+    :class:`~repro.pipeline.schedule.Schedule` field means
+    (``enable_condition_rewriting`` is its ``enable_condition``), and the
+    knobs compose by the schedule's one table of rules
+    (:data:`~repro.pipeline.schedule.COMPOSITION_RULES`).  ``budget`` is
+    the config's own: one accounted resource pool for the whole run (see
+    :mod:`repro.pipeline.budget`) that every stage and shard draws from,
+    with the per-stage knobs as ceilings; ``None`` leaves the run
+    ungoverned.
+    """
 
     #: equality-saturation iterations (the paper's case study uses 11; the
     #: small Section VI cases use 6).
@@ -62,69 +61,30 @@ class OptimizerConfig:
     enable_condition_rewriting: bool = True
     #: verify the optimized design against the original after extraction.
     verify: bool = True
-    #: intra-design cone sharding (see :mod:`repro.pipeline.shard`): cluster
-    #: output cones down to at most this many shared-nothing shards (0 = off
-    #: unless ``auto_shard_nodes`` triggers).  The sharded flow extracts with
-    #: the default objective inside each shard, so a custom
-    #: ``extraction_key`` composes with the monolithic flow only.
     shards: int = 0
-    #: auto-split threshold: a multi-output design whose DAG reaches this
-    #: size shards per output cone (None disables auto-splitting).
     auto_shard_nodes: int | None = None
-    #: fan shards out over a process pool.
     shard_parallel: bool = False
-    #: one accounted resource pool for the whole run (wall clock / nodes /
-    #: iterations / matches — see :mod:`repro.pipeline.budget`): every stage
-    #: and every shard draws from it and races a single deadline.  The
-    #: per-stage knobs above still apply as ceilings.  None = ungoverned.
     budget: Budget | None = None
-    #: how a shared budget splits across shards: ``fair`` | ``weighted``
-    #: (by cone size) | ``adaptive`` (fast shards' slack flows to slow ones).
     budget_policy: str = "adaptive"
-    #: a further ceiling on the ``Verify`` stage alone (``time_s`` spans
-    #: from stage start, ``bdd_nodes`` caps BDD growth before the check
-    #: degrades to randomized trials).  None = only the run budget governs.
     verify_budget: Budget | None = None
     #: assert e-graph invariants after every runner iteration (tests only;
     #: the check sweeps the whole graph).
     check_invariants: bool = False
-    #: seed saturation from a persisted e-graph artifact at this path
-    #: (monolithic flow only; an incompatible artifact cold-starts).
     warm_start: str | None = None
-    #: persist the saturated e-graph to this path for later warm starts
-    #: (after Saturate monolithically, after the stitch when sharded).
     save_egraph: str | None = None
-    #: sharded flow only: re-union the shard e-graphs after the merge and
-    #: run a short budgeted stitch saturation to recover cross-cone sharing.
     stitch: bool = False
-    #: extraction objective: ``"greedy"`` (classic per-root tree-cost
-    #: extractor) or ``"ilp"`` (governed branch-and-bound refinement to
-    #: DAG-cost optimality, :class:`repro.solve.extract_opt.OptimalExtract`;
-    #: monolithic flow only).
     extract_objective: str = "greedy"
     #: extraction objective key (delay, area) -> ordering key.
     extraction_key = staticmethod(default_key)
 
-    def rules(self) -> list[Rewrite]:
-        """The composed single-phase rule selection for this config."""
-        return compose_rules(
-            self.split_threshold,
-            self.enable_assume,
-            self.enable_condition_rewriting,
-        )
-
-    def schedule_key(self) -> str:
-        """Artifact-compatibility key — identical to the service's for the
-        same knobs, so CLI-saved artifacts and daemon-saved ones interop."""
-        return job_schedule_key(
-            Job(
-                name="",
-                design="",
-                split_threshold=self.split_threshold,
-                enable_assume=self.enable_assume,
-                enable_condition=self.enable_condition_rewriting,
-                extract_objective=self.extract_objective,
-            )
+    def schedule(self, splits: Sequence[Expr] = ()) -> Schedule:
+        """These knobs as a :class:`~repro.pipeline.schedule.Schedule`, with
+        the designer case ``splits`` on every root."""
+        return Schedule.of(
+            self,
+            # The one knob the config spells differently.
+            enable_condition=self.enable_condition_rewriting,
+            splits=tuple(splits),
         )
 
 
@@ -203,119 +163,8 @@ class DatapathOptimizer:
         user_splits: Sequence[Expr] = (),
     ) -> Pipeline:
         """The stage list this config's one-call entrypoints run."""
-        config = self.config
-        sharding = config.shards > 0 or config.auto_shard_nodes is not None
-        if sharding:
-            if config.warm_start:
-                raise ValueError(
-                    "warm-start composes with the monolithic flow only"
-                )
-            if config.extraction_key is not default_key:
-                # Same rationale: shards extract with the default objective
-                # (the schedule that crosses process boundaries carries no
-                # callables), and silently swapping the objective would be
-                # worse than refusing.
-                raise ValueError(
-                    "a custom extraction_key composes with the monolithic "
-                    "flow only"
-                )
-            if config.extract_objective != "greedy":
-                # Shards extract inside their worker schedules; the ILP
-                # refinement plans its own per-output cones and would
-                # double-decompose.
-                raise ValueError(
-                    "extract_objective='ilp' composes with the monolithic "
-                    "flow only"
-                )
-            stages = [
-                # Parse only: each shard ingests its cone into its own
-                # e-graph, so the monolithic graph would be discarded work.
-                Ingest(
-                    source=source,
-                    roots=dict(roots) if roots else None,
-                    seed_egraph=False,
-                ),
-                Shard(
-                    ShardSchedule(
-                        iter_limit=config.iter_limit,
-                        node_limit=config.node_limit,
-                        time_limit=config.time_limit,
-                        split_threshold=config.split_threshold,
-                        enable_assume=config.enable_assume,
-                        enable_condition=config.enable_condition_rewriting,
-                        check_invariants=config.check_invariants,
-                        budget_policy=config.budget_policy,
-                        # Designer case splits ride into the shards and are
-                        # cone-sliced there: each shard applies exactly the
-                        # splits its cone can see, instead of the old
-                        # behaviour of refusing to compose at all.
-                        splits=tuple(user_splits),
-                        ship_egraph=config.stitch,
-                    ),
-                    max_shards=config.shards if config.shards > 0 else None,
-                    auto_threshold=config.auto_shard_nodes,
-                    parallel=config.shard_parallel,
-                ),
-                MergeShards(
-                    stitch=config.stitch,
-                    stitch_rules=config.rules() if config.stitch else None,
-                ),
-            ]
-            if config.save_egraph:
-                stages.append(
-                    SaveEGraph(config.save_egraph, schedule=config.schedule_key())
-                )
-            if config.verify:
-                stages.append(Verify(strict=True, budget=config.verify_budget))
-            return Pipeline(stages)
-        if config.stitch:
-            raise ValueError("stitch requires a sharded flow")
-        warm = bool(config.warm_start)
-        stages = [
-            Ingest(
-                source=source,
-                roots=dict(roots) if roots else None,
-                seed_egraph=not warm,
-            )
-        ]
-        if warm:
-            stages.append(
-                WarmStart(config.warm_start, schedule=config.schedule_key())
-            )
-        if user_splits:
-            stages.append(CaseSplit(user_splits))
-        stages.append(
-            Saturate(
-                config.rules(),
-                iter_limit=config.iter_limit,
-                node_limit=config.node_limit,
-                time_limit=config.time_limit,
-                check_invariants=config.check_invariants,
-            )
-        )
-        if config.save_egraph:
-            stages.append(
-                SaveEGraph(config.save_egraph, schedule=config.schedule_key())
-            )
-        # ASSUME wrappers are kept in the extracted tree: the tree-level
-        # range analysis re-derives the constraint refinements from them, so
-        # netlist lowering and Verilog emission see the reduced bitwidths.
-        if config.extract_objective == "ilp":
-            # Runtime import: opt sits below solve in the package DAG.
-            from repro.solve.extract_opt import OptimalExtract
-
-            stages.append(
-                OptimalExtract(key=config.extraction_key, strip_assumes=False)
-            )
-        elif config.extract_objective == "greedy":
-            stages.append(Extract(key=config.extraction_key, strip_assumes=False))
-        else:
-            raise ValueError(
-                f"unknown extract objective: {config.extract_objective!r}"
-            )
-        if config.verify:
-            stages.append(Verify(strict=True, budget=config.verify_budget))
-        return Pipeline(stages)
+        schedule = self.config.schedule(user_splits)
+        return Pipeline(build_stages(schedule, source=source, roots=roots))
 
     # ----------------------------------------------------------------- entry
     def optimize_expr(

@@ -14,9 +14,11 @@ ROVER) into stages over a shared context:
 ... ])                                                  # doctest: +SKIP
 >>> ctx = pipe.run(input_ranges={"x": IntervalSet.of(128, 255)})  # doctest: +SKIP
 
-Batch work goes through :class:`Session` — named :class:`Job`\\ s over the
-designs registry, fanned out over a process pool by default, each
-producing a JSON-round-trippable :class:`RunRecord`.
+Every entry point turns its knobs into stages through one
+:class:`Schedule` and :func:`build_stages`, which holds the one table of
+composition rules.  Batch work goes through :class:`Session` — named
+:class:`Job`\\ s over the designs registry, fanned out over a process pool
+by default, each producing a JSON-round-trippable :class:`RunRecord`.
 
 :class:`~repro.opt.optimizer.DatapathOptimizer` remains the one-call preset
 over exactly these stages.
@@ -42,16 +44,22 @@ from repro.pipeline.session import (
     Session,
     execute_job,
     job_design,
-    job_schedule_key,
     job_stages,
     record_from_context,
     resolve_design,
+)
+from repro.pipeline.schedule import (
+    COMPOSITION_RULES,
+    CompositionError,
+    Schedule,
+    build_stages,
+    is_sharded,
+    job_schedule_key,
 )
 from repro.pipeline.shard import (
     MergeShards,
     Shard,
     ShardResult,
-    ShardSchedule,
     ShardTask,
     run_shard_task,
 )
@@ -92,10 +100,14 @@ __all__ = [
     "Emit",
     "Shard",
     "MergeShards",
-    "ShardSchedule",
     "ShardTask",
     "ShardResult",
     "run_shard_task",
+    "Schedule",
+    "build_stages",
+    "CompositionError",
+    "COMPOSITION_RULES",
+    "is_sharded",
     "Session",
     "Job",
     "RunRecord",

@@ -16,7 +16,6 @@ appends records to ``BENCH_perf.json`` through it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import multiprocessing
 import os
@@ -36,22 +35,9 @@ from repro.pipeline.budget import (
 )
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.pipeline import Pipeline
-from repro.pipeline.shard import (
-    MergeShards,
-    Shard,
-    ShardSchedule,
-    _nested_pool_available,
-)
-from repro.pipeline.stages import (
-    Extract,
-    Ingest,
-    SaveEGraph,
-    Saturate,
-    Stage,
-    Verify,
-    WarmStart,
-)
-from repro.rewrites.rulesets import casesplit_ruleset, compose_rules, ruleset
+from repro.pipeline.schedule import Schedule, build_stages
+from repro.pipeline.shard import _nested_pool_available
+from repro.pipeline.stages import Stage
 from repro.rtl import module_to_ir
 from repro.synth.treecost import dag_cost
 
@@ -60,19 +46,10 @@ from repro.synth.treecost import dag_cost
 class Job:
     """One named unit of batch work: a registry design plus schedule knobs.
 
-    ``phases`` opts into a phased schedule: each entry is a tuple of named
-    rulesets (see :data:`~repro.rewrites.rulesets.RULESETS`) run as its own
-    ``Saturate`` stage with ``phase_iters`` iterations.  An empty ``phases``
-    runs the single-phase default composition.
-
-    ``shards``/``auto_shard_nodes`` opt into intra-design cone sharding
-    (:mod:`repro.pipeline.shard`): ``shards=N`` clusters output cones down
-    to at most N shared-nothing shards (``0`` leaves sharding off unless
-    ``auto_shard_nodes`` is set, in which case a multi-output design whose
-    DAG reaches that size auto-splits per output).  ``shard_parallel`` fans
-    shards out over a nested process pool — two-level parallelism when the
-    session itself runs its jobs on a pool.  Sharding composes with the
-    single-phase schedule only (phased schedules raise).
+    The knobs shared with :class:`~repro.pipeline.schedule.Schedule` mean
+    what they mean there, and compose by its one table of rules; unset
+    ``iter_limit``/``node_limit`` take the design's own limits
+    (:meth:`schedule`).  The rest belong to the job alone.
 
     ``budget`` puts the whole job under one accounted
     :class:`~repro.pipeline.budget.Budget` (every stage — including the
@@ -80,8 +57,6 @@ class Job:
     split by ``budget_policy``, draws from that pool and races one
     deadline); the classic per-stage knobs still apply as ceilings.  A
     session-level budget intersects in on top (see :class:`Session`).
-    ``verify_budget`` is a further ceiling on the ``Verify`` stage alone
-    (its ``time_s`` spans from stage start, ``bdd_nodes`` caps BDD growth).
     """
 
     name: str
@@ -107,52 +82,19 @@ class Job:
     #: design for the variables that survive the edit (see
     #: :func:`resolve_design`).
     source: str | None = None
-    #: Path to a persisted e-graph artifact to seed saturation from
-    #: (monolithic schedules only).  An incompatible or missing artifact
-    #: degrades to a cold start, recorded in ``RunRecord.warm_start``.
     warm_start: str | None = None
-    #: Path to persist the saturated e-graph to, for later warm starts.
     save_egraph: str | None = None
-    #: Sharded schedules only: after the merge, re-union the shard e-graphs
-    #: into one graph and run a short budgeted stitch saturation to recover
-    #: the cross-cone sharing per-output shards give up.
     stitch: bool = False
-    #: Extraction objective: ``"greedy"`` (the classic per-root tree-cost
-    #: extractor) or ``"ilp"`` (:class:`repro.solve.extract_opt.OptimalExtract`
-    #: — greedy warm start refined to DAG-cost optimality by the governed
-    #: branch-and-bound; monolithic schedules only).
     extract_objective: str = "greedy"
-    #: Pareto-front characterization after extraction: ``""`` (off),
-    #: ``"epsilon"`` or ``"weighted"`` (see :mod:`repro.solve.pareto`;
-    #: monolithic schedules only).
     pareto: str = ""
 
-
-#: Job knobs that select *which rewrites run* — the compatibility contract
-#: for reusing a persisted e-graph.  Exploration limits (iterations, nodes,
-#: wall) are excluded on purpose: a graph saturated deeper than the current
-#: budget is still sound to seed from.
-_RULESET_FIELDS = (
-    "enable_assume",
-    "enable_condition",
-    "split_threshold",
-    "phases",
-    "phase_iters",
-    # The extraction objective does not change the saturated e-graph, but a
-    # persisted artifact's provenance should say which objective its runs
-    # were measured under — crossing greedy-schedule artifacts into ilp runs
-    # (and vice versa) silently mixes bench series, so the key separates
-    # them.
-    "extract_objective",
-)
-
-
-def job_schedule_key(job: Job) -> str:
-    """Digest of the ruleset-selecting knobs (artifact compatibility key)."""
-    payload = repr(
-        tuple(getattr(job, name) for name in _RULESET_FIELDS)
-    ).encode()
-    return hashlib.sha256(payload).hexdigest()
+    def schedule(self, design: Design) -> Schedule:
+        """This job's stage-shaping knobs; unset limits take ``design``'s."""
+        return Schedule.of(
+            self,
+            iter_limit=design.iterations if self.iter_limit is None else self.iter_limit,
+            node_limit=design.node_limit if self.node_limit is None else self.node_limit,
+        )
 
 
 def resolve_design(job: Job) -> tuple[dict, dict]:
@@ -281,114 +223,9 @@ class RunRecord:
         return cls.from_dict(json.loads(text))
 
 
-def job_stages(job: Job, design) -> list[Stage]:
+def job_stages(job: Job, design: Design) -> list[Stage]:
     """The stage list a job's schedule expands to (shared with the CLI)."""
-    iter_limit = job.iter_limit if job.iter_limit is not None else design.iterations
-    node_limit = job.node_limit if job.node_limit is not None else design.node_limit
-    sharding = job.shards > 0 or job.auto_shard_nodes is not None
-    if sharding and job.phases:
-        raise ValueError("sharding composes with the single-phase schedule only")
-    if sharding and job.warm_start:
-        raise ValueError("warm-start composes with monolithic schedules only")
-    if job.stitch and not sharding:
-        raise ValueError("stitch requires a sharded schedule")
-    if job.extract_objective not in ("greedy", "ilp"):
-        raise ValueError(f"unknown extract objective: {job.extract_objective!r}")
-    if sharding and job.extract_objective != "greedy":
-        # Shards extract inside their worker schedules; the ILP refinement
-        # plans its own per-output cones and would double-decompose.
-        raise ValueError("extract_objective='ilp' composes with monolithic schedules only")
-    if sharding and job.pareto:
-        raise ValueError("pareto composes with monolithic schedules only")
-    warm = job.warm_start is not None
-    stages: list[Stage] = [
-        Ingest(source=design.verilog, seed_egraph=not (sharding or warm))
-    ]
-    if warm:
-        stages.append(WarmStart(job.warm_start, schedule=job_schedule_key(job)))
-    if sharding:
-        schedule = ShardSchedule(
-            iter_limit=iter_limit,
-            node_limit=node_limit,
-            time_limit=job.time_limit,
-            split_threshold=job.split_threshold,
-            enable_assume=job.enable_assume,
-            enable_condition=job.enable_condition,
-            budget_policy=job.budget_policy,
-            ship_egraph=job.stitch,
-        )
-        stages.append(
-            Shard(
-                schedule,
-                max_shards=job.shards if job.shards > 0 else None,
-                auto_threshold=job.auto_shard_nodes,
-                parallel=job.shard_parallel,
-            )
-        )
-        stages.append(
-            MergeShards(
-                stitch=job.stitch,
-                stitch_rules=compose_rules(
-                    job.split_threshold, job.enable_assume, job.enable_condition
-                )
-                if job.stitch
-                else None,
-            )
-        )
-        if job.save_egraph:
-            stages.append(
-                SaveEGraph(job.save_egraph, schedule=job_schedule_key(job))
-            )
-        if job.verify:
-            stages.append(Verify(budget=job.verify_budget))
-        return stages
-    if job.phases:
-        for index, phase in enumerate(job.phases):
-            rules = []
-            for name in phase:
-                if name == "casesplit":
-                    rules += casesplit_ruleset(
-                        job.split_threshold if job.split_threshold is not None else 1
-                    )
-                else:
-                    rules += ruleset(name)
-            stages.append(
-                Saturate(
-                    rules,
-                    iter_limit=job.phase_iters,
-                    node_limit=node_limit,
-                    time_limit=job.time_limit,
-                    label=f"saturate:{'+'.join(phase) or index}",
-                )
-            )
-    else:
-        stages.append(
-            Saturate(
-                compose_rules(
-                    job.split_threshold, job.enable_assume, job.enable_condition
-                ),
-                iter_limit=iter_limit,
-                node_limit=node_limit,
-                time_limit=job.time_limit,
-            )
-        )
-    if job.save_egraph:
-        stages.append(SaveEGraph(job.save_egraph, schedule=job_schedule_key(job)))
-    if job.extract_objective == "ilp":
-        # Runtime import: pipeline sits below solve in the package DAG
-        # (same discipline as WarmStart -> service.cache).
-        from repro.solve.extract_opt import OptimalExtract  # lint: ok(AR-LAYER): solve layers above pipeline; ILP extraction is an opt-in stage resolved at job-build time
-
-        stages.append(OptimalExtract())
-    else:
-        stages.append(Extract())
-    if job.pareto:
-        from repro.solve.pareto import ParetoSweep  # lint: ok(AR-LAYER): solve layers above pipeline; Pareto sweep is an opt-in stage resolved at job-build time
-
-        stages.append(ParetoSweep(mode=job.pareto))
-    if job.verify:
-        stages.append(Verify(budget=job.verify_budget))
-    return stages
+    return build_stages(job.schedule(design), source=design.verilog)
 
 
 def record_from_context(

@@ -20,11 +20,11 @@ falls back to inline execution and says so: the run records carry
 ``pool: "inline" | "process"`` so perf numbers are never silently
 serialized.
 
-Budget-aware orchestration (see :mod:`repro.pipeline.budget`): a schedule
-may carry a shared :class:`Budget` — or the enclosing pipeline a
-:class:`ResourceGovernor` — and the stage splits it across shards by a
-named policy (``fair`` / ``weighted`` by cone size / ``adaptive``, where a
-fast shard's unspent wall time flows to the slow ones).  Every child
+Budget-aware orchestration (see :mod:`repro.pipeline.budget`): when the
+enclosing pipeline runs under a :class:`ResourceGovernor`, the stage splits
+its remaining pool across shards by a named policy (``fair`` / ``weighted``
+by cone size / ``adaptive``, where a fast shard's unspent wall time flows
+to the slow ones).  Every child
 inherits the parent's *absolute* deadline, which is the fix for the classic
 sharded-deadline bug: a slow shard no longer restarts the whole
 ``time_limit``, so an N-shard run cannot overshoot its deadline N-fold.
@@ -38,6 +38,7 @@ applied to the paper's flow).
 
 from __future__ import annotations
 
+import copy
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -52,50 +53,18 @@ from repro.ir.expr import Expr
 from repro.pipeline.budget import (
     Budget,
     BudgetPool,
-    ResourceGovernor,
     allocator_for,
     concurrent_children,
     spend_dict,
 )
 from repro.pipeline.context import PipelineContext
-from repro.pipeline.stages import CaseSplit, Extract, Ingest, Saturate
-from repro.rewrites import compose_rules
+from repro.pipeline.schedule import Schedule, monolithic_tail
+from repro.pipeline.stages import Extract, Ingest, Saturate
 from repro.synth.cost import DelayArea
 
-
-@dataclass(frozen=True)
-class ShardSchedule:
-    """Picklable per-shard saturation/extraction knobs.
-
-    Mirrors the single-phase knobs of :class:`~repro.pipeline.session.Job`:
-    a worker process rebuilds the actual ``Saturate``/``Extract`` stages from
-    this spec, so no rule object (which may close over unpicklable state)
-    ever crosses the process boundary.
-
-    ``budget`` puts the whole *fan-out* (not each shard) under one shared
-    quota, split across shards by ``budget_policy``; per-shard allocations
-    intersect with the classic per-shard knobs.  ``splits`` carries
-    designer case-split conditions — each shard applies exactly those whose
-    support its cone can see (monolithic ``CaseSplit`` composes with the
-    sharded flow instead of being dropped).
-    """
-
-    iter_limit: int = 8
-    node_limit: int = 30_000
-    time_limit: float = 60.0
-    split_threshold: int | None = 1
-    enable_assume: bool = True
-    enable_condition: bool = True
-    strip_assumes: bool = False
-    check_invariants: bool = False
-    budget: Budget | None = None
-    budget_policy: str = "adaptive"
-    splits: tuple[Expr, ...] = ()
-    #: Ship each shard's saturated e-graph back with its result (compact
-    #: ``__reduce__`` pickling across the process boundary) so a stitch
-    #: phase can re-union them; off by default — graphs dwarf the extracted
-    #: trees, so plain merges shouldn't pay the shipping cost.
-    ship_egraph: bool = False
+#: E-nodes the stitch saturation may add over the absorbed shard graphs
+#: when its stage sets no node limit of its own.
+STITCH_NODE_HEADROOM = 10_000
 
 
 @dataclass(frozen=True)
@@ -109,7 +78,7 @@ class ShardTask:
     """
 
     shard: ConeShard
-    schedule: ShardSchedule
+    schedule: Schedule
     budget: Budget | None = None
 
 
@@ -159,37 +128,20 @@ def sliced_splits(
 
 
 def shard_pipeline_stages(
-    schedule: ShardSchedule,
+    schedule: Schedule,
     splits: tuple[Expr, ...] = (),
 ) -> list:
-    """The stage list a schedule expands to inside a shard.
+    """The stage list a schedule expands to inside a shard: the monolithic
+    tail of :func:`~repro.pipeline.schedule.build_stages` over the shard's
+    own designer ``splits``, without the whole run's artifact save.
 
     The shard's budget allocation is not intersected here: a budgeted
     :func:`run_shard_task` installs a shard-local governor and every stage
     (saturation *and* extraction) draws from it.
     """
-    rules = compose_rules(
-        schedule.split_threshold,
-        schedule.enable_assume,
-        schedule.enable_condition,
+    return monolithic_tail(
+        replace(schedule, splits=tuple(splits), save_egraph=None)
     )
-    base = Budget(
-        iters=schedule.iter_limit,
-        nodes=schedule.node_limit,
-        time_s=schedule.time_limit,
-    )
-    stages: list = []
-    if splits:
-        stages.append(CaseSplit(splits))
-    stages += [
-        Saturate(
-            rules,
-            budget=base,
-            check_invariants=schedule.check_invariants,
-        ),
-        Extract(strip_assumes=schedule.strip_assumes),
-    ]
-    return stages
 
 
 def run_shard_task(task: ShardTask, clock=None) -> ShardResult:
@@ -273,17 +225,19 @@ def _nested_pool_available() -> bool:
 class Shard:
     """Slice the ingested design into cones and optimize each independently.
 
-    ``max_shards=None`` shards per output; ``max_shards=K`` clusters cones by
-    shared-subexpression weight down to at most ``K`` shards.  With
-    ``auto_threshold`` set, sharding only engages when the design is
-    multi-output *and* its DAG size reaches the threshold — smaller designs
-    run as a single shard (equivalent to the monolithic flow), so the stage
-    can sit unconditionally in a pipeline.  ``parallel=True`` fans shards out
-    over a process pool (shards are shared-nothing by construction), falling
+    The :class:`~repro.pipeline.schedule.Schedule` says how: ``shards=0``
+    shards per output, ``shards=K`` clusters cones by shared-subexpression
+    weight down to at most ``K`` shards.  With ``auto_shard_nodes`` set,
+    sharding only engages when the design is multi-output *and* its DAG
+    size reaches the threshold — smaller designs run as a single shard
+    (equivalent to the monolithic flow), so the stage can sit
+    unconditionally in a pipeline.  ``shard_parallel`` fans shards out over
+    a process pool (shards are shared-nothing by construction), falling
     back to inline execution — recorded, not silent — when a nested pool
-    cannot start.
+    cannot start.  Each shard runs the schedule's monolithic tail
+    (:func:`shard_pipeline_stages`).
 
-    When the schedule carries a budget (or the context a governor), shards
+    When the context carries a governor (a run budget), shards
     draw per-shard allocations from the shared pool: serially through a
     live :class:`~repro.pipeline.budget.BudgetPool` (the adaptive policy
     recycles fast shards' slack), concurrently as quota shares under the
@@ -297,17 +251,12 @@ class Shard:
     self_charging = True
 
     def __init__(
-        self,
-        schedule: ShardSchedule | None = None,
-        max_shards: int | None = None,
-        auto_threshold: int | None = None,
-        parallel: bool = False,
-        max_workers: int | None = None,
+        self, schedule: Schedule | None = None, max_workers: int | None = None
     ) -> None:
-        self.schedule = schedule if schedule is not None else ShardSchedule()
-        self.max_shards = max_shards
-        self.auto_threshold = auto_threshold
-        self.parallel = parallel
+        self.schedule = schedule if schedule is not None else Schedule()
+        self.max_shards = self.schedule.shards or None
+        self.auto_threshold = self.schedule.auto_shard_nodes
+        self.parallel = self.schedule.shard_parallel
         self.max_workers = max_workers
 
     def plan(self, ctx: PipelineContext) -> ShardPlan:
@@ -319,25 +268,6 @@ class Shard:
         ):
             return plan_shards(ctx.roots, ctx.input_ranges, max_shards=1)
         return plan_shards(ctx.roots, ctx.input_ranges, max_shards=self.max_shards)
-
-    def _parent_budget(self, ctx: PipelineContext) -> Budget | None:
-        """The shared pool this fan-out draws from, if any.
-
-        A schedule budget with no governor installs one on the context, so
-        allocation/spend always lands in one uniform ledger.
-        """
-        schedule_budget = self.schedule.budget
-        if ctx.governor is None and schedule_budget is not None:
-            ctx.governor = ResourceGovernor(
-                schedule_budget, policy=self.schedule.budget_policy
-            )
-            return ctx.governor.remaining()
-        if ctx.governor is not None:
-            remaining = ctx.governor.remaining()
-            if schedule_budget is not None:
-                remaining = remaining.intersect(schedule_budget)
-            return remaining
-        return None
 
     def run(self, ctx: PipelineContext) -> None:
         plan = self.plan(ctx)
@@ -358,8 +288,9 @@ class Shard:
                     "shards, so no shard's cone can see them — cluster to "
                     "fewer shards or run these splits monolithically"
                 )
-        parent = self._parent_budget(ctx)
         governor = ctx.governor
+        # The shared pool this fan-out draws from, if the run is governed.
+        parent = governor.remaining() if governor is not None else None
         clock = governor.clock if governor is not None else time.monotonic
         allocator = allocator_for(schedule.budget_policy)
         weights = [float(max(shard.size, 1)) for shard in plan.shards]
@@ -446,12 +377,14 @@ class MergeShards:
     ``ctx.artifacts["shard_budgets"]``; saturation reports append in shard
     order.
 
-    ``stitch=True`` adds the governed cross-cone **stitch phase** after the
-    plain merge: the shipped shard e-graphs (``ShardSchedule.ship_egraph``)
-    are absorbed into one graph seeded with the full design's roots — the
-    hashcons re-unites the shared subexpressions per-output cones explored
-    separately — then a short budgeted saturation (``stitch`` ledger row)
-    lets rewrites cross the old cone boundaries, and a re-extraction
+    ``stitch`` (a ``Saturate`` stage) adds the governed cross-cone **stitch
+    phase** after the plain merge: the shipped shard e-graphs
+    (``Schedule.ship_egraph``) are absorbed into one graph seeded with the
+    full design's roots — the hashcons re-unites the shared subexpressions
+    per-output cones explored separately — then that short budgeted
+    saturation (``stitch`` ledger row; a ``node_limit`` of ``None`` means
+    :data:`STITCH_NODE_HEADROOM` over the absorbed graph) lets rewrites
+    cross the old cone boundaries, and a re-extraction
     (``stitch-extract`` row) harvests the recovered sharing.  Per output the
     *better* of stitched vs plain-merge survives, so stitching is never
     costlier than the plain merge by construction; the phase's outcome lands
@@ -464,19 +397,8 @@ class MergeShards:
     #: charge ``stitch``/``stitch-extract`` themselves).
     self_charging = True
 
-    def __init__(
-        self,
-        stitch: bool = False,
-        stitch_rules=None,
-        stitch_iters: int = 2,
-        stitch_node_limit: int | None = None,
-        stitch_time_limit: float = 10.0,
-    ) -> None:
+    def __init__(self, stitch: Saturate | None = None) -> None:
         self.stitch = stitch
-        self.stitch_rules = stitch_rules
-        self.stitch_iters = stitch_iters
-        self.stitch_node_limit = stitch_node_limit
-        self.stitch_time_limit = stitch_time_limit
 
     def run(self, ctx: PipelineContext) -> None:
         governor = ctx.governor
@@ -509,7 +431,7 @@ class MergeShards:
         }
         if ledgers:
             ctx.artifacts["shard_budgets"] = ledgers
-        inner = self._stitch(ctx) if self.stitch else 0.0
+        inner = self._stitch(ctx) if self.stitch is not None else 0.0
         if governor is not None:
             # Own row: the merge bookkeeping only — the stitch stages have
             # already charged their rows, double-charging their wall here
@@ -546,23 +468,12 @@ class MergeShards:
         egraph.rebuild()
         ctx.egraph = egraph
         ctx.root_ids = root_ids
-        node_limit = (
-            self.stitch_node_limit
-            if self.stitch_node_limit is not None
+        saturate = self.stitch
+        if saturate.node_limit is None:
             # Headroom over the absorbed size: the budget caps *absolute*
             # graph size, and the stitched graph starts near the shards' sum.
-            else egraph.node_count + 10_000
-        )
-        rules = (
-            self.stitch_rules if self.stitch_rules is not None else compose_rules()
-        )
-        saturate = Saturate(
-            rules,
-            iter_limit=self.stitch_iters,
-            node_limit=node_limit,
-            time_limit=self.stitch_time_limit,
-            label="stitch",
-        )
+            saturate = copy.copy(saturate)
+            saturate.node_limit = egraph.node_count + STITCH_NODE_HEADROOM
         saturate.run(ctx)
         Extract(label="stitch-extract").run(ctx)
         inner = ctx.reports[-1].total_time + ctx.extract_reports[-1].total_time

@@ -42,12 +42,8 @@ from pathlib import Path
 from repro.egraph.serialize import EGraphFormatError, read_header
 from repro.ir.digest import _digest, canonical_digest, output_digests
 from repro.pipeline.budget import Budget
-from repro.pipeline.session import (
-    Job,
-    RunRecord,
-    job_schedule_key,
-    resolve_design,
-)
+from repro.pipeline.schedule import job_schedule_key, key_fields
+from repro.pipeline.session import Job, RunRecord, resolve_design
 
 __all__ = [
     "canonical_digest",
@@ -81,29 +77,10 @@ def budget_class(budget: Budget | None) -> str:
 
 
 #: Job fields that select *what gets computed* (anything that can change
-#: the record's payload).  ``name`` is a label and ``design`` is replaced
-#: by the structural digest; ``budget`` is classed separately.
-_SCHEDULE_FIELDS = (
-    "iter_limit",
-    "node_limit",
-    "time_limit",
-    "split_threshold",
-    "enable_assume",
-    "enable_condition",
-    "verify",
-    "phases",
-    "phase_iters",
-    "shards",
-    "auto_shard_nodes",
-    "budget_policy",
-    "stitch",
-    # The extraction objective and Pareto mode change what the run *returns*
-    # (the extracted design / the pareto artifact), so a greedy record must
-    # never satisfy an ilp request — the solver subsystem's cache-correctness
-    # contract.
-    "extract_objective",
-    "pareto",
-)
+#: the record's payload), in key order.  ``name`` is a label and ``design``
+#: is replaced by the structural digest; ``budget`` is classed separately.
+_SCHEDULE_FIELDS = key_fields("record")
+
 
 def job_digest(job: Job) -> str:
     """Canonical structural digest of the job's design (source-aware)."""

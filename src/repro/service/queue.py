@@ -40,6 +40,7 @@ from repro.pipeline.budget import (
     allocator_for,
     spend_dict,
 )
+from repro.pipeline.schedule import is_sharded
 from repro.pipeline.session import Job, RunRecord, Session
 from repro.service.cache import ResultCache, job_cache_key, warm_family
 from repro.service.events import Event, EventFeed, events_from_record
@@ -289,7 +290,7 @@ class OptimizationQueue:
         and refreshes the artifact for the next submission."""
         if self.cache.egraph_dir is None:
             return job  # pathless cache: no artifact tier
-        if job.shards > 0 or job.auto_shard_nodes is not None:
+        if is_sharded(job):
             return job  # warm-start composes with monolithic schedules only
         if job.warm_start or job.save_egraph:
             return job  # the submitter pinned explicit artifact paths

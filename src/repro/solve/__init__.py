@@ -12,8 +12,8 @@ is a pure-python toolchain):
   fallback and governor-charged spend;
 * :mod:`~repro.solve.pareto` — genuine Pareto-front characterization of the
   area-delay trade-off (epsilon-constraint and weighted-scalarization
-  modes) with per-point provenance, which the legacy
-  :func:`~repro.synth.sweep.area_delay_sweep` now wraps.
+  modes) with per-point provenance, and the Figure 3 delay-target sweep
+  (:func:`~repro.solve.pareto.sweep_points`).
 """
 
 from repro.solve.ilp import (

@@ -1,9 +1,9 @@
 """True Pareto-front characterization of the area-delay trade-off.
 
-The legacy sweep (:func:`repro.synth.sweep.area_delay_sweep`) regenerates
-Figure 3 by running the greedy critical-path upgrader at a grid of delay
-targets — each point is *a* implementation meeting the target, not the best
-one.  This module characterizes the front properly over the architecture
+The legacy sweep (:func:`repro.synth.sweep.synthesize_at` over a grid of
+delay targets) regenerates Figure 3 by running the greedy critical-path
+upgrader at each target — each point is *a* implementation meeting the
+target, not the best one.  This module characterizes the front properly over the architecture
 space (one choice from :data:`~repro.synth.components.ADDER_ARCHS` per adder
 instance):
 
@@ -24,11 +24,10 @@ seeds each target and a bounded downgrade descent refines it
 whatever was measured (``provenance="greedy"``).  Dominated points are
 filtered from the front in all modes.
 
-:func:`sweep_points` is the compatibility surface behind
-:func:`~repro.synth.sweep.area_delay_sweep`: same targets, same
-``SynthesisPoint`` semantics, same prefix-min monotonicity — but each point
+:func:`sweep_points` is the Figure 3 series: the greedy sweep's targets,
+``SynthesisPoint`` semantics and prefix-min monotonicity — but each point
 may be substituted by a cheaper configuration the shared space discovered,
-so the wrapper is never worse than the greedy sweep it replaces.
+so it is never worse than the greedy sweep.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from repro.synth.models import area_model, delay_model
 from repro.synth.cost import DelayArea, DelayAreaCost
 from repro.synth.netlist import Gate, Netlist, Signal
 from repro.synth.lower import LoweringError, lower_to_netlist
-from repro.synth.sweep import SynthesisPoint, area_delay_sweep, min_delay_point
+from repro.synth.sweep import SynthesisPoint, min_delay_point
 from repro.synth.treecost import dag_cost, egraph_model_cost, model_cost
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "lower_to_netlist",
     "LoweringError",
     "SynthesisPoint",
-    "area_delay_sweep",
     "min_delay_point",
     "model_cost",
     "dag_cost",

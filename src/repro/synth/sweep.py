@@ -11,7 +11,9 @@ minimum achievable delay point (Table III).  The substitute flow:
 * the process stops at the target or when nothing upgradeable remains.
 
 Sweeping the target from tight to loose produces the same qualitatively
-convex area-delay trade-off a commercial tool emits.
+convex area-delay trade-off a commercial tool emits; the sweep itself
+(:func:`repro.solve.pareto.sweep_points`) and the true Pareto front
+(:func:`repro.solve.pareto.pareto_front`) live in :mod:`repro.solve`.
 """
 
 from __future__ import annotations
@@ -93,34 +95,3 @@ def min_delay_point(
             arch_choices={tag: "sklansky" for tag in fastest.adder_tags},
         )
     return point
-
-
-def area_delay_sweep(
-    expr: Expr,
-    input_ranges: Mapping[str, IntervalSet] | None = None,
-    points: int = 10,
-    slack_factor: float = 2.5,
-) -> list[SynthesisPoint]:
-    """Synthesize across delay targets from the floor to ``slack_factor``x.
-
-    Returns one :class:`SynthesisPoint` per target — the Figure 3 series.
-
-    Since the Pareto subsystem landed this is a thin wrapper over
-    :func:`repro.solve.pareto.sweep_points` (imported lazily — ``solve``
-    sits above ``synth`` in the package DAG).  The engine replays the same
-    greedy critical-path upgrader through a memoized architecture space, so
-    the series keeps the legacy guarantees — same target grid, ``met``
-    honesty, prefix-min area-monotonicity (a looser target may always reuse
-    a tighter target's implementation, so no point is larger than an
-    earlier one; the historical non-monotone Figure 3 point) — and may only
-    *improve*: when the shared space knows a cheaper configuration meeting
-    a target (exhaustive enumeration on small designs, cross-target
-    memoization on large ones), it is substituted in.  For the front itself
-    — per-point provenance, dominance filtering, weighted mode — use
-    :func:`repro.solve.pareto.pareto_front` directly.
-    """
-    from repro.solve.pareto import sweep_points  # lint: ok(AR-LAYER): back-compat wrapper; the sweep implementation moved up into solve and this shim forwards to it
-
-    return sweep_points(
-        expr, input_ranges, points=points, slack_factor=slack_factor
-    )

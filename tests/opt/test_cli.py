@@ -88,6 +88,29 @@ class TestCli:
         assert proc.returncode == 1
         assert proc.stderr == f"error: cannot read {tmp_path}: Is a directory\n"
 
+    @pytest.mark.parametrize(
+        "conflict",
+        [
+            ["--warm-start", "a.egraph"],
+            ["--objective", "ilp"],
+            ["--auto-shard-nodes", "0"],
+        ],
+    )
+    def test_composition_errors_exit_cleanly(self, tmp_path, conflict):
+        """``--stitch`` needs a sharded run; each of these makes it
+        monolithic, and the schedule check says so before any stage runs."""
+        import subprocess
+        import sys
+
+        src = tmp_path / "toy.v"
+        src.write_text(SOURCE)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "optimize", str(src), "--stitch", *conflict],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: stitch requires a sharded schedule\n"
+
     def test_parser_flags(self):
         parser = build_parser()
         args = parser.parse_args(

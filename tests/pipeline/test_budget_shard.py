@@ -32,8 +32,8 @@ from repro.pipeline import (
     Pipeline,
     RunRecord,
     Saturate,
+    Schedule,
     Shard,
-    ShardSchedule,
     execute_job,
 )
 import repro.pipeline.shard as shard_mod
@@ -43,6 +43,16 @@ from repro.rtl import module_to_ir
 from repro.verify import check_equivalent
 
 FAST = dict(iter_limit=2, node_limit=8_000)
+
+
+def _fan_out(design, schedule, budget=None):
+    """Ingest, then shard and merge; ``budget`` governs the fan-out alone."""
+    ctx = Pipeline([Ingest(source=design.verilog)]).run(
+        input_ranges=design.input_ranges
+    )
+    return Pipeline([Shard(schedule), MergeShards()]).run(
+        ctx=ctx, budget=budget, budget_policy=schedule.budget_policy
+    )
 
 
 class TestBudgetedShardOrchestration:
@@ -149,12 +159,8 @@ class TestBudgetedShardOrchestration:
     def test_tightly_budgeted_outputs_remain_equivalent(self):
         """A budget can only cut exploration short — never soundness."""
         design = get_design("stress_wide")
-        schedule = ShardSchedule(
-            iter_limit=8, node_limit=50_000, budget=Budget(time_s=0.5)
-        )
-        ctx = Pipeline(
-            [Ingest(source=design.verilog), Shard(schedule), MergeShards()]
-        ).run(input_ranges=design.input_ranges)
+        schedule = Schedule(iter_limit=8, node_limit=50_000)
+        ctx = _fan_out(design, schedule, Budget(time_s=0.5))
         cones = module_to_ir(design.verilog)
         assert set(ctx.extracted) == set(cones)
         for output in ("out0", "out5"):
@@ -165,12 +171,8 @@ class TestBudgetedShardOrchestration:
 
     def test_weighted_policy_allocates_by_cone_size(self):
         design = get_design("stress_wide")
-        schedule = ShardSchedule(
-            budget=Budget(time_s=4.0), budget_policy="weighted", **FAST
-        )
-        ctx = Pipeline(
-            [Ingest(source=design.verilog), Shard(schedule), MergeShards()]
-        ).run(input_ranges=design.input_ranges)
+        schedule = Schedule(budget_policy="weighted", **FAST)
+        ctx = _fan_out(design, schedule, Budget(time_s=4.0))
         ledgers = ctx.artifacts["shard_budgets"]
         sizes = {shard.name: shard.size for shard in ctx.shard_plan.shards}
         # Odd lanes (which fold in the previous lane's sum) have larger
@@ -196,7 +198,7 @@ def _mono_split(design, splits):
 
 
 def _sharded_split(design, splits):
-    schedule = ShardSchedule(splits=tuple(splits), **FAST)
+    schedule = Schedule(splits=tuple(splits), **FAST)
     return Pipeline(
         [Ingest(source=design.verilog, seed_egraph=False), Shard(schedule), MergeShards()]
     ).run(input_ranges=design.input_ranges)
@@ -255,15 +257,8 @@ class TestCaseSplitComposesWithSharding:
         """4 pooled iterations across 8 shards must still do work (the
         naive floor hands every shard int(0.5) = 0 iterations)."""
         design = get_design("stress_wide")
-        schedule = ShardSchedule(
-            iter_limit=8,
-            node_limit=8_000,
-            budget=Budget(iters=4),
-            budget_policy="fair",
-        )
-        ctx = Pipeline(
-            [Ingest(source=design.verilog), Shard(schedule), MergeShards()]
-        ).run(input_ranges=design.input_ranges)
+        schedule = Schedule(iter_limit=8, node_limit=8_000, budget_policy="fair")
+        ctx = _fan_out(design, schedule, Budget(iters=4))
         total_iters = sum(len(r.iterations) for r in ctx.reports)
         assert 1 <= total_iters <= 4  # the pool is spent, never overspent
 
@@ -284,7 +279,7 @@ class TestCaseSplitComposesWithSharding:
         ctx = Pipeline(
             [Ingest(source=design.verilog, seed_egraph=False)]
         ).run(input_ranges=design.input_ranges)
-        schedule = ShardSchedule(splits=self.SPLITS, **FAST)
+        schedule = Schedule(splits=self.SPLITS, **FAST)
         stage = Shard(schedule)
         plan = stage.plan(ctx)
         task = ShardTask(plan.shards[0], schedule)
@@ -294,26 +289,20 @@ class TestCaseSplitComposesWithSharding:
 
 class TestScheduleBudgetWithoutGovernor:
     def test_schedule_budget_installs_a_governor(self):
-        """A budget on the schedule alone still produces a uniform ledger."""
+        """A budget on the fan-out alone still produces a uniform ledger."""
         design = get_design("stress_wide")
-        schedule = ShardSchedule(budget=Budget(time_s=5.0), **FAST)
-        ctx = Pipeline(
-            [Ingest(source=design.verilog), Shard(schedule), MergeShards()]
-        ).run(input_ranges=design.input_ranges)
+        ctx = _fan_out(design, Schedule(**FAST), Budget(time_s=5.0))
         assert ctx.governor is not None
         assert ctx.governor.budget == Budget(time_s=5.0)
         assert set(ctx.governor.ledger) >= {f"shard:out{k}" for k in range(8)}
         # Any extra rows are wall-only charges from non-shard stages (the
-        # governor was installed by Shard, so only later stages appear).
+        # governor was installed after Ingest, so only later stages appear).
         extras = set(ctx.governor.ledger) - {f"shard:out{k}" for k in range(8)}
         assert extras <= {"merge-shards"}
 
     def test_children_never_outlive_the_parent_deadline(self):
         design = get_design("stress_wide")
-        schedule = ShardSchedule(budget=Budget(time_s=5.0), **FAST)
-        ctx = Pipeline(
-            [Ingest(source=design.verilog), Shard(schedule), MergeShards()]
-        ).run(input_ranges=design.input_ranges)
+        ctx = _fan_out(design, Schedule(**FAST), Budget(time_s=5.0))
         for result in ctx.shard_results:
             allocated = result.budget["allocated"]
             # Every shard's window fits inside the shared pool's window.

@@ -282,14 +282,6 @@ class TestShardedJobs:
             mono.optimized_area,
         )
 
-    def test_sharding_rejects_phased_schedules(self):
-        job = Job(
-            name="bad", design="lzc_example", shards=2, phases=(("structural",),)
-        )
-        record = execute_job(job)
-        assert record.status == "error"
-        assert "single-phase" in record.error
-
     def test_shard_json_roundtrip_exact(self):
         record = execute_job(
             Job(name="rt", design="stress_wide", auto_shard_nodes=1, **FAST)

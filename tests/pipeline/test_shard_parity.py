@@ -30,7 +30,7 @@ from repro.pipeline import (
     Pipeline,
     Saturate,
     Shard,
-    ShardSchedule,
+    Schedule,
 )
 from repro.rewrites import compose_rules
 from repro.rtl import module_to_ir
@@ -61,12 +61,14 @@ def _monolithic(design, iters=ITERS, node_limit=NODE_LIMIT):
 
 
 def _sharded(design, iters=ITERS, node_limit=NODE_LIMIT, budget=None):
-    schedule = ShardSchedule(
-        iter_limit=iters, node_limit=node_limit, budget=budget
+    """Shard and merge after the ingest; ``budget`` governs the fan-out."""
+    ctx = Pipeline([Ingest(source=design.verilog)]).run(
+        input_ranges=design.input_ranges
     )
-    return Pipeline(
-        [Ingest(source=design.verilog), Shard(schedule), MergeShards()]
-    ).run(input_ranges=design.input_ranges)
+    schedule = Schedule(iter_limit=iters, node_limit=node_limit)
+    return Pipeline([Shard(schedule), MergeShards()]).run(
+        ctx=ctx, budget=budget, budget_policy=schedule.budget_policy
+    )
 
 
 @pytest.mark.parametrize("name", sorted(DESIGNS))

@@ -29,8 +29,9 @@ from repro.pipeline import (
     Pipeline,
     Saturate,
     Shard,
-    ShardSchedule,
+    Schedule,
 )
+from repro.pipeline.schedule import STITCH_ITERS, STITCH_TIME_LIMIT
 from repro.rewrites import compose_rules
 from repro.rtl import module_to_ir
 from repro.verify import check_equivalent
@@ -42,24 +43,26 @@ BDD_PROVABLE = sorted(set(DESIGNS) - {"fp_sub", "interpolation"})
 
 
 def _sharded(design, stitch, budget=None, ship=None):
+    """Shard and merge after the ingest; ``budget`` governs the fan-out.
+    ``ship`` overrides whether shards ship their graphs (default: when
+    stitching)."""
     ship_egraph = stitch if ship is None else ship
+    ctx = Pipeline([Ingest(source=design.verilog)]).run(
+        input_ranges=design.input_ranges
+    )
+    stitch_stage = Saturate(
+        compose_rules(),
+        iter_limit=STITCH_ITERS,
+        node_limit=None,
+        time_limit=STITCH_TIME_LIMIT,
+        label="stitch",
+    )
     return Pipeline(
         [
-            Ingest(source=design.verilog),
-            Shard(
-                ShardSchedule(
-                    iter_limit=ITERS,
-                    node_limit=NODE_LIMIT,
-                    budget=budget,
-                    ship_egraph=ship_egraph,
-                )
-            ),
-            MergeShards(
-                stitch=stitch,
-                stitch_rules=compose_rules() if stitch else None,
-            ),
+            Shard(Schedule(iter_limit=ITERS, node_limit=NODE_LIMIT, stitch=ship_egraph)),
+            MergeShards(stitch=stitch_stage if stitch else None),
         ]
-    ).run(input_ranges=design.input_ranges)
+    ).run(ctx=ctx, budget=budget, budget_policy="adaptive")
 
 
 @pytest.mark.parametrize("name", sorted(DESIGNS))

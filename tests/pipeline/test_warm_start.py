@@ -227,18 +227,6 @@ class TestJobIntegration:
         assert warm.nodes > 0 and warm.classes > 0
         assert warm.nodes_per_s == 0.0
 
-    def test_warm_start_refuses_sharded_schedules(self):
-        record = execute_job(
-            Job(
-                name="bad",
-                design="stress_wide",
-                shards=4,
-                warm_start="whatever.egraph",
-            )
-        )
-        assert record.status == "error"
-        assert "monolithic" in record.error
-
     def test_edited_source_job_inherits_registry_ranges(self, tmp_path):
         design = get_design("lzc_example")
         artifact = tmp_path / "fam.egraph"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.pipeline import Job, execute_job
-from repro.pipeline.session import job_schedule_key
+from repro.pipeline import job_schedule_key
 from repro.service import ResultCache, job_cache_key
 
 

@@ -76,26 +76,6 @@ class TestNeverWorseThanGreedy:
         assert "ilp:" in ilp.extract_status
         assert _dag_key(ilp) <= _dag_key(greedy), design
 
-    def test_ilp_refuses_sharded_schedules(self):
-        record = execute_job(
-            Job(
-                name="stress_wide",
-                design="stress_wide",
-                iter_limit=1,
-                shards=2,
-                extract_objective="ilp",
-            )
-        )
-        assert record.status == "error"
-        assert "monolithic" in (record.error or "")
-
-    def test_unknown_objective_is_rejected(self):
-        record = execute_job(
-            Job(name="fp_sub", design="fp_sub", extract_objective="simplex")
-        )
-        assert record.status == "error"
-        assert "unknown extract objective" in (record.error or "")
-
 
 # ------------------------------------------------------------ stage contract
 def _pipeline(extract_stage, *, budget=None, clock=None):

@@ -3,7 +3,7 @@
 The front's contract: dominance-free, never worse than the greedy sweep it
 generalizes (every legacy sweep point is dominated-or-equaled by a front
 point), honest provenance (``optimal`` only when the architecture space was
-exhausted), and the legacy :func:`area_delay_sweep` wrapper keeps its
+exhausted), and the Figure 3 sweep (:func:`sweep_points`) keeps its
 area-monotonicity and ``met`` honesty unchanged.
 """
 
@@ -14,7 +14,7 @@ import pytest
 from repro.ir import var
 from repro.pipeline import Budget, Extract, Ingest, Pipeline, Saturate
 from repro.solve.pareto import ParetoSweep, pareto_front, sweep_points
-from repro.synth.sweep import area_delay_sweep, min_delay_point, synthesize_at
+from repro.synth.sweep import min_delay_point, synthesize_at
 
 
 def adder_tree():
@@ -50,7 +50,7 @@ class TestParetoFront:
         at its target — the front is a superset of the greedy knowledge."""
         expr = adder_tree()
         front = pareto_front(expr, mode="epsilon", points=8)
-        for legacy in area_delay_sweep(expr, points=8):
+        for legacy in sweep_points(expr, points=8):
             best = front.point_for_target(legacy.target)
             assert best is not None
             assert best.area <= legacy.area + 1e-9
@@ -92,11 +92,11 @@ class TestParetoFront:
         assert len(front.points) >= 1  # the forced anchors still exist
 
 
-# ------------------------------------------------------------ legacy wrapper
+# ------------------------------------------------------------- figure 3 sweep
 class TestSweepWrapper:
     def test_area_monotone_and_met_honest(self):
         expr = adder_tree()
-        points = area_delay_sweep(expr, points=8)
+        points = sweep_points(expr, points=8)
         assert len(points) == 8
         for earlier, later in zip(points, points[1:], strict=False):
             assert later.area <= earlier.area + 1e-9
@@ -122,7 +122,7 @@ class TestSweepWrapper:
         design = get_design("lzc_example")
         roots = module_to_ir(design.verilog)
         expr = roots[design.output]
-        points = area_delay_sweep(expr, design.input_ranges, points=6)
+        points = sweep_points(expr, design.input_ranges, points=6)
         for earlier, later in zip(points, points[1:], strict=False):
             assert later.area <= earlier.area + 1e-9
 

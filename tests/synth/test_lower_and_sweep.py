@@ -12,7 +12,8 @@ from repro.ir import (
     mux, ne, slice_, trunc, var,
 )
 from repro.ir.evaluate import evaluate_total, input_variables, random_env
-from repro.synth import area_delay_sweep, lower_to_netlist, min_delay_point
+from repro.solve.pareto import sweep_points
+from repro.synth import lower_to_netlist, min_delay_point
 
 X, Y, S = var("x", 8), var("y", 8), var("s", 3)
 
@@ -79,13 +80,13 @@ def test_lowering_property(a, b, s):
 class TestSweep:
     def test_min_delay_uses_fast_architectures(self):
         point = min_delay_point(X + Y)
-        relaxed = area_delay_sweep(X + Y, points=4)[-1]
+        relaxed = sweep_points(X + Y, points=4)[-1]
         assert point.delay <= relaxed.delay
         assert point.area >= relaxed.area
 
     def test_sweep_monotone_and_met(self):
         design = mux(gt(X, Y), X - Y, Y - X) + (X >> S)
-        points = area_delay_sweep(design, points=6)
+        points = sweep_points(design, points=6)
         areas = [p.area for p in points]
         assert all(l <= t + 1e-9 for t, l in zip(areas, areas[1:], strict=False))
         assert all(p.met for p in points)
@@ -94,8 +95,8 @@ class TestSweep:
     def test_sweep_area_monotone_across_targets(self, design):
         """The Figure-3 seed defect, pinned at unit scope: a looser delay
         target must never return a costlier implementation than a tighter
-        one (``area_delay_sweep`` carries best-so-far across targets)."""
-        points = area_delay_sweep(design, points=8)
+        one (``sweep_points`` carries best-so-far across targets)."""
+        points = sweep_points(design, points=8)
         areas = [p.area for p in points]
         assert all(
             loose <= tight + 1e-9 for tight, loose in zip(areas, areas[1:], strict=False)

@@ -15,7 +15,7 @@ import pickle
 from repro.analysis.sharding import plan_shards
 from repro.intervals import IntervalSet
 from repro.ir import ops, var
-from repro.pipeline import Job, ShardSchedule, ShardTask, execute_job, run_shard_task
+from repro.pipeline import Job, Schedule, ShardTask, execute_job, run_shard_task
 
 
 def test_jobs_and_shard_tasks_pickle():
@@ -25,7 +25,7 @@ def test_jobs_and_shard_tasks_pickle():
     plan = plan_shards(
         {"a": var("x", 8) + var("y", 8)}, {"x": IntervalSet.of(1, 5)}
     )
-    task = ShardTask(plan.shards[0], ShardSchedule(iter_limit=2))
+    task = ShardTask(plan.shards[0], Schedule(iter_limit=2))
     clone = pickle.loads(pickle.dumps(task))
     assert clone.shard.roots == task.shard.roots
     assert clone.shard.input_ranges == task.shard.input_ranges
