@@ -363,6 +363,9 @@ def test_perf_fp_sub_warm(tmp_path):
     speedup = cold_wall / warm_wall
 
     assert warm.warm_start.startswith("hit:"), warm.warm_start
+    # An empty-delta edit: the loaded graph is the saved one, so its
+    # extraction adopts the artifact's solved table instead of re-solving.
+    assert warm.greedy_table == "reused", warm.greedy_table
     assert (warm.optimized_area, warm.optimized_delay) == (
         cold.optimized_area,
         cold.optimized_delay,

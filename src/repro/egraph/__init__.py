@@ -35,6 +35,7 @@ from repro.egraph.extract import (
     AstSizeCost,
     CostFunction,
     ExtractReport,
+    ExtractTable,
     Extractor,
 )
 from repro.egraph.serialize import (
@@ -68,6 +69,7 @@ __all__ = [
     "RunnerReport",
     "StopReason",
     "Extractor",
+    "ExtractTable",
     "ExtractReport",
     "CostFunction",
     "AstSizeCost",

@@ -31,13 +31,15 @@ deferred (and is drained by :meth:`rebuild`, exactly as in egg) are the
 *congruence unions* discovered during re-keying and the analysis fixpoint.
 
 The core pickles through a compact :meth:`__reduce__`: only the arrays, the
-intern tables, the union-find and the analysis data ship; the hashcons,
-per-op index and parent sets are derived on load.
+intern tables, the union-find, the analysis data and the member/parent
+orders ship; the hashcons and per-op index are derived on load.
 """
 
 from __future__ import annotations
 
+import weakref
 from array import array
+from itertools import chain
 from typing import Any, Callable, Iterable
 
 from repro.egraph.enode import ENode
@@ -127,7 +129,7 @@ class CoreGraph:
         "n_nodes",
         "n_classes",
         "version",
-        "owner",
+        "_owner",
         "_views",
         "_kid_tups",
         "_assume_id",
@@ -168,8 +170,11 @@ class CoreGraph:
         self.n_classes = 0
         #: Incremented on every successful union (saturation detection).
         self.version = 0
-        #: The façade handed to analysis hooks (set by ``EGraph``).
-        self.owner = owner if owner is not None else self
+        #: Weak reference to the façade handed to analysis hooks (set by
+        #: ``EGraph``); ``None`` for a standalone core (see :attr:`owner`).
+        self._owner: weakref.ref | None = None
+        if owner is not None:
+            self.owner = owner
         #: Lazily materialized ``ENode`` views, one slot per nid.
         self._views: list[ENode | None] = []
         #: Canonical children tuple per nid (current epoch) — the single
@@ -195,6 +200,29 @@ class CoreGraph:
             self.attr_ids[attrs] = attr_id
             self.attrs.append(attrs)
         return attr_id
+
+    @property
+    def owner(self):
+        """What analysis hooks receive: the ``EGraph`` façade wrapping this
+        core, or the core itself when it stands alone.
+
+        The façade is held weakly, so a dropped graph is freed by reference
+        counting instead of waiting for the cyclic collector.  A core that
+        outlives its façade (a pickling clone) gets a fresh one attached.
+        """
+        ref = self._owner
+        if ref is None:
+            return self
+        owner = ref()
+        if owner is None:
+            from repro.egraph.egraph import _egraph_from_core
+
+            owner = _egraph_from_core(self)
+        return owner
+
+    @owner.setter
+    def owner(self, owner) -> None:
+        self._owner = None if owner is self else weakref.ref(owner)
 
     # ------------------------------------------------------------------ sizes
     def find(self, class_id: int) -> int:
@@ -692,27 +720,36 @@ class CoreGraph:
         clone._kid_tups = list(self._kid_tups)
         clone._assume_id = self._assume_id
         clone._const_id = self._const_id
-        clone.owner = clone
-        if self.owner is not self:
+        clone._owner = None
+        if self._owner is not None:
             # Analysis ``modify`` hooks expect the façade API, so the clone
-            # needs its own (the original's façade must keep pointing here).
+            # needs its own (the original's façade must keep pointing here);
+            # :attr:`owner` re-attaches one if this one is dropped first.
             from repro.egraph.egraph import _egraph_from_core
 
             _egraph_from_core(clone)
         return clone
 
     def __reduce__(self):
-        """Compact pickling: arrays + intern tables + analysis data only.
+        """Compact pickling: arrays, intern tables, analysis data and orders.
 
-        The hashcons, per-op index, parent sets and view cache are derived
-        on load.  The shipped arrays must be canonical, but draining pending
-        work in place would make pickling side-effecting — so a dirty graph
-        is cloned first and the *clone* is rebuilt; ``self`` is untouched.
+        The hashcons, per-op index and view cache are derived on load.  The
+        member and parent sets ship as flat nid columns in their iteration
+        order, so the revived graph walks its classes exactly as this one
+        does: an order-sensitive pass (the extraction fixpoint's tie-breaks
+        and worklist) computes the same result on both sides.  The shipped
+        arrays must be canonical, but draining pending work in place would
+        make pickling side-effecting — so a dirty graph is cloned first and
+        the *clone* is rebuilt; ``self`` is untouched.
         """
         core = self
         if not core.is_clean:
             core = core._clean_copy()
             core.rebuild()
+        member_sets = [nodes for nodes in core.class_nodes if nodes is not None]
+        parent_sets = [
+            parents for parents in core.class_parents if parents is not None
+        ]
         state = (
             core.analyses,
             list(core.uf._parent),
@@ -731,6 +768,10 @@ class CoreGraph:
             core.n_nodes,
             core.n_classes,
             core.version,
+            array("q", list(chain.from_iterable(member_sets))),
+            array("q", list(map(len, member_sets))),
+            array("q", list(chain.from_iterable(parent_sets))),
+            array("q", list(map(len, parent_sets))),
         )
         return (_core_from_state, (state,))
 
@@ -755,6 +796,10 @@ def _core_from_state(state) -> CoreGraph:
         n_nodes,
         n_classes,
         version,
+        members,
+        member_counts,
+        parents,
+        parent_counts,
     ) = state
     core = CoreGraph(analyses)
     core.uf._parent = list(uf_parent)
@@ -779,12 +824,17 @@ def _core_from_state(state) -> CoreGraph:
     core.version = version
     core._views = [None] * len(node_op)
     core.op_nodes = [{} for _ in core.ops]
-    core.class_nodes = [
-        {} if data is not None else None for data in core.class_data
-    ]
-    core.class_parents = [
-        {} if data is not None else None for data in core.class_data
-    ]
+    core.class_nodes = [None] * len(core.class_data)
+    core.class_parents = [None] * len(core.class_data)
+    canonical = [cid for cid, data in enumerate(core.class_data) if data is not None]
+    start = 0
+    for cid, count in zip(canonical, member_counts):
+        core.class_nodes[cid] = dict.fromkeys(members[start : start + count])
+        start += count
+    start = 0
+    for cid, count in zip(canonical, parent_counts):
+        core.class_parents[cid] = dict.fromkeys(parents[start : start + count])
+        start += count
     core._kid_tups = [
         tuple(kids[node_first[nid] : node_first[nid] + node_nkids[nid]])
         for nid in range(len(node_op))
@@ -792,10 +842,6 @@ def _core_from_state(state) -> CoreGraph:
     for nid in range(len(node_op)):
         if not core.node_alive[nid]:
             continue
-        span = core._kid_tups[nid]
-        core.memo[(node_op[nid], node_attr[nid], span)] = nid
+        core.memo[(node_op[nid], node_attr[nid], core._kid_tups[nid])] = nid
         core.op_nodes[node_op[nid]][nid] = None
-        core.class_nodes[node_class[nid]][nid] = None
-        for child in set(span):
-            core.class_parents[child][nid] = None
     return core

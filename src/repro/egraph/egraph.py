@@ -100,7 +100,7 @@ class EClass:
 class EGraph:
     """A hashconsed, analysis-carrying e-graph (façade over the flat core)."""
 
-    __slots__ = ("core", "_class_views", "find", "class_data")
+    __slots__ = ("core", "_class_views", "find", "class_data", "__weakref__")
 
     def __init__(self, analyses: Iterable[Analysis] = ()) -> None:
         #: The flat storage + congruence engine.  Hot paths consume this

@@ -19,6 +19,15 @@ pattern as :class:`~repro.egraph.runner.Runner`) can cut the refinement
 short and the extractor hands back its best-so-far checkpoint.  The loop
 polls the clock once per worklist step, so an expiring budget is overshot
 by at most one step.
+
+A complete flat-core fixpoint exports its solution as an
+:class:`ExtractTable`, which persists with the e-graph artifact
+(:mod:`repro.egraph.serialize`).  An extractor handed a table that fits its
+graph and objective adopts it instead of re-running the fixpoint.  Reuse is
+all or nothing: the default objective is not monotone through
+``delay = own + max(children)``, so a fixpoint resumed after a graph edit
+could settle differently from a fresh one, and a table is only ever
+reused on the graph it was solved on.
 """
 
 from __future__ import annotations
@@ -77,6 +86,10 @@ class ExtractReport:
     steps: int = 0
     #: Per-output outcome: name -> "extracted" | "fallback".
     roots: dict[str, str] = field(default_factory=dict)
+    #: Where the greedy cost table came from: "solved" by the fixpoint or
+    #: "reused" from a warm-start artifact (0 steps); empty for reports of
+    #: stages that run no greedy fixpoint (the ILP refinement).
+    greedy_table: str = ""
 
     @property
     def complete(self) -> bool:
@@ -88,7 +101,67 @@ class ExtractReport:
             "total_time_s": round(self.total_time, 6),
             "steps": self.steps,
             "roots": dict(self.roots),
+            "greedy_table": self.greedy_table,
         }
+
+
+def objective_tag(key: Callable | None) -> str | None:
+    """The name a key function's solved tables persist under.
+
+    Only a module-level function has a name that means the same ordering
+    in another process: its module-qualified name.  Closures (such as
+    :func:`~repro.synth.cost.weighted_key`'s), lambdas, methods and
+    partials get ``None`` — their tables are never exported.
+    """
+    qualname = getattr(key, "__qualname__", "")
+    module = getattr(key, "__module__", None)
+    if not module or not qualname or "." in qualname or "<" in qualname:
+        return None
+    return f"{module}.{qualname}"
+
+
+def graph_fingerprint(core) -> tuple[int, int, int, int]:
+    """Changes on any insert or union, and survives the pickle round trip:
+    union count, alive nodes, canonical classes and allocated node rows."""
+    return (core.version, core.n_nodes, core.n_classes, len(core.node_op))
+
+
+@dataclass(frozen=True)
+class ExtractTable:
+    """A complete greedy fixpoint, detached from its extractor.
+
+    One entry per costed canonical class — its best node id and that
+    node's (delay, area) — in flat columns, in the order the fixpoint first
+    costed the classes.  ``fingerprint`` names the graph it was solved on
+    (:func:`graph_fingerprint`) and ``objective`` the key function
+    (:func:`objective_tag`).
+    """
+
+    objective: str
+    fingerprint: tuple[int, int, int, int]
+    classes: array
+    nids: array
+    delays: array
+    areas: array
+
+    @classmethod
+    def solved(cls, objective: str, core, fast: dict[int, tuple]) -> ExtractTable:
+        """The table of a complete flat fixpoint over ``core``, from its
+        ``class -> (key, delay, area, best nid)`` mirror."""
+        entries = fast.values()
+        return cls(
+            objective=objective,
+            fingerprint=graph_fingerprint(core),
+            classes=array("q", fast),
+            nids=array("q", [entry[3] for entry in entries]),
+            delays=array("d", [entry[1] for entry in entries]),
+            areas=array("d", [entry[2] for entry in entries]),
+        )
+
+    def fits(self, core, objective: str | None) -> bool:
+        """Whether this table is the fixpoint of ``core`` under ``objective``."""
+        solved_on = graph_fingerprint(core)
+        return objective == self.objective and self.fingerprint == solved_on
 
 
 class Extractor:
@@ -101,6 +174,10 @@ class Extractor:
     class already costed extracts to a valid (possibly sub-optimal) tree,
     and :meth:`try_expr_of` reports the rest as unextractable instead of
     raising.
+
+    ``table`` is a previously solved :class:`ExtractTable`: when it
+    :meth:`~ExtractTable.fits` the graph and ``cost_fn``'s key, the
+    extractor adopts it and runs no fixpoint (:attr:`reused`, 0 steps).
     """
 
     def __init__(
@@ -110,6 +187,7 @@ class Extractor:
         strip_assumes: bool = True,
         deadline: float | None = None,
         clock: Callable[[], float] | None = None,
+        table: ExtractTable | None = None,
     ) -> None:
         self.egraph = egraph
         self.cost_fn = cost_fn
@@ -122,12 +200,44 @@ class Extractor:
         self.steps = 0
         #: False when the deadline cut the fixpoint short.
         self.complete = True
+        #: True when a fitting ``table`` replaced the fixpoint.
+        self.reused = False
         self._best: dict[int, tuple[Any, ENode]] = {}
         self._memo: dict[int, Expr] = {}
+        self._table: ExtractTable | None = None
         if hasattr(egraph, "core") and hasattr(cost_fn, "pricer"):
-            self._run_fixpoint_core()
+            objective = objective_tag(cost_fn.key)
+            if table is not None and table.fits(egraph.core, objective):
+                self._adopt(table)
+            else:
+                fast = self._run_fixpoint_core()
+                if self.complete and objective is not None:
+                    self._table = ExtractTable.solved(objective, egraph.core, fast)
         else:
             self._run_fixpoint()
+
+    def _adopt(self, table: ExtractTable) -> None:
+        """Rebuild ``_best`` from a solved table, in its original order."""
+        node_enode = self.egraph.core.node_enode
+        from_parts = self.cost_fn.cost_from_parts
+        self._best = {
+            cid: (from_parts(delay, area), node_enode(nid))
+            for cid, nid, delay, area in zip(
+                table.classes, table.nids, table.delays, table.areas
+            )
+        }
+        self._table = table
+        self.reused = True
+
+    def table(self) -> ExtractTable | None:
+        """The solved fixpoint as a persistable :class:`ExtractTable`.
+
+        ``None`` unless the flat-core fixpoint ran to completion (or a table
+        was adopted) under a key with an :func:`objective_tag`: a truncated
+        checkpoint is not the fixpoint, and a closure's ordering cannot be
+        named across processes.
+        """
+        return self._table
 
     # --------------------------------------------------------------- fixpoint
     def _candidates(self, class_id: int) -> Iterable[ENode]:
@@ -192,7 +302,7 @@ class Extractor:
                     pending.append(parent)
                     queued.add(parent)
 
-    def _run_fixpoint_core(self) -> None:
+    def _run_fixpoint_core(self) -> dict[int, tuple]:
         """Flat-core fixpoint for decomposable delay/area cost functions.
 
         Same worklist as :meth:`_run_fixpoint`, but over the core's int
@@ -204,6 +314,7 @@ class Extractor:
         plain floats, with comparison keys built by ``cost_fn.key`` and full
         cost objects materialized only when a class's best improves (so the
         anytime ``_best`` checkpoint stays identical to the generic path's).
+        Returns the float mirror, ``class -> (key, delay, area, best nid)``.
         """
         core = self.egraph.core
         cost_fn = self.cost_fn
@@ -224,7 +335,7 @@ class Extractor:
         node_enode = core.node_enode
         assume_id = core.op_ids.get(ops.ASSUME, -1)
 
-        #: root -> (key, delay, area); mirrors ``_best`` without objects.
+        #: root -> (key, delay, area, nid); mirrors ``_best`` without objects.
         fast: dict[int, tuple] = {}
         #: Own (delay, area) of each node (child-independent), as flat
         #: columns with a NaN not-yet-computed sentinel — a dict of tuples
@@ -253,7 +364,7 @@ class Extractor:
                     entry = fast.get(find(kids_buf[first]))
                     if entry is None:
                         continue
-                    key, delay, area = entry
+                    key, delay, area, _ = entry
                 else:
                     delay = 0.0
                     area = 0.0
@@ -274,11 +385,11 @@ class Extractor:
                         area += own_area[nid]
                         key = key_fn(delay, area)
                         if current is None or key < current[0]:
-                            current = (key, delay, area)
+                            current = (key, delay, area, nid)
                             best_nid = nid
                     continue
                 if current is None or key < current[0]:
-                    current = (key, delay, area)
+                    current = (key, delay, area, nid)
                     best_nid = nid
             if best_nid < 0:
                 continue
@@ -294,6 +405,7 @@ class Extractor:
                 if parent not in queued:
                     pending.append(parent)
                     queued.add(parent)
+        return fast
 
     # ---------------------------------------------------------------- queries
     def selection(self) -> dict[int, ENode]:

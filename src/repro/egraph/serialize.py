@@ -11,15 +11,23 @@ first-class artifact with two consumers:
   graph (:func:`absorb_graph`), re-uniting the inter-output sharing that
   shared-nothing cones gave up.
 
-File format (version 1): one JSON header line, then a pickle payload.
+File format (version 2): one JSON header line, then a pickle payload.
 
 The header is plain text on purpose — ``read_header`` can answer "is this
 artifact compatible?" (format version, canonical design digest, schedule
-key) without unpickling a multi-megabyte graph.  The payload is the compact
-:meth:`CoreGraph.__reduce__` pickle of ``(egraph, root_ids, input_ranges)``;
-unpickling derives the hashcons and indices, exactly as process-pool shard
-shipping already does.  Writes are atomic (tempfile + ``os.replace``), so a
-crash mid-save never corrupts a previously good artifact.
+key, the objective of the stored extraction table) without unpickling a
+multi-megabyte graph.  The payload is the pickle of ``(egraph, root_ids,
+input_ranges, extract_table)``: the graph goes through the compact
+:meth:`CoreGraph.__reduce__`, which ships the member and parent orders so
+the revived graph iterates exactly as the saved one did; unpickling derives
+the hashcons and indices, exactly as process-pool shard shipping already
+does.  ``extract_table`` is the greedy extractor's solved fixpoint
+(:class:`~repro.egraph.extract.ExtractTable`) on that very graph, or
+``None``; the header's ``objective`` names its key function (``""`` when
+there is no table).  Version 2 added the table and the orders; artifacts of
+other versions load as a ``"version"`` error.  Writes are atomic (tempfile +
+``os.replace``), so a crash mid-save never corrupts a previously good
+artifact.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from typing import Any
 
 from repro.egraph.core import CoreGraph
 from repro.egraph.egraph import EGraph
+from repro.egraph.extract import ExtractTable
 
 __all__ = [
     "FORMAT_VERSION",
@@ -52,7 +61,7 @@ MAGIC = "repro-egraph"
 #: Bumped whenever the payload layout changes; ``load_egraph`` refuses
 #: artifacts from other versions (a stale artifact is a cold start, never
 #: a crash).
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class EGraphFormatError(ValueError):
@@ -78,6 +87,8 @@ class EGraphHeader:
     nodes: int
     classes: int
     roots: tuple[str, ...]
+    #: Objective tag of the stored extraction table ("" = no table).
+    objective: str = ""
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -88,6 +99,7 @@ class EGraphHeader:
             "nodes": self.nodes,
             "classes": self.classes,
             "roots": list(self.roots),
+            "objective": self.objective,
         }
 
 
@@ -99,6 +111,8 @@ class SavedEGraph:
     egraph: EGraph
     root_ids: dict[str, int]
     input_ranges: dict = field(default_factory=dict)
+    #: The greedy extraction solved on this graph, if one was saved.
+    extract_table: ExtractTable | None = None
 
 
 def save_egraph(
@@ -109,14 +123,23 @@ def save_egraph(
     digest: str = "",
     schedule: str = "",
     input_ranges: dict | None = None,
+    extract_table: ExtractTable | None = None,
 ) -> EGraphHeader:
     """Persist ``egraph`` atomically; returns the header that was written.
 
     ``digest`` should be the service cache's canonical DAG digest of the
     design the graph was saturated from, and ``schedule`` its schedule key —
     both are free-form strings here; ``load_egraph`` compares them verbatim.
+    ``extract_table`` is stored only when it was solved on exactly this
+    graph: same fingerprint, and no pending work for the pickle's rebuild
+    to drain (a rebuilt graph could price its classes differently).
     """
     path = Path(path)
+    core = egraph.core
+    if extract_table is not None and not (
+        core.is_clean and extract_table.fits(core, extract_table.objective)
+    ):
+        extract_table = None
     header = EGraphHeader(
         format=FORMAT_VERSION,
         digest=digest,
@@ -124,11 +147,9 @@ def save_egraph(
         nodes=egraph.node_count,
         classes=egraph.class_count,
         roots=tuple(sorted(root_ids)),
+        objective=extract_table.objective if extract_table is not None else "",
     )
-    payload = pickle.dumps(
-        (egraph, dict(root_ids), dict(input_ranges or {})),
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
+    payload = (egraph, dict(root_ids), dict(input_ranges or {}), extract_table)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent, prefix=path.name, suffix=".tmp"
@@ -137,7 +158,9 @@ def save_egraph(
         with os.fdopen(fd, "wb") as handle:
             handle.write(json.dumps(header.as_dict(), sort_keys=True).encode())
             handle.write(b"\n")
-            handle.write(payload)
+            # Streamed: the payload never sits in memory whole next to
+            # the graph it encodes.
+            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -171,6 +194,7 @@ def _parse_header(line: bytes, path: Path) -> EGraphHeader:
             nodes=int(raw["nodes"]),
             classes=int(raw["classes"]),
             roots=tuple(raw["roots"]),
+            objective=str(raw["objective"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise EGraphFormatError(
@@ -224,12 +248,14 @@ def load_egraph(
             f"{path}: cannot read artifact", reason="io"
         ) from exc
     try:
-        egraph, root_ids, input_ranges = pickle.loads(payload)
+        egraph, root_ids, input_ranges, extract_table = pickle.loads(payload)
     except Exception as exc:  # truncated/corrupt payloads raise many types
         raise EGraphFormatError(
             f"{path}: corrupt artifact payload", reason="payload"
         ) from exc
-    if not isinstance(egraph, EGraph):
+    if not isinstance(egraph, EGraph) or not (
+        extract_table is None or isinstance(extract_table, ExtractTable)
+    ):
         raise EGraphFormatError(
             f"{path}: payload is not an e-graph", reason="payload"
         )
@@ -238,6 +264,7 @@ def load_egraph(
         egraph=egraph,
         root_ids=dict(root_ids),
         input_ranges=dict(input_ranges),
+        extract_table=extract_table,
     )
 
 

@@ -30,6 +30,11 @@ from repro.intervals.interval import Interval
 #: cap keeps the analysis linear in practice while remaining sound.
 DEFAULT_MAX_INTERVALS = 12
 
+#: Largest left-shift amount ``shl`` evaluates bounds for.  Beyond it the
+#: result is taken as unbounded (sound): ``x << 2**255`` does not fit in
+#: memory, and no datapath shifts that far.
+MAX_SHIFT_BOUND = 1 << 16
+
 
 def _add_bound(a: int | None, b: int | None) -> int | None:
     if a is None or b is None:
@@ -330,7 +335,7 @@ class IntervalSet:
         amount = amount.intersect(IntervalSet.of(0, None))
 
         def combine(p: Interval, q: Interval) -> list[Interval]:
-            if not p.bounded or q.hi is None:
+            if not p.bounded or q.hi is None or q.hi > MAX_SHIFT_BOUND:
                 return [Interval(None, None)]
             out = []
             for piece in self._split_at_zero(p):

@@ -246,8 +246,11 @@ def build_stages(
 
 
 def monolithic_tail(schedule: Schedule) -> list[Stage]:
-    """Case splits, saturation, save and extraction: what a monolithic run
-    does after seeding its e-graph, and a shard after ingesting its cone."""
+    """Case splits, saturation, extraction and save: what a monolithic run
+    does after seeding its e-graph, and a shard after ingesting its cone.
+    The save follows the extraction, so the artifact carries its solved
+    table (and precedes a Pareto sweep, which re-extracts under other
+    objectives)."""
     stages: list[Stage] = []
     if schedule.splits:
         stages.append(CaseSplit(schedule.splits))
@@ -269,7 +272,6 @@ def monolithic_tail(schedule: Schedule) -> list[Stage]:
                 **limits,
             )
         )
-    stages += _saved(schedule)
     # ASSUME wrappers are kept in the extracted tree: the tree-level range
     # analysis re-derives the constraint refinements from them, so netlist
     # lowering and Verilog emission see the reduced bitwidths.
@@ -281,6 +283,7 @@ def monolithic_tail(schedule: Schedule) -> list[Stage]:
         if schedule.extract_objective == "ilp":
             extract = OptimalExtract
     stages.append(extract(key=schedule.extraction_key, strip_assumes=False))
+    stages += _saved(schedule)
     if schedule.pareto:
         stages.append(ParetoSweep(mode=schedule.pareto))
     return stages

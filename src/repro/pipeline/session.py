@@ -176,6 +176,11 @@ class RunRecord:
     #: Anytime-extraction outcome: "complete", "deadline", or a
     #: comma-joined set when shards disagree (empty for pre-anytime runs).
     extract_status: str = ""
+    #: Where the greedy cost table came from: "solved" by the fixpoint or
+    #: "reused" from a warm-start artifact, comma-joined when extraction
+    #: stages disagree (empty when no greedy extraction ran on the run's
+    #: own graph, e.g. a sharded run without the stitch phase).
+    greedy_table: str = ""
     #: How the condensed output's equivalence was established:
     #: "exhaustive" | "bdd" | "random" | "timeout" (empty when unverified).
     verify_method: str = ""
@@ -312,6 +317,9 @@ def record_from_context(
         shard_pool=ctx.artifacts.get("shard_pool", ""),
         budget=budget_block,
         extract_status=",".join(sorted(extract_statuses)),
+        greedy_table=",".join(
+            sorted({r.greedy_table for r in ctx.extract_reports if r.greedy_table})
+        ),
         verify_method=verdict.method if verdict is not None else "",
         warm_start=str(ctx.artifacts.get("warm_start", "")),
         stitch=str(ctx.artifacts.get("stitch_status", "")),

@@ -139,6 +139,13 @@ class WarmStart:
     ``Ingest`` would have built, and the outcome lands in
     ``ctx.artifacts["warm_start"]`` as ``"hit:<digest12>"`` or
     ``"cold:<reason>"``.
+
+    When the loaded graph is provably the saved one (an exact digest hit or
+    an empty delta, flagged ``warm_saturated``), the artifact's solved
+    extraction table, if it has one, goes to
+    ``ctx.artifacts["extract_table"]``: ``Extract`` then adopts it instead
+    of re-running the cost fixpoint, when its objective matches.  A delta
+    that adds nodes re-saturates and re-solves.
     """
 
     name = "warm-start"
@@ -198,18 +205,23 @@ class WarmStart:
             # bigger seed and perturbing extraction tie-breaks.  Flag the
             # schedule as spent; a delta that adds new nodes re-saturates.
             ctx.artifacts["warm_saturated"] = True
+            if saved.extract_table is not None:
+                ctx.artifacts["extract_table"] = saved.extract_table
 
 
 class SaveEGraph:
     """Persist the (saturated) e-graph as a warm-start artifact.
 
-    Placed after the last ``Saturate`` (monolithic schedules) or after a
-    stitched ``MergeShards``; a no-op when the context carries no e-graph
-    (e.g. a sharded run without the stitch phase).  The header's digest is
-    the canonical DAG digest (:mod:`repro.ir.digest`) of the context's
-    roots, the one the service cache keys on, so the artifact is
-    attributable; the write itself is atomic
-    (:func:`repro.egraph.serialize.save_egraph`).
+    Placed after ``Extract`` (monolithic schedules) or after a stitched
+    ``MergeShards``, whose ``stitch-extract`` has run; a no-op when the
+    context carries no e-graph (e.g. a sharded run without the stitch
+    phase).  The artifact carries the last extraction's solved table
+    (``ctx.artifacts["extract_table"]``), which ``Extract`` leaves only
+    after a complete fixpoint under a nameable objective — never after a
+    deadline-truncated one.  The header's digest is the canonical DAG digest
+    (:mod:`repro.ir.digest`) of the context's roots, the one the service
+    cache keys on, so the artifact is attributable; the write itself is
+    atomic (:func:`repro.egraph.serialize.save_egraph`).
     """
 
     name = "save-egraph"
@@ -230,6 +242,7 @@ class SaveEGraph:
             digest=canonical_digest(ctx.roots, ctx.input_ranges),
             schedule=self.schedule,
             input_ranges=dict(ctx.input_ranges),
+            extract_table=ctx.artifacts.get("extract_table"),
         )
         ctx.artifacts["egraph_artifact"] = str(self.path)
 
@@ -246,8 +259,10 @@ class CaseSplit:
     def run(self, ctx: PipelineContext) -> None:
         egraph = ctx.require_egraph()
         # Splitting grows the graph beyond whatever a warm-start artifact
-        # recorded, so the persisted schedule no longer covers it.
+        # recorded, so neither the persisted schedule nor its solved
+        # extraction covers it.
         ctx.artifacts.pop("warm_saturated", None)
+        ctx.artifacts.pop("extract_table", None)
         for root_id in ctx.root_ids.values():
             for split in self.splits:
                 case_split_on(egraph, root_id, split)
@@ -397,6 +412,12 @@ class Extract:
     ``ctx.extract_reports`` (``status="complete"|"deadline"``) and the
     stage's wall spend is charged into the governor's ledger — never an
     exception, never an unledgered overshoot.
+
+    A solved table in ``ctx.artifacts["extract_table"]`` (a warm start's)
+    replaces the fixpoint when its objective tag and graph fingerprint both
+    match (report ``greedy_table="reused"``, 0 steps).  Afterwards the slot
+    holds this run's table for ``SaveEGraph``, or is cleared when the
+    fixpoint was truncated or the key has no tag.
     """
 
     name = "extract"
@@ -436,7 +457,13 @@ class Extract:
                 strip_assumes=self.strip_assumes,
                 deadline=deadline,
                 clock=clock,
+                table=ctx.artifacts.get("extract_table"),
             )
+            table = extractor.table()
+            if table is None:
+                ctx.artifacts.pop("extract_table", None)
+            else:
+                ctx.artifacts["extract_table"] = table
             for name, expr in ctx.roots.items():
                 if extractor.complete:
                     # Full fixpoint: an unextractable root is an engine
@@ -493,6 +520,7 @@ class Extract:
                         total_time=elapsed,
                         steps=extractor.steps,
                         roots=dict(root_status),
+                        greedy_table="reused" if extractor.reused else "solved",
                     )
                 )
             if governor is not None:

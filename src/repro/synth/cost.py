@@ -134,6 +134,9 @@ class DelayAreaCost(CostFunction):
         # cost improves; the node's *own* delay/area only depends on
         # analysis data that is frozen during extraction, so cache it.
         self._model_cache: dict[tuple[int, ENode], tuple[float, float]] = {}
+        #: The graph the bound ``_price`` reads, and that pricer.
+        self._priced: EGraph | None = None
+        self._price: Callable[[int, ENode], tuple[float, float]] | None = None
 
     def enode_cost(
         self, egraph: EGraph, class_id: int, enode: ENode, child_costs: list
@@ -141,7 +144,10 @@ class DelayAreaCost(CostFunction):
         cache_key = (class_id, enode)
         own = self._model_cache.get(cache_key)
         if own is None:
-            own = self.pricer(egraph)(class_id, enode)
+            if self._priced is not egraph:
+                self._price = self.pricer(egraph)
+                self._priced = egraph
+            own = self._price(class_id, enode)
             self._model_cache[cache_key] = own
         own_delay, own_area = own
         delay = own_delay + max((c.delay for c in child_costs), default=0.0)

@@ -7,9 +7,14 @@ The properties the warm-start/stitch machinery leans on:
   union-find partition, the node/class counts, and every invariant;
 * **pickling purity** — ``CoreGraph.__reduce__`` never mutates the graph
   being pickled (the PR-8 regression: it used to rebuild in place);
-* **header honesty** — compatibility questions (format, digest, schedule)
-  are answered from the one-line header, and every mismatch is a typed
-  :class:`EGraphFormatError`, never a crash or a silent wrong answer;
+* **iteration fidelity** — the revived graph walks its member and parent
+  sets in the saved order, so order-sensitive passes agree on both sides;
+* **header honesty** — compatibility questions (format, digest, schedule,
+  stored extraction objective) are answered from the one-line header, and
+  every mismatch is a typed :class:`EGraphFormatError`, never a crash or a
+  silent wrong answer;
+* **table fidelity** — a solved extraction table round-trips with the
+  graph it was solved on, and is never stored for another graph;
 * **absorption soundness** — ``absorb_graph`` maps every source class to a
   target class such that source-equal stays target-equal.
 """
@@ -30,8 +35,11 @@ from repro.egraph import (
     read_header,
     save_egraph,
 )
+from repro.analysis import DatapathAnalysis
+from repro.egraph import Extractor
 from repro.egraph.serialize import FORMAT_VERSION
-from repro.ir import ops
+from repro.ir import ops, var
+from repro.synth.cost import DelayAreaCost, default_key
 
 
 @st.composite
@@ -127,6 +135,24 @@ class TestPicklingPurity:
         assert loaded.class_count == g.class_count
         loaded.core.check_invariants()
 
+    @settings(max_examples=40, deadline=None)
+    @given(workload())
+    def test_round_trip_preserves_member_and_parent_order(self, load):
+        g, _ = _build(load)
+        loaded = pickle.loads(pickle.dumps(g)).core
+        core = g.core
+        for cid in core.class_ids():
+            assert list(loaded.class_nodes[cid]) == list(core.class_nodes[cid])
+            assert list(loaded.class_parents[cid]) == list(core.class_parents[cid])
+
+
+def _solved_graph():
+    """A small analysed graph and its complete extraction table."""
+    g = EGraph([DatapathAnalysis({})])
+    root = g.add_expr((var("a", 4) + var("b", 4)) * var("c", 4))
+    g.rebuild()
+    return g, root, Extractor(g, DelayAreaCost(default_key)).table()
+
 
 class TestSaveLoadFormat:
     @settings(max_examples=25, deadline=None)
@@ -157,6 +183,40 @@ class TestSaveLoadFormat:
         assert header.schedule == "y"
         assert header.roots == ("a", "b")
         assert header.nodes == g.node_count
+
+    def test_extract_table_round_trips(self, tmp_path):
+        g, root, table = _solved_graph()
+        assert table is not None
+        path = tmp_path / "g.egraph"
+        header = save_egraph(path, g, {"out": root}, extract_table=table)
+        assert header.objective == table.objective == read_header(path).objective
+        saved = load_egraph(path)
+        assert saved.extract_table == table
+        assert saved.extract_table.fits(saved.egraph.core, table.objective)
+        reused = Extractor(
+            saved.egraph, DelayAreaCost(default_key), table=saved.extract_table
+        )
+        assert reused.reused and reused.steps == 0
+        fresh = Extractor(saved.egraph, DelayAreaCost(default_key))
+        assert reused.selection() == fresh.selection()
+        assert reused.expr_of(root) == fresh.expr_of(root)
+
+    def test_no_table_for_another_or_a_dirty_graph(self, tmp_path):
+        g, root, table = _solved_graph()
+        other = EGraph([DatapathAnalysis({})])
+        other_root = other.add_expr(var("a", 4) + var("b", 4))
+        other.rebuild()
+        path = tmp_path / "g.egraph"
+        header = save_egraph(path, other, {"out": other_root}, extract_table=table)
+        assert header.objective == ""
+        assert load_egraph(path).extract_table is None
+        # Pending analysis work leaves the fingerprint alone, but the
+        # pickle's rebuild would drain it: the saved graph could price its
+        # classes differently from the one the table was solved on.
+        g.core.analysis_pending[0] = None
+        assert not g.core.is_clean and table.fits(g.core, table.objective)
+        save_egraph(path, g, {"out": root}, extract_table=table)
+        assert load_egraph(path).extract_table is None
 
     def test_input_ranges_travel_with_the_artifact(self, tmp_path):
         from repro.intervals import IntervalSet

@@ -61,6 +61,11 @@ class TestUnboundedOperands:
         # Limits of x >> s as s grows: 0 (x >= 0) and -1 (x < 0).
         assert 0 in out and -1 in out and 8 in out and -8 in out
 
+    def test_shl_by_an_astronomical_amount_goes_top(self):
+        # x << (255 << 255) would not fit in memory: the bound is dropped.
+        amount = IntervalSet.of(0, 255).shl(IntervalSet.of(0, 255))
+        assert IntervalSet.of(0, 255).shl(amount).is_top
+
     def test_mod_of_unbounded(self):
         assert IntervalSet.of(None, None).trunc_mod(8) == IntervalSet.of(0, 7)
 

@@ -40,10 +40,10 @@ def _cold(design, save_path=None, schedule=""):
     stages = [
         Ingest(source=design.verilog),
         Saturate(compose_rules(), iter_limit=ITERS, node_limit=NODE_LIMIT),
+        Extract(),
     ]
     if save_path is not None:
         stages.append(SaveEGraph(save_path, schedule=schedule))
-    stages.append(Extract())
     return Pipeline(stages).run(input_ranges=design.input_ranges)
 
 
