@@ -74,7 +74,7 @@ def test_interpolation_dead_code_eliminated(benchmark):
     assert 1000 not in consts, "unreachable clamp survived optimization"
 
 
-@pytest.mark.parametrize("switch", ["enable_assume", "enable_condition_rewriting"])
+@pytest.mark.parametrize("switch", ["enable_assume", "enable_condition"])
 def test_constraint_awareness_ablation(benchmark, switch):
     """Disabling Table I or Table II must not *improve* results, and the
     full tool must beat the no-ASSUME variant on float_to_unorm."""

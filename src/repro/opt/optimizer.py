@@ -13,7 +13,7 @@ sweeps, batch/parallel runs) composes the stages directly or goes through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from repro.egraph import EGraph, RunnerReport
@@ -27,65 +27,30 @@ from repro.pipeline import (
     build_stages,
 )
 from repro.rtl import emit_verilog
-from repro.synth.cost import DelayArea, default_key
+from repro.synth.cost import DelayArea
 from repro.verify import EquivalenceResult
 
 
-@dataclass
-class OptimizerConfig:
+@dataclass(frozen=True, kw_only=True)
+class OptimizerConfig(Schedule):
     """Knobs of the tool (defaults follow the paper's settings).
 
-    Each knob means what the same-named
-    :class:`~repro.pipeline.schedule.Schedule` field means
-    (``enable_condition_rewriting`` is its ``enable_condition``), and the
-    knobs compose by the schedule's one table of rules
-    (:data:`~repro.pipeline.schedule.COMPOSITION_RULES`).  ``budget`` is
-    the config's own: one accounted resource pool for the whole run (see
+    Every knob is a :class:`~repro.pipeline.schedule.Schedule` field and
+    composes by the schedule's one table of rules
+    (:data:`~repro.pipeline.schedule.COMPOSITION_RULES`): ``iter_limit``
+    (the paper's case study uses 11 iterations, the small Section VI cases
+    6), the ``split_threshold`` of ``a - (b >> c)`` (Section V splits at
+    c > 1) and the Table I/II ablation switches ``enable_assume`` and
+    ``enable_condition``.  ``verify`` defaults on here: the tool checks the
+    optimized design against the original.  ``budget`` is the config's own:
+    one accounted resource pool for the whole run (see
     :mod:`repro.pipeline.budget`) that every stage and shard draws from,
     with the per-stage knobs as ceilings; ``None`` leaves the run
     ungoverned.
     """
 
-    #: equality-saturation iterations (the paper's case study uses 11; the
-    #: small Section VI cases use 6).
-    iter_limit: int = 8
-    node_limit: int = 30_000
-    time_limit: float = 60.0
-    #: case-split threshold for ``a - (b >> c)`` (Section V splits at c > 1);
-    #: None disables case splitting.
-    split_threshold: int | None = 1
-    #: ablation switches (benchmarks exercise these) — these drop whole
-    #: rulesets from the composition, see
-    #: :func:`repro.rewrites.rulesets.compose_rules`.
-    enable_assume: bool = True
-    enable_condition_rewriting: bool = True
-    #: verify the optimized design against the original after extraction.
-    verify: bool = True
-    shards: int = 0
-    auto_shard_nodes: int | None = None
-    shard_parallel: bool = False
     budget: Budget | None = None
-    budget_policy: str = "adaptive"
-    verify_budget: Budget | None = None
-    #: assert e-graph invariants after every runner iteration (tests only;
-    #: the check sweeps the whole graph).
-    check_invariants: bool = False
-    warm_start: str | None = None
-    save_egraph: str | None = None
-    stitch: bool = False
-    extract_objective: str = "greedy"
-    #: extraction objective key (delay, area) -> ordering key.
-    extraction_key = staticmethod(default_key)
-
-    def schedule(self, splits: Sequence[Expr] = ()) -> Schedule:
-        """These knobs as a :class:`~repro.pipeline.schedule.Schedule`, with
-        the designer case ``splits`` on every root."""
-        return Schedule.of(
-            self,
-            # The one knob the config spells differently.
-            enable_condition=self.enable_condition_rewriting,
-            splits=tuple(splits),
-        )
+    verify: bool = True
 
 
 @dataclass
@@ -163,7 +128,9 @@ class DatapathOptimizer:
         user_splits: Sequence[Expr] = (),
     ) -> Pipeline:
         """The stage list this config's one-call entrypoints run."""
-        schedule = self.config.schedule(user_splits)
+        schedule = replace(
+            self.config, splits=self.config.splits + tuple(user_splits)
+        )
         return Pipeline(build_stages(schedule, source=source, roots=roots))
 
     # ----------------------------------------------------------------- entry

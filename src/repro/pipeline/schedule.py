@@ -4,11 +4,13 @@ A :class:`Schedule` holds every knob that shapes a run's stage list, and
 :func:`build_stages` is the one place those knobs become stages, after
 :meth:`Schedule.check` has held them to the one table of composition rules
 (:data:`COMPOSITION_RULES`, with :func:`is_sharded` deciding when the
-``auto_shard_nodes`` threshold yields).  ``Job.schedule``,
-``OptimizerConfig.schedule``, the CLI, the service queue and the shard
-worker (which runs :func:`monolithic_tail` over its cone) are adapters onto
-the two.  The artifact key and the service's record key digest the fields
-each marks (:func:`key_fields`).
+``auto_shard_nodes`` threshold yields).  A batch ``Job`` and the one-call
+``OptimizerConfig`` are keyword-only subclasses that add only their own
+fields, so every knob is declared here once; ``Job.schedule`` fills in a
+job's design-default limits.  The CLI, the service queue and the shard
+worker (which runs :func:`monolithic_tail` over its cone) build from
+schedules too.  The artifact key and the service's record key digest the
+fields each marks (:func:`key_fields`).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def _knob(default, *, record: int, ruleset: int | None = None):
     return field(default=default, metadata={"record": record, "ruleset": ruleset})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Schedule:
     """The stage-shaping knobs of one run.
 
@@ -100,18 +102,6 @@ class Schedule:
     splits: tuple[Expr, ...] = ()
     extraction_key: Callable[[float, float], tuple] = default_key
 
-    @classmethod
-    def of(cls, knobs, **overrides) -> Schedule:
-        """The schedule of an object that carries (some of) these knobs
-        as same-named attributes — a ``Job``, an ``OptimizerConfig`` —
-        with ``overrides`` on top."""
-        shared = {
-            f.name: getattr(knobs, f.name)
-            for f in fields(cls)
-            if hasattr(knobs, f.name)
-        }
-        return cls(**{**shared, **overrides})
-
     @property
     def ship_egraph(self) -> bool:
         """Whether shards ship their saturated graphs back: only for the
@@ -139,8 +129,8 @@ class CompositionError(ValueError):
     """A schedule whose knobs break a rule of :data:`COMPOSITION_RULES`."""
 
 
-def is_sharded(knobs) -> bool:
-    """Whether a :class:`Schedule` (or a ``Job``) fans out over shards.
+def is_sharded(knobs: Schedule) -> bool:
+    """Whether a :class:`Schedule` fans out over shards.
 
     An explicit ``shards`` count always does.  The ``auto_shard_nodes``
     threshold yields to a warm start and to the ILP objective: both need one
@@ -193,9 +183,9 @@ def key_fields(key: str) -> tuple[str, ...]:
 RULESET_FIELDS = key_fields("ruleset")
 
 
-def job_schedule_key(knobs) -> str:
-    """Digest of the ruleset-selecting knobs of a ``Job`` or
-    :class:`Schedule` (the artifact compatibility key)."""
+def job_schedule_key(knobs: Schedule) -> str:
+    """Digest of the ruleset-selecting knobs of a :class:`Schedule` (the
+    artifact compatibility key)."""
     payload = repr(tuple(getattr(knobs, name) for name in RULESET_FIELDS))
     return hashlib.sha256(payload.encode()).hexdigest()
 

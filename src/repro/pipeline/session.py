@@ -42,14 +42,20 @@ from repro.rtl import module_to_ir
 from repro.synth.treecost import dag_cost
 
 
-@dataclass(frozen=True)
-class Job:
+@dataclass(frozen=True, kw_only=True)
+class Job(Schedule):
     """One named unit of batch work: a registry design plus schedule knobs.
 
-    The knobs shared with :class:`~repro.pipeline.schedule.Schedule` mean
-    what they mean there, and compose by its one table of rules; unset
-    ``iter_limit``/``node_limit`` take the design's own limits
-    (:meth:`schedule`).  The rest belong to the job alone.
+    Every knob is a :class:`~repro.pipeline.schedule.Schedule` field and
+    composes by its one table of rules; unset ``iter_limit``/``node_limit``
+    take the design's own limits (:meth:`schedule`).  The fields declared
+    here belong to the job alone.
+
+    ``source`` is inline Verilog for ad-hoc submissions.  When set,
+    ``design`` is a *label* (used for warm-start family lookup and
+    reporting), not a registry key; input ranges are inherited from the
+    same-label registry design for the variables that survive the edit (see
+    :func:`resolve_design`).
 
     ``budget`` puts the whole job under one accounted
     :class:`~repro.pipeline.budget.Budget` (every stage — including the
@@ -61,40 +67,19 @@ class Job:
 
     name: str
     design: str
+    source: str | None = None
+    budget: Budget | None = None
     iter_limit: int | None = None
     node_limit: int | None = None
-    time_limit: float = 60.0
-    split_threshold: int | None = 1
-    enable_assume: bool = True
-    enable_condition: bool = True
-    verify: bool = False
-    phases: tuple[tuple[str, ...], ...] = ()
-    phase_iters: int = 4
-    shards: int = 0
-    auto_shard_nodes: int | None = None
-    shard_parallel: bool = False
-    budget: Budget | None = None
-    budget_policy: str = "adaptive"
-    verify_budget: Budget | None = None
-    #: Inline Verilog for ad-hoc submissions.  When set, ``design`` is a
-    #: *label* (used for warm-start family lookup and reporting), not a
-    #: registry key; input ranges are inherited from the same-label registry
-    #: design for the variables that survive the edit (see
-    #: :func:`resolve_design`).
-    source: str | None = None
-    warm_start: str | None = None
-    save_egraph: str | None = None
-    stitch: bool = False
-    extract_objective: str = "greedy"
-    pareto: str = ""
 
     def schedule(self, design: Design) -> Schedule:
         """This job's stage-shaping knobs; unset limits take ``design``'s."""
-        return Schedule.of(
-            self,
-            iter_limit=design.iterations if self.iter_limit is None else self.iter_limit,
-            node_limit=design.node_limit if self.node_limit is None else self.node_limit,
-        )
+        knobs = {f.name: getattr(self, f.name) for f in fields(Schedule)}
+        if self.iter_limit is None:
+            knobs["iter_limit"] = design.iterations
+        if self.node_limit is None:
+            knobs["node_limit"] = design.node_limit
+        return Schedule(**knobs)
 
 
 def resolve_design(job: Job) -> tuple[dict, dict]:

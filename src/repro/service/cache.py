@@ -44,6 +44,7 @@ from repro.ir.digest import _digest, canonical_digest, output_digests
 from repro.pipeline.budget import Budget
 from repro.pipeline.schedule import job_schedule_key, key_fields
 from repro.pipeline.session import Job, RunRecord, resolve_design
+from repro.synth.cost import default_key
 
 __all__ = [
     "canonical_digest",
@@ -113,7 +114,15 @@ def job_cache_key(job: Job) -> str:
     — share cache entries.  Output names stay bound to their roots: the
     record reports per-output results, so a design whose outputs swap
     their logic is a different problem.
+
+    Raises ``ValueError`` for a job with designer ``splits`` or a custom
+    ``extraction_key``: the key digests neither, so such a job could be
+    served another job's record.
     """
+    if job.splits or job.extraction_key is not default_key:
+        raise ValueError(
+            "a job with splits or a custom extraction_key has no record key"
+        )
     structure = tuple(sorted(output_digests(*resolve_design(job)).items()))
     schedule = tuple(getattr(job, name) for name in _SCHEDULE_FIELDS)
     classes = (budget_class(job.budget), budget_class(job.verify_budget))

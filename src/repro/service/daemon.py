@@ -28,7 +28,7 @@ import json
 import socket
 import threading
 import time
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 
 from repro.pipeline.budget import Budget
@@ -44,9 +44,30 @@ __all__ = [
 
 
 # ------------------------------------------------------------- wire helpers
+#: Job fields a wire submission may not set: artifact paths would let any
+#: client that reaches the socket write a file anywhere or unpickle one,
+#: and the rest are in-process objects or test switches.  The in-process
+#: queue still honours them.
+LOCAL_ONLY_FIELDS = (
+    "warm_start",
+    "save_egraph",
+    "splits",
+    "extraction_key",
+    "check_invariants",
+)
+
+
 def job_to_dict(job: Job) -> dict:
-    """A JSON-ready job dict (budgets flatten to their quota dicts)."""
-    payload = asdict(job)
+    """A JSON-ready job dict (budgets flatten to their quota dicts).
+
+    Raises ``ValueError`` for a job that sets a local-only field."""
+    payload = {}
+    for f in fields(job):
+        value = getattr(job, f.name)
+        if f.name not in LOCAL_ONLY_FIELDS:
+            payload[f.name] = value
+        elif value != f.default:
+            raise ValueError(f"{f.name} is local-only and cannot be sent")
     payload["phases"] = [list(phase) for phase in job.phases]
     payload["budget"] = job.budget.as_dict() if job.budget else None
     payload["verify_budget"] = (
@@ -57,7 +78,11 @@ def job_to_dict(job: Job) -> dict:
 
 def job_from_dict(data: dict) -> Job:
     """Rebuild a :class:`Job` from its wire dict (unknown keys rejected by
-    the dataclass itself — a bad submission fails loudly, not silently)."""
+    the dataclass itself, local-only ones here — a bad submission fails
+    loudly, not silently)."""
+    local = sorted(set(data) & set(LOCAL_ONLY_FIELDS))
+    if local:
+        raise ValueError(f"local-only job fields in a wire submission: {local}")
     payload = dict(data)
     if payload.get("phases"):
         payload["phases"] = tuple(

@@ -293,7 +293,7 @@ class OptimizationQueue:
         if is_sharded(job):
             return job  # warm-start composes with monolithic schedules only
         if job.warm_start or job.save_egraph:
-            return job  # the submitter pinned explicit artifact paths
+            return job  # an in-process submitter pinned artifact paths
         family = warm_family(job)
         artifact = self.cache.get_egraph(family)
         return replace(

@@ -11,6 +11,8 @@ types they build.
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro import DatapathOptimizer, OptimizerConfig
@@ -150,11 +152,7 @@ def _via_job(knobs):
 
 
 def _via_config(knobs):
-    knobs = dict(knobs)
-    key = knobs.pop("extraction_key", None)
     config = OptimizerConfig(iter_limit=1, **knobs)
-    if key is not None:
-        config.extraction_key = key
     tool = DatapathOptimizer({}, config)
     try:
         return _types(tool.build_pipeline(source=get_design(DESIGN).verilog).stages)
@@ -225,3 +223,17 @@ def test_jobs_and_schedules_agree_on_sharding(knobs, sharded):
     job = Job(name="j", design="lzc_example", **knobs)
     assert is_sharded(job) is sharded
     assert is_sharded(job.schedule(get_design("lzc_example"))) is sharded
+
+
+def test_job_and_config_are_schedules():
+    """Each knob is declared once, on :class:`Schedule`; the subclasses
+    declare only their own fields."""
+    assert issubclass(Job, Schedule) and issubclass(OptimizerConfig, Schedule)
+    assert set(Job.__annotations__) == {
+        "name", "design", "source", "budget", "iter_limit", "node_limit",
+    }
+    assert set(OptimizerConfig.__annotations__) == {"budget", "verify"}
+    with pytest.raises(TypeError):
+        Job("a", "fp_sub")
+    with pytest.raises(FrozenInstanceError):
+        OptimizerConfig().verify = False

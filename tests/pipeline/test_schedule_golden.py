@@ -32,7 +32,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import asdict, replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -46,6 +46,7 @@ from repro.pipeline import Budget, Job, execute_job, job_schedule_key, job_stage
 from repro.pipeline.pipeline import Pipeline
 from repro.pipeline.shard import shard_pipeline_stages
 from repro.service.cache import job_cache_key
+from repro.service.daemon import LOCAL_ONLY_FIELDS
 from repro.synth.cost import weighted_key
 
 GOLDEN = Path(__file__).with_name("golden_schedules.json")
@@ -263,7 +264,7 @@ SHAPES: dict[str, dict] = {
         "config": {**CONFIG_LIMITS, "splits": SPLITS, "shards": 8},
     },
     "custom-key": {
-        "config": {**CONFIG_LIMITS, "key": weighted_key(1.0, 0.01),
+        "config": {**CONFIG_LIMITS, "extraction_key": weighted_key(1.0, 0.01),
                    "check_invariants": True, "warm_start": "w.egraph",
                    "save_egraph": "s.egraph"},
     },
@@ -304,10 +305,7 @@ SHAPES: dict[str, dict] = {
 def _config_stages(knobs: dict) -> list:
     knobs = dict(knobs)
     splits = knobs.pop("splits", ())
-    key = knobs.pop("key", None)
     config = OptimizerConfig(**knobs)
-    if key is not None:
-        config.extraction_key = key
     tool = DatapathOptimizer({}, config)
     return tool.build_pipeline(
         source=get_design(SIGNATURE_DESIGN).verilog, user_splits=splits
@@ -433,9 +431,13 @@ def _roundtrip(value):
 
 
 def test_knob_table_covers_every_job_field():
-    assert set(KNOB_VALUES) == {
-        name for name in asdict(Job(name="", design="")) if name not in ("name", "design")
+    """Every field a wire submission carries has a key pin; the only other
+    pinned knobs are the local-only artifact paths."""
+    wire = {
+        f.name for f in fields(Job)
+        if f.name not in (*LOCAL_ONLY_FIELDS, "name", "design")
     }
+    assert wire <= set(KNOB_VALUES) <= wire | set(LOCAL_ONLY_FIELDS)
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.intervals import IntervalSet
-from repro.ir import ops, var
+from repro.ir import gt, ops, var
 from repro.ir.expr import Expr, const
 from repro.pipeline import Budget, Job, RunRecord, execute_job
 from repro.service import (
@@ -24,6 +25,7 @@ from repro.service import (
     job_cache_key,
     job_digest,
 )
+from repro.synth.cost import weighted_key
 
 FAST = dict(iter_limit=2, node_limit=8_000)
 
@@ -145,6 +147,17 @@ class TestCacheKeys:
             assert job_cache_key(base) != job_cache_key(
                 replace(base, **change)
             ), change
+
+    def test_jobs_the_key_cannot_tell_apart_have_no_key(self):
+        """The key digests neither designer splits nor the extraction key,
+        so a job that sets one would be served another job's record."""
+        base = Job(name="a", design="lzc_example")
+        for change in (
+            dict(splits=(gt(var("x", 8), 127),)),
+            dict(extraction_key=weighted_key(1.0, 0.5)),
+        ):
+            with pytest.raises(ValueError, match="no record key"):
+                job_cache_key(replace(base, **change))
 
 
 _SWAP_SOURCE = """

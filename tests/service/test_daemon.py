@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.service import (
     request,
     wait_for_result,
 )
+from repro.service.daemon import LOCAL_ONLY_FIELDS
 
 FAST = dict(iter_limit=2, node_limit=8_000)
 
@@ -67,6 +69,15 @@ class TestWireFormat:
         with pytest.raises(TypeError):
             job_from_dict(payload)
 
+    def test_local_only_fields_stay_off_the_wire(self):
+        job = Job(name="w", design="fp_sub")
+        assert not set(job_to_dict(job)) & set(LOCAL_ONLY_FIELDS)
+        for name in LOCAL_ONLY_FIELDS:
+            with pytest.raises(ValueError, match="local-only"):
+                job_from_dict({**job_to_dict(job), name: None})
+        with pytest.raises(ValueError, match="local-only"):
+            job_to_dict(replace(job, save_egraph="out.egraph"))
+
 
 class TestDaemonProtocol:
     def test_ping_reports_the_tenant_roster(self, daemon):
@@ -91,6 +102,20 @@ class TestDaemonProtocol:
         assert not bad["ok"] and "KeyError" in bad["error"]
         assert request(daemon.socket_path, {"op": "nope"})["ok"] is False
         assert request(daemon.socket_path, {"op": "ping"})["ok"]
+
+    def test_artifact_paths_are_refused_at_the_socket(self, daemon, tmp_path):
+        target = tmp_path / "planted.egraph"
+        payload = {
+            **job_to_dict(Job(name="p", design="lzc_example", **FAST)),
+            "save_egraph": str(target),
+        }
+        reply = request(
+            daemon.socket_path,
+            {"op": "submit", "tenant": "team-a", "job": payload},
+        )
+        assert not reply["ok"] and "save_egraph" in reply["error"]
+        daemon.queue.drain()
+        assert not target.exists() and not daemon.queue.submissions
 
     def test_status_polls_events_incrementally(self, daemon):
         job = Job(name="st", design="lzc_example", **FAST)
