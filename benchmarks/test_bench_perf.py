@@ -31,6 +31,8 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import pytest
+
 from repro import DatapathOptimizer, OptimizerConfig
 from repro.designs import DESIGNS
 from repro.pipeline import Budget, Job, RunRecord, execute_job, record_from_context
@@ -438,19 +440,29 @@ def test_perf_stress_wide_stitch(tmp_path):
 LEDGER_COVERAGE_FLOOR = 0.95
 
 
-def test_perf_fp_sub_budget_ledger_coverage():
-    """The governed fp_sub run's ``RunRecord.budget`` ledger accounts for
-    ~all of the total wall — no unledgered stages (the bench-smoke job's
-    second assertion, alongside the median-regression factor)."""
+@pytest.mark.parametrize(
+    "budget",
+    [
+        # Generous: the ceiling must not bind — this measures coverage,
+        # not degradation (verify on fp_sub degrades BDD -> random).
+        Budget(time_s=120.0),
+        # No budget: the run is governed by the unlimited pool, and its
+        # ledger must be just as complete.
+        None,
+    ],
+    ids=["budgeted", "unbudgeted"],
+)
+def test_perf_fp_sub_budget_ledger_coverage(budget):
+    """The fp_sub run's ``RunRecord.budget`` ledger accounts for ~all of the
+    total wall, budgeted or not — no unledgered stages (the bench-smoke
+    job's second assertion, alongside the median-regression factor)."""
     record = execute_job(
         Job(
             name="ledger:fp_sub",
             design="fp_sub",
             iter_limit=ITER_LIMIT,
             verify=True,
-            # Generous: the ceiling must not bind — this measures coverage,
-            # not degradation (verify on fp_sub degrades BDD -> random).
-            budget=Budget(time_s=120.0),
+            budget=budget,
         )
     )
     assert record.status == "ok", record.error
@@ -461,7 +473,7 @@ def test_perf_fp_sub_budget_ledger_coverage():
     total = record.budget["spent"]["time_s"]
     coverage = ledgered / total if total else 1.0
     print(
-        f"\nfp_sub governed run: {ledgered:.3f}s of {total:.3f}s ledgered "
+        f"\nfp_sub run: {ledgered:.3f}s of {total:.3f}s ledgered "
         f"({coverage:.1%})"
     )
     assert coverage >= LEDGER_COVERAGE_FLOOR, (

@@ -119,7 +119,7 @@ def _add_budget_arguments(parser: argparse.ArgumentParser) -> None:
         "--budget-ms", type=float, default=None, metavar="MS",
         help="wall-clock budget for the whole run in milliseconds; every "
         "stage and shard draws from this one pool and races one deadline "
-        "(default: ungoverned — only the per-stage limits apply)",
+        "(default: unlimited — only the per-stage limits apply)",
     )
     parser.add_argument(
         "--budget-policy",

@@ -275,7 +275,7 @@ class Extractor:
             queued.add(eclass.id)
         while pending:
             # Anytime poll: one read per step keeps the overshoot at one
-            # worklist step, and costs nothing when the run is ungoverned.
+            # worklist step, and costs nothing when there is no deadline.
             if bounded and clock() > self.deadline:
                 self.complete = False
                 break

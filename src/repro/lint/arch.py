@@ -390,41 +390,39 @@ def check_stdlib(tree: SourceTree) -> list[Finding]:
 
 # -------------------------------------------------------------------- AR-CLOCK
 _CLOCK_NAMES = frozenset({"monotonic", "perf_counter", "time"})
+#: Real clocks a stage's ``run`` may not even reference: every context
+#: carries a governor, so a stage times itself on ``ctx.governor.clock``.
+_STAGE_CLOCK_NAMES = frozenset({"monotonic", "perf_counter"})
 
 
 def check_clocks(tree: SourceTree) -> list[Finding]:
-    """Bare wall-clock *calls* outside the budget unit.
+    """Bare wall-clock *calls* outside the budget unit, and any real-clock
+    reference inside a stage's ``run(self, ctx)``.
 
     Referencing ``time.monotonic`` as an injectable default
     (``clock = clock if clock is not None else time.monotonic``) is the
     sanctioned idiom and is not flagged — only direct calls are, because a
-    direct call cannot be faked by deadline tests.
+    direct call cannot be faked by deadline tests.  A stage has no such
+    default to offer: ``ctx.governor.clock`` is always there, so a real
+    clock in its ``run`` would only bypass the governor's fakeable one.
     """
     findings = []
     for module in tree:
         if unit_of(module.name) == "budget":
             continue
         aliased = {
-            alias.asname or alias.name
+            alias.asname or alias.name: alias.name
             for node, _ in _iter_imports(module.tree)
             if isinstance(node, ast.ImportFrom) and node.module == "time"
             for alias in node.names
             if alias.name in _CLOCK_NAMES
         }
+        called = set()
         for call, qualname in _walk_calls(module.tree):
-            func = call.func
-            name = None
-            if (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "time"
-                and func.attr in _CLOCK_NAMES
-            ):
-                name = f"time.{func.attr}"
-            elif isinstance(func, ast.Name) and func.id in aliased:
-                name = func.id
+            name = _clock_name(call.func, aliased, _CLOCK_NAMES)
             if name is None:
                 continue
+            called.add(id(call.func))
             findings.append(
                 Finding(
                     "AR-CLOCK",
@@ -437,7 +435,54 @@ def check_clocks(tree: SourceTree) -> list[Finding]:
                     line=call.lineno,
                 )
             )
+        for qualname, method in _stage_run_methods(module.tree):
+            for node in ast.walk(method):
+                name = _clock_name(node, aliased, _STAGE_CLOCK_NAMES)
+                if name is None or id(node) in called:
+                    continue
+                findings.append(
+                    Finding(
+                        "AR-CLOCK",
+                        f"{module.name}:{qualname}",
+                        f"{name} referenced in a stage's run() — time the "
+                        "stage on `ctx.governor.clock`, which every context "
+                        "carries",
+                        module=module.name,
+                        path=module.path,
+                        line=node.lineno,
+                    )
+                )
     return findings
+
+
+def _clock_name(node: ast.AST, aliased: dict[str, str], names) -> str | None:
+    """The real clock ``node`` names (``time.<name>`` or a from-import
+    alias of one of ``names``), else ``None``."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "time"
+        and node.attr in names
+    ):
+        return f"time.{node.attr}"
+    if isinstance(node, ast.Name) and aliased.get(node.id) in names:
+        return node.id
+    return None
+
+
+def _stage_run_methods(tree: ast.Module):
+    """Yield ``(qualname, FunctionDef)`` for every ``run(self, ctx)``
+    method — the stage protocol's one entry point."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if (
+                isinstance(method, ast.FunctionDef)
+                and method.name == "run"
+                and [arg.arg for arg in method.args.args] == ["self", "ctx"]
+            ):
+                yield f"{cls.name}.run", method
 
 
 def _walk_calls(tree: ast.Module):

@@ -45,8 +45,8 @@ class OptimizerConfig(Schedule):
     optimized design against the original.  ``budget`` is the config's own:
     one accounted resource pool for the whole run (see
     :mod:`repro.pipeline.budget`) that every stage and shard draws from,
-    with the per-stage knobs as ceilings; ``None`` leaves the run
-    ungoverned.
+    with the per-stage knobs as ceilings; ``None`` makes the pool
+    unlimited, so only the per-stage knobs bind.
     """
 
     budget: Budget | None = None

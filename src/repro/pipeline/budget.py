@@ -422,8 +422,9 @@ def concurrent_children(
 class ResourceGovernor:
     """The accounted pool one pipeline run draws from.
 
-    Created when a run is given a :class:`Budget` (``Pipeline.run(budget=…)``,
-    ``Job.budget``, CLI ``--budget-ms``) and threaded through the context.
+    Every pipeline context carries one: its pool is the :class:`Budget` a
+    run is given (``Pipeline.run(budget=…)``, ``Job.budget``, CLI
+    ``--budget-ms``), or the unlimited ``Budget()`` when none is.
     Stages intersect their own knobs with :meth:`remaining` — which carries
     the governor's *absolute* deadline, fixing the historic bug where every
     nested ``Saturate`` restarted the clock — and :meth:`charge` their spend

@@ -18,6 +18,7 @@ from repro.egraph import EGraph
 from repro.egraph.runner import RunnerReport
 from repro.intervals import IntervalSet
 from repro.ir.expr import Expr
+from repro.pipeline.budget import Budget, ResourceGovernor
 from repro.synth.cost import DelayArea
 from repro.verify import EquivalenceResult
 
@@ -56,9 +57,12 @@ class PipelineContext:
     #: Free-form stage outputs (e.g. ``Emit`` stores ``"verilog"``).
     artifacts: dict[str, Any] = field(default_factory=dict)
     #: The run's resource governor (one accounted budget pool all stages
-    #: draw from; see :mod:`repro.pipeline.budget`).  ``None`` = ungoverned:
-    #: every stage keeps its own knobs.
-    governor: Any = None
+    #: draw from; see :mod:`repro.pipeline.budget`).  The default pool is
+    #: unlimited, ``Budget()``: every stage's own knobs bind, and the
+    #: ledger still records each stage's spend.
+    governor: ResourceGovernor = field(
+        default_factory=lambda: ResourceGovernor(Budget())
+    )
     #: Cone decomposition chosen by a ``Shard`` stage
     #: (a :class:`repro.analysis.sharding.ShardPlan`), if one ran.
     shard_plan: Any = None

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Iterable, Sequence
 
 from repro.intervals import IntervalSet
@@ -39,12 +38,14 @@ class Pipeline:
     ) -> PipelineContext:
         """Run every stage in order; returns the (mutated) context.
 
-        ``budget`` puts the whole run under a
-        :class:`~repro.pipeline.budget.ResourceGovernor`: every stage draws
-        from that one accounted pool (sharing a single absolute deadline)
-        instead of carrying its own clock, and the governor's
-        allocated-vs-spent ledger lands in the run record.  ``clock`` is
-        injectable for deterministic deadline tests.
+        Every run is governed: the context's
+        :class:`~repro.pipeline.budget.ResourceGovernor` is the one
+        accounted pool all stages draw from (sharing a single absolute
+        deadline), and its allocated-vs-spent ledger lands in the run
+        record.  ``budget`` or ``clock`` installs a fresh governor over
+        ``budget`` (unlimited when omitted); otherwise the context keeps
+        its own, whose default pool is unlimited.  ``clock`` is injectable
+        for deterministic deadline tests and also times the stages.
         """
         if ctx is None:
             ctx = PipelineContext(input_ranges=dict(input_ranges or {}))
@@ -64,11 +65,11 @@ class Pipeline:
                     "stage (or use a fresh context) instead"
                 )
             ctx.input_ranges = dict(input_ranges)
-        if budget is not None:
+        if budget is not None or clock is not None:
             ctx.governor = ResourceGovernor(
-                budget, clock=clock, policy=budget_policy
+                budget or Budget(), clock=clock, policy=budget_policy
             )
-        timer = clock if clock is not None else time.perf_counter
+        timer = ctx.governor.clock
         for stage in self.stages:
             started = timer()
             try:
@@ -79,13 +80,11 @@ class Pipeline:
                 # diagnosable from the run-record trajectory format.
                 elapsed = timer() - started
                 ctx.timings.append((stage.name, elapsed))
-                if ctx.governor is not None and not getattr(
-                    stage, "self_charging", False
-                ):
+                if not getattr(stage, "self_charging", False):
                     # Close the wall ledger: stages without their own
-                    # governor accounting (Ingest, MergeShards, Emit, ...)
-                    # still consume the pool — an unledgered stage is an
-                    # escape hatch from the budget ceiling.
+                    # governor accounting (Ingest, Emit, ...) still consume
+                    # the pool — an unledgered stage is an escape hatch
+                    # from the budget ceiling.
                     ctx.governor.charge(stage.name, time_s=elapsed)
         return ctx
 

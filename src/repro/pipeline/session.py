@@ -58,11 +58,12 @@ class Job(Schedule):
     :func:`resolve_design`).
 
     ``budget`` puts the whole job under one accounted
-    :class:`~repro.pipeline.budget.Budget` (every stage — including the
-    anytime ``Extract`` and the interruptible ``Verify`` — and every shard,
-    split by ``budget_policy``, draws from that pool and races one
-    deadline); the classic per-stage knobs still apply as ceilings.  A
-    session-level budget intersects in on top (see :class:`Session`).
+    :class:`~repro.pipeline.budget.Budget`, unlimited when ``None`` (every
+    stage — including the anytime ``Extract`` and the interruptible
+    ``Verify`` — and every shard, split by ``budget_policy``, draws from
+    that pool and races one deadline); the classic per-stage knobs still
+    apply as ceilings.  A session-level budget intersects in on top (see
+    :class:`Session`).
     """
 
     name: str
@@ -156,7 +157,9 @@ class RunRecord:
     #: perf records never pass off a silently-serialized run as parallel.
     shard_pool: str = ""
     #: Resource-governance ledger: the run's budget pool plus
-    #: allocated-vs-spent per stage and per shard (empty when ungoverned).
+    #: allocated-vs-spent per stage and per shard.  Every executed job has
+    #: one, budgeted or not; it is empty only for a job whose worker died
+    #: and for pre-ledger records.
     budget: dict = field(default_factory=dict)
     #: Anytime-extraction outcome: "complete", "deadline", or a
     #: comma-joined set when shards disagree (empty for pre-anytime runs).
@@ -260,12 +263,6 @@ def record_from_context(
         # have.
         for label, seconds in result.stage_timings.items():
             stage_timings[f"{result.name}/{label}"] = seconds
-    if ctx.governor is not None:
-        budget_block = ctx.governor.as_dict()
-    elif "shard_budgets" in ctx.artifacts:
-        budget_block = {"stages": dict(ctx.artifacts["shard_budgets"])}
-    else:
-        budget_block = {}
     extract_statuses = {r.status for r in ctx.extract_reports}
     extract_statuses.update(
         r.extract_status for r in ctx.shard_results if r.extract_status
@@ -300,7 +297,7 @@ def record_from_context(
         shards=len(ctx.shard_results),
         shard_walls=dict(ctx.artifacts.get("shard_walls", {})),
         shard_pool=ctx.artifacts.get("shard_pool", ""),
-        budget=budget_block,
+        budget=ctx.governor.as_dict(),
         extract_status=",".join(sorted(extract_statuses)),
         greedy_table=",".join(
             sorted({r.greedy_table for r in ctx.extract_reports if r.greedy_table})
@@ -333,7 +330,7 @@ def execute_job(job: Job) -> RunRecord:
         ctx.input_ranges = dict(design.input_ranges)
         Pipeline(job_stages(job, design)).run(
             ctx=ctx,
-            budget=job.budget,
+            budget=job.budget or Budget(),
             budget_policy=job.budget_policy,
         )
         return record_from_context(job.name, job.design, design.output, ctx)
@@ -343,7 +340,7 @@ def execute_job(job: Job) -> RunRecord:
             err,
             runtime_s=ctx.total_seconds,
             stage_timings=ctx.stage_timings(),
-            budget=ctx.governor.as_dict() if ctx.governor is not None else {},
+            budget=ctx.governor.as_dict(),
         )
 
 

@@ -20,12 +20,11 @@ falls back to inline execution and says so: the run records carry
 ``pool: "inline" | "process"`` so perf numbers are never silently
 serialized.
 
-Budget-aware orchestration (see :mod:`repro.pipeline.budget`): when the
-enclosing pipeline runs under a :class:`ResourceGovernor`, the stage splits
-its remaining pool across shards by a named policy (``fair`` / ``weighted``
-by cone size / ``adaptive``, where a fast shard's unspent wall time flows
-to the slow ones).  Every child
-inherits the parent's *absolute* deadline, which is the fix for the classic
+Budget-aware orchestration (see :mod:`repro.pipeline.budget`): the stage
+splits the enclosing run's remaining governor pool across shards by a named
+policy (``fair`` / ``weighted`` by cone size / ``adaptive``, where a fast
+shard's unspent wall time flows to the slow ones).  Every child inherits
+the parent's *absolute* deadline, which is the fix for the classic
 sharded-deadline bug: a slow shard no longer restarts the whole
 ``time_limit``, so an N-shard run cannot overshoot its deadline N-fold.
 
@@ -72,14 +71,14 @@ class ShardTask:
     """One unit of shard work (shippable to a worker process).
 
     ``budget`` is this shard's allocation out of the fan-out's shared pool
-    (None = ungoverned).  Its absolute deadline stays meaningful across the
-    process boundary: ``time.monotonic`` is CLOCK_MONOTONIC, shared by all
-    processes on the machine.
+    (unlimited by default).  Its absolute deadline stays meaningful across
+    the process boundary: ``time.monotonic`` is CLOCK_MONOTONIC, shared by
+    all processes on the machine.
     """
 
     shard: ConeShard
     schedule: Schedule
-    budget: Budget | None = None
+    budget: Budget = Budget()
 
 
 @dataclass
@@ -135,9 +134,9 @@ def shard_pipeline_stages(
     tail of :func:`~repro.pipeline.schedule.build_stages` over the shard's
     own designer ``splits``, without the whole run's artifact save.
 
-    The shard's budget allocation is not intersected here: a budgeted
-    :func:`run_shard_task` installs a shard-local governor and every stage
-    (saturation *and* extraction) draws from it.
+    The shard's budget allocation is not intersected here:
+    :func:`run_shard_task` installs a shard-local governor over it and every
+    stage (saturation *and* extraction) draws from it.
     """
     return monolithic_tail(
         replace(schedule, splits=tuple(splits), save_egraph=None)
@@ -147,7 +146,7 @@ def shard_pipeline_stages(
 def run_shard_task(task: ShardTask, clock=None) -> ShardResult:
     """Run one shard to a result.  Top-level so process pools can pickle it.
 
-    A budgeted task runs its whole pipeline under its own
+    The task runs its whole pipeline under its own
     :class:`~repro.pipeline.budget.ResourceGovernor`, so the shard's
     *extraction* draws from the shard's pool share too (the anytime
     extractor races the shard's deadline and checkpoints on expiry),
@@ -171,28 +170,17 @@ def run_shard_task(task: ShardTask, clock=None) -> ShardResult:
         clock=clock,
     )
     wall = timer() - started
-    if ctx.governor is not None:
-        governor = ctx.governor
-        ledger = {
-            "spent": spend_dict(
-                time_s=wall,
-                nodes=governor.spent_nodes,
-                iters=governor.spent_iters,
-                matches=governor.spent_matches,
-                bdd_nodes=governor.spent_bdd_nodes,
-            )
-        }
-    else:
-        ledger = {
-            "spent": spend_dict(
-                time_s=wall,
-                nodes=sum(report.nodes for report in ctx.reports),
-                iters=sum(len(report.iterations) for report in ctx.reports),
-                matches=sum(report.matches_applied for report in ctx.reports),
-            )
-        }
-    if task.budget is not None:
-        ledger["allocated"] = task.budget.as_dict(include_deadline=False)
+    governor = ctx.governor
+    ledger = {
+        "spent": spend_dict(
+            time_s=wall,
+            nodes=governor.spent_nodes,
+            iters=governor.spent_iters,
+            matches=governor.spent_matches,
+            bdd_nodes=governor.spent_bdd_nodes,
+        ),
+        "allocated": task.budget.as_dict(include_deadline=False),
+    }
     return ShardResult(
         name=task.shard.name,
         outputs=task.shard.outputs,
@@ -237,12 +225,12 @@ class Shard:
     cannot start.  Each shard runs the schedule's monolithic tail
     (:func:`shard_pipeline_stages`).
 
-    When the context carries a governor (a run budget), shards
-    draw per-shard allocations from the shared pool: serially through a
-    live :class:`~repro.pipeline.budget.BudgetPool` (the adaptive policy
-    recycles fast shards' slack), concurrently as quota shares under the
-    parent's absolute deadline (wall time is not additive across concurrent
-    shards — the deadline is the binding constraint).
+    Shards draw per-shard allocations from the context governor's pool:
+    serially through a live :class:`~repro.pipeline.budget.BudgetPool`
+    (the adaptive policy recycles fast shards' slack), concurrently as
+    quota shares under the parent's absolute deadline (wall time is not
+    additive across concurrent shards — the deadline is the binding
+    constraint).
     """
 
     name = "shard"
@@ -289,9 +277,9 @@ class Shard:
                     "fewer shards or run these splits monolithically"
                 )
         governor = ctx.governor
-        # The shared pool this fan-out draws from, if the run is governed.
-        parent = governor.remaining() if governor is not None else None
-        clock = governor.clock if governor is not None else time.monotonic
+        # The shared pool this fan-out draws from.
+        parent = governor.remaining()
+        clock = governor.clock
         allocator = allocator_for(schedule.budget_policy)
         weights = [float(max(shard.size, 1)) for shard in plan.shards]
         tasks = [ShardTask(shard, schedule) for shard in plan.shards]
@@ -306,18 +294,17 @@ class Shard:
             results = self._run_inline(tasks, parent, allocator, weights, clock)
         ctx.shard_results = results
         ctx.artifacts["shard_pool"] = pool_kind
-        if governor is not None:
-            for result in results:
-                spent = result.budget.get("spent", {})
-                governor.charge(
-                    f"shard:{result.name}",
-                    time_s=spent.get("time_s", result.wall_s),
-                    nodes=spent.get("nodes", 0),
-                    iters=spent.get("iters", 0),
-                    matches=spent.get("matches", 0),
-                    bdd_nodes=spent.get("bdd_nodes", 0),
-                    allocated=result.budget.get("allocated"),
-                )
+        for result in results:
+            spent = result.budget.get("spent", {})
+            governor.charge(
+                f"shard:{result.name}",
+                time_s=spent.get("time_s", result.wall_s),
+                nodes=spent.get("nodes", 0),
+                iters=spent.get("iters", 0),
+                matches=spent.get("matches", 0),
+                bdd_nodes=spent.get("bdd_nodes", 0),
+                allocated=result.budget.get("allocated"),
+            )
 
     # ------------------------------------------------------------- substrates
     def _run_process_pool(
@@ -329,13 +316,11 @@ class Shard:
         receiving wall-time slices (wall time is not additive across
         concurrency); countable quotas split by the policy's shares.
         """
-        budgeted = tasks
-        if parent is not None:
-            children = concurrent_children(parent, weights, allocator, clock())
-            budgeted = [
-                replace(task, budget=child)
-                for task, child in zip(tasks, children, strict=True)
-            ]
+        children = concurrent_children(parent, weights, allocator, clock())
+        budgeted = [
+            replace(task, budget=child)
+            for task, child in zip(tasks, children, strict=True)
+        ]
         try:
             with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
                 return list(pool.map(run_shard_task, budgeted))
@@ -348,8 +333,6 @@ class Shard:
         self, tasks, parent, allocator, weights, clock
     ) -> list[ShardResult]:
         """Serial fan-out with live draw/settle budget accounting."""
-        if parent is None:
-            return [run_shard_task(task) for task in tasks]
         pool = BudgetPool(parent, weights, allocator, clock=clock)
         results = []
         for task in tasks:
@@ -373,9 +356,9 @@ class MergeShards:
     Saturate+Extract run over every output — downstream ``Verify``/``Emit``
     stages and record condensation apply unchanged.  Per-shard wall times
     land in ``ctx.artifacts["shard_walls"]`` (and from there in
-    ``RunRecord.shard_walls``), per-shard allocated-vs-spent ledgers in
-    ``ctx.artifacts["shard_budgets"]``; saturation reports append in shard
-    order.
+    ``RunRecord.shard_walls``); per-shard allocated-vs-spent rows are the
+    ``shard:<name>`` ledger rows ``Shard`` already charged; saturation
+    reports append in shard order.
 
     ``stitch`` (a ``Saturate`` stage) adds the governed cross-cone **stitch
     phase** after the plain merge: the shipped shard e-graphs
@@ -402,8 +385,7 @@ class MergeShards:
 
     def run(self, ctx: PipelineContext) -> None:
         governor = ctx.governor
-        clock = governor.clock if governor is not None else time.monotonic
-        started = clock()
+        started = governor.clock()
         if not ctx.shard_results:
             raise RuntimeError("MergeShards needs a Shard stage to run first")
         merged_outputs: set[str] = set()
@@ -424,21 +406,13 @@ class MergeShards:
         ctx.artifacts["shard_walls"] = {
             result.name: round(result.wall_s, 6) for result in ctx.shard_results
         }
-        ledgers = {
-            result.name: result.budget
-            for result in ctx.shard_results
-            if result.budget
-        }
-        if ledgers:
-            ctx.artifacts["shard_budgets"] = ledgers
         inner = self._stitch(ctx) if self.stitch is not None else 0.0
-        if governor is not None:
-            # Own row: the merge bookkeeping only — the stitch stages have
-            # already charged their rows, double-charging their wall here
-            # would sink the ledger-coverage invariant from above.
-            governor.charge(
-                self.name, time_s=max(0.0, clock() - started - inner)
-            )
+        # Own row: the merge bookkeeping only — the stitch stages have
+        # already charged their rows, double-charging their wall here
+        # would sink the ledger-coverage invariant from above.
+        governor.charge(
+            self.name, time_s=max(0.0, governor.clock() - started - inner)
+        )
 
     # ----------------------------------------------------------- stitch phase
     def _stitch(self, ctx: PipelineContext) -> float:

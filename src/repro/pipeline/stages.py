@@ -14,7 +14,6 @@ objectives over one saturated e-graph, ``Verify``/``Emit`` are optional.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import replace
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
@@ -276,14 +275,11 @@ class Saturate:
     exploitation, then narrowing); each instance appends its own
     :class:`~repro.egraph.runner.RunnerReport` to the context.
 
-    Limits are a :class:`~repro.pipeline.budget.Budget` — pass ``budget=``
-    directly, or keep the classic ``iter_limit``/``node_limit``/
-    ``time_limit`` knobs and the stage builds one.  When the context
-    carries a :class:`~repro.pipeline.budget.ResourceGovernor`, the stage
-    additionally intersects its budget with the governor's remaining pool
-    (inheriting the governor's *absolute* deadline — phased schedules race
-    one clock, they don't each restart it) and charges its spend into the
-    governor's ledger.
+    The ``iter_limit``/``node_limit``/``time_limit`` knobs are intersected
+    with the context governor's remaining pool (inheriting the governor's
+    *absolute* deadline — phased schedules race one clock, they don't each
+    restart it), and the stage charges its spend into the governor's
+    ledger.
     """
 
     name = "saturate"
@@ -299,32 +295,21 @@ class Saturate:
         time_limit: float = 60.0,
         check_invariants: bool = False,
         label: str | None = None,
-        budget: Budget | None = None,
     ) -> None:
         self.rules = list(rules) if rules is not None else compose_rules()
         self.iter_limit = iter_limit
         self.node_limit = node_limit
         self.time_limit = time_limit
         self.check_invariants = check_invariants
-        self.budget = budget
         if label is not None:
             self.name = label
 
     def effective_budget(self, ctx: PipelineContext) -> Budget:
         """The budget this stage would saturate under on ``ctx``."""
-        budget = (
-            self.budget
-            if self.budget is not None
-            else Budget(
-                iters=self.iter_limit,
-                nodes=self.node_limit,
-                time_s=self.time_limit,
-            )
+        budget = Budget(
+            iters=self.iter_limit, nodes=self.node_limit, time_s=self.time_limit
         )
-        governor = ctx.governor
-        if governor is None:
-            return budget
-        remaining = governor.remaining()
+        remaining = ctx.governor.remaining()
         if remaining.nodes is not None:
             # The governor pools e-nodes *grown*; the runner's cap is an
             # absolute graph size — translate relative quota to this graph.
@@ -363,33 +348,32 @@ class Saturate:
             budget=budget,
             scheduler=scheduler,
             check_invariants=self.check_invariants,
-            clock=governor.clock if governor is not None else None,
+            clock=governor.clock,
         )
         report = runner.run()
         ctx.reports.append(report)
-        if governor is not None:
-            allocated = budget
-            if allocated.nodes is not None:
-                # The runner's cap is an absolute graph size; the ledger
-                # reports growth allowance — the same unit as its spend.
-                allocated = replace(
-                    allocated, nodes=max(0, allocated.nodes - seed_nodes)
-                )
-            if allocated.deadline is not None:
-                # Ledger rows report concrete spans, not raw monotonic
-                # instants: the allocation was "whatever window was left",
-                # capped by the stage's own time knob.
-                window = max(
-                    0.0,
-                    allocated.deadline - (governor.clock() - report.total_time),
-                )
-                span = (
-                    window
-                    if allocated.time_s is None
-                    else min(allocated.time_s, window)
-                )
-                allocated = replace(allocated, time_s=round(span, 6))
-            governor.charge_report(self.name, report, allocated=allocated)
+        allocated = budget
+        if allocated.nodes is not None:
+            # The runner's cap is an absolute graph size; the ledger
+            # reports growth allowance — the same unit as its spend.
+            allocated = replace(
+                allocated, nodes=max(0, allocated.nodes - seed_nodes)
+            )
+        if allocated.deadline is not None:
+            # Ledger rows report concrete spans, not raw monotonic
+            # instants: the allocation was "whatever window was left",
+            # capped by the stage's own time knob.
+            window = max(
+                0.0,
+                allocated.deadline - (governor.clock() - report.total_time),
+            )
+            span = (
+                window
+                if allocated.time_s is None
+                else min(allocated.time_s, window)
+            )
+            allocated = replace(allocated, time_s=round(span, 6))
+        governor.charge_report(self.name, report, allocated=allocated)
 
 
 class Extract:
@@ -402,13 +386,12 @@ class Extract:
     from them, so netlist lowering and Verilog emission see the reduced
     bitwidths.
 
-    When the context carries a :class:`~repro.pipeline.budget.ResourceGovernor`,
-    the extractor races the governor's absolute deadline (on the governor's
-    injectable clock): on expiry the cost fixpoint stops within one worklist
-    step and the stage returns its best-so-far checkpoint per root — the
-    sub-optimally-costed tree when the root was reached, the behavioural
-    tree unchanged when it was not.  The outcome lands in an
-    :class:`~repro.egraph.extract.ExtractReport` on
+    The extractor races the context governor's absolute deadline, if its
+    pool has one (on the governor's injectable clock): on expiry the cost
+    fixpoint stops within one worklist step and the stage returns its
+    best-so-far checkpoint per root — the sub-optimally-costed tree when the
+    root was reached, the behavioural tree unchanged when it was not.  The
+    outcome lands in an :class:`~repro.egraph.extract.ExtractReport` on
     ``ctx.extract_reports`` (``status="complete"|"deadline"``) and the
     stage's wall spend is charged into the governor's ledger — never an
     exception, never an unledgered overshoot.
@@ -440,10 +423,10 @@ class Extract:
 
     def run(self, ctx: PipelineContext) -> None:
         governor = ctx.governor
-        clock = governor.clock if governor is not None else time.monotonic
+        clock = governor.clock
         started = clock()
         deadline = None
-        if governor is not None and not math.isinf(governor.work_deadline):
+        if not math.isinf(governor.work_deadline):
             # The *work* deadline: under a verify-aware policy the governor
             # reserves a tail slice of the wall for Verify, and an anytime
             # extraction must not eat into it.
@@ -523,18 +506,15 @@ class Extract:
                         greedy_table="reused" if extractor.reused else "solved",
                     )
                 )
-            if governor is not None:
-                governor.charge(
-                    self.name,
-                    time_s=elapsed,
-                    allocated=(
-                        Budget(
-                            time_s=round(_stage_window(deadline, started), 6)
-                        )
-                        if deadline is not None
-                        else None
-                    ),
-                )
+            governor.charge(
+                self.name,
+                time_s=elapsed,
+                allocated=(
+                    Budget(time_s=round(_stage_window(deadline, started), 6))
+                    if deadline is not None
+                    else None
+                ),
+            )
 
 
 class Verify:
@@ -573,13 +553,11 @@ class Verify:
         if not ctx.extracted:
             raise RuntimeError("Verify needs an Extract stage to run first")
         governor = ctx.governor
-        clock = governor.clock if governor is not None else time.monotonic
+        clock = governor.clock
         started = clock()
-        deadline = math.inf
+        deadline = governor.deadline
         if self.budget is not None:
-            deadline = self.budget.deadline_at(started)
-        if governor is not None:
-            deadline = min(deadline, governor.deadline)
+            deadline = min(deadline, self.budget.deadline_at(started))
         own_quota = self.budget.bdd_nodes if self.budget is not None else None
         spent_bdd = 0
         allocated_bdd = None
@@ -610,25 +588,22 @@ class Verify:
                         f"{name!r} at {verdict.counterexample}"
                     )
         finally:
-            if governor is not None:
-                elapsed = clock() - started
-                allocated = {}
-                if not math.isinf(deadline):
-                    allocated["time_s"] = round(
-                        _stage_window(deadline, started), 6
-                    )
-                if allocated_bdd is not None:
-                    allocated["bdd_nodes"] = allocated_bdd
-                governor.charge(
-                    self.name,
-                    time_s=elapsed,
-                    bdd_nodes=spent_bdd,
-                    allocated=allocated or None,
-                )
+            elapsed = clock() - started
+            allocated = {}
+            if not math.isinf(deadline):
+                allocated["time_s"] = round(_stage_window(deadline, started), 6)
+            if allocated_bdd is not None:
+                allocated["bdd_nodes"] = allocated_bdd
+            governor.charge(
+                self.name,
+                time_s=elapsed,
+                bdd_nodes=spent_bdd,
+                allocated=allocated or None,
+            )
 
     @staticmethod
     def _bdd_pool_left(
-        governor: ResourceGovernor | None, own_quota: int | None, spent: int
+        governor: ResourceGovernor, own_quota: int | None, spent: int
     ) -> int | None:
         """BDD nodes this check may grow (None = engine default applies).
 
@@ -637,11 +612,9 @@ class Verify:
         ceiling.  A dry pool returns 0 — the BDD strategy then trips
         immediately and the check degrades to randomized trials.
         """
-        left = None
-        if governor is not None:
-            remaining = governor.remaining().bdd_nodes
-            if remaining is not None:
-                left = max(0, remaining - spent)
+        left = governor.remaining().bdd_nodes
+        if left is not None:
+            left = max(0, left - spent)
         if own_quota is not None:
             own_left = max(0, own_quota - spent)
             left = own_left if left is None else min(left, own_left)

@@ -27,8 +27,6 @@ the objective (each cone optimizes its own DAG).
 
 from __future__ import annotations
 
-import math
-import time
 from typing import Callable
 
 from repro.analysis.sharding import plan_shards
@@ -59,8 +57,8 @@ class OptimalExtract(Extract):
     Drop-in for :class:`~repro.pipeline.stages.Extract` (``name`` stays
     ``"extract"`` so ledgers, timings and the verify-aware window treat it
     as the extraction stage).  ``time_limit`` caps the refinement wall even
-    on ungoverned runs — a branch-and-bound proof must never stall a
-    pipeline that asked for no budget; ``max_classes`` is the per-cone
+    under an unlimited governor pool — a branch-and-bound proof must never
+    stall a pipeline that asked for no budget; ``max_classes`` is the per-cone
     model-size quota and ``max_steps`` the per-cone search quota.
     """
 
@@ -89,11 +87,9 @@ class OptimalExtract(Extract):
         super().run(ctx)
 
         governor = ctx.governor
-        clock = governor.clock if governor is not None else time.monotonic
+        clock = governor.clock
         started = clock()
-        deadline = started + self.time_limit
-        if governor is not None and not math.isinf(governor.work_deadline):
-            deadline = min(deadline, governor.work_deadline)
+        deadline = min(started + self.time_limit, governor.work_deadline)
 
         greedy_report = ctx.extract_reports[-1] if ctx.extract_reports else None
         greedy = self._extractor
@@ -130,14 +126,11 @@ class OptimalExtract(Extract):
                     roots=dict(provenance),
                 )
             )
-            if governor is not None:
-                governor.charge(
-                    self.name,
-                    time_s=elapsed,
-                    allocated=Budget(
-                        time_s=round(_stage_window(deadline, started), 6)
-                    ),
-                )
+            governor.charge(
+                self.name,
+                time_s=elapsed,
+                allocated=Budget(time_s=round(_stage_window(deadline, started), 6)),
+            )
 
     # ----------------------------------------------------------- refinement
     def _refine(

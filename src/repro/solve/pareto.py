@@ -491,10 +491,10 @@ class ParetoSweep:
 
     def run(self, ctx: PipelineContext) -> None:
         governor = ctx.governor
-        clock = governor.clock if governor is not None else time.monotonic
+        clock = governor.clock
         started = clock()
         deadline = None
-        if governor is not None and not math.isinf(governor.work_deadline):
+        if not math.isinf(governor.work_deadline):
             deadline = governor.work_deadline
         fronts: dict[str, dict] = {}
         statuses: list[str] = []
@@ -529,13 +529,12 @@ class ParetoSweep:
                 "fronts": fronts,
                 "summary": f"{self.mode}:{worst if statuses else 'greedy'}:{total}",
             }
-            if governor is not None:
-                governor.charge(
-                    self.name,
-                    time_s=elapsed,
-                    allocated=(
-                        Budget(time_s=round(_stage_window(deadline, started), 6))
-                        if deadline is not None
-                        else None
-                    ),
-                )
+            governor.charge(
+                self.name,
+                time_s=elapsed,
+                allocated=(
+                    Budget(time_s=round(_stage_window(deadline, started), 6))
+                    if deadline is not None
+                    else None
+                ),
+            )

@@ -134,6 +134,43 @@ class TestClocks:
         )
         assert check_clocks(t) == []
 
+    def test_real_clock_reference_in_a_stage_run_is_flagged(self):
+        """A stage times itself on ``ctx.governor.clock``: even the
+        injectable-default idiom is a finding inside ``run(self, ctx)``."""
+        t = tree(
+            repro_pipeline="import time\n\n"
+            "class Stage:\n"
+            "    def run(self, ctx):\n"
+            "        governor = ctx.governor\n"
+            "        clock = governor.clock if governor else time.monotonic\n"
+            "        return clock()\n"
+        )
+        [finding] = check_clocks(t)
+        assert finding.rule_id == "AR-CLOCK"
+        assert finding.anchor.endswith(":Stage.run")
+        assert "time.monotonic referenced" in finding.message
+
+    def test_aliased_clock_in_a_stage_run_is_flagged_once(self):
+        t = tree(
+            repro_pipeline="from time import perf_counter\n\n"
+            "class Stage:\n"
+            "    def run(self, ctx):\n"
+            "        return perf_counter()\n"
+        )
+        [finding] = check_clocks(t)
+        assert "bare perf_counter() call" in finding.message
+
+    def test_governor_clock_in_a_stage_run_is_clean(self):
+        t = tree(
+            repro_pipeline="import time\n\n"
+            "class Stage:\n"
+            "    def run(self, ctx):\n"
+            "        return ctx.governor.clock()\n\n"
+            "def helper(clock=None):\n"
+            "    return clock if clock is not None else time.monotonic\n"
+        )
+        assert check_clocks(t) == []
+
     def test_budget_unit_owns_the_real_clock(self):
         t = tree(
             **{

@@ -151,10 +151,14 @@ class TestBudgetedShardOrchestration:
         assert record.status == "ok", record.error
         assert record.shard_pool == "inline"
 
-    def test_monolithic_record_has_no_pool_or_ledger(self):
+    def test_monolithic_record_has_no_pool_but_a_ledger(self):
+        """An unbudgeted run is governed by the unlimited pool: nothing is
+        allocated, yet every stage's spend is ledgered."""
         record = execute_job(Job(name="mono", design="lzc_example", **FAST))
         assert record.shard_pool == ""
-        assert record.budget == {}
+        assert record.budget["allocated"] == {}
+        for label in ("ingest", "saturate", "extract"):
+            assert label in record.budget["stages"], label
 
     def test_tightly_budgeted_outputs_remain_equivalent(self):
         """A budget can only cut exploration short — never soundness."""
@@ -173,15 +177,15 @@ class TestBudgetedShardOrchestration:
         design = get_design("stress_wide")
         schedule = Schedule(budget_policy="weighted", **FAST)
         ctx = _fan_out(design, schedule, Budget(time_s=4.0))
-        ledgers = ctx.artifacts["shard_budgets"]
+        ledger = ctx.governor.ledger
         sizes = {shard.name: shard.size for shard in ctx.shard_plan.shards}
         # Odd lanes (which fold in the previous lane's sum) have larger
         # cones and must receive at least the allocation of their smaller
         # even neighbour.
         assert sizes["out1"] > sizes["out0"]
         assert (
-            ledgers["out1"]["allocated"]["time_s"]
-            > ledgers["out0"]["allocated"]["time_s"]
+            ledger["shard:out1"]["allocated"]["time_s"]
+            > ledger["shard:out0"]["allocated"]["time_s"]
         )
 
 
@@ -292,7 +296,6 @@ class TestScheduleBudgetWithoutGovernor:
         """A budget on the fan-out alone still produces a uniform ledger."""
         design = get_design("stress_wide")
         ctx = _fan_out(design, Schedule(**FAST), Budget(time_s=5.0))
-        assert ctx.governor is not None
         assert ctx.governor.budget == Budget(time_s=5.0)
         assert set(ctx.governor.ledger) >= {f"shard:out{k}" for k in range(8)}
         # Any extra rows are wall-only charges from non-shard stages (the

@@ -131,7 +131,9 @@ class TestGovernedExtractStage:
         assert ctx.optimized_costs["out"].key <= ctx.original_costs["out"].key
         assert "extract" in ctx.governor.ledger
 
-    def test_ungoverned_extract_has_no_ledger_but_reports_complete(self):
+    def test_unlimited_pool_extract(self):
+        """An unbudgeted run is governed by the unlimited pool: the extract
+        stage still ledgers its spend and reports a complete fixpoint."""
         ctx = Pipeline(
             [
                 Ingest(roots={"out": chain(6)}),
@@ -139,7 +141,8 @@ class TestGovernedExtractStage:
                 Extract(),
             ]
         ).run()
-        assert ctx.governor is None
+        assert ctx.governor.budget.is_unlimited
+        assert "extract" in ctx.governor.ledger
         assert ctx.extract_reports[-1].status == "complete"
 
 
@@ -239,7 +242,7 @@ class TestInterruptibleVerify:
 
     def test_verify_budget_bdd_ceiling_applies_without_a_governor(self):
         """``Verify(budget=...)`` is a self-contained ceiling too (the CLI's
-        --verify-budget-ms path, which may run ungoverned)."""
+        --verify-budget-ms path, which may run without a run budget)."""
         roots, _ = _wide_pair()
         ctx = Pipeline([Ingest(roots=roots)]).run()
         x, y = var("x", 16), var("y", 16)

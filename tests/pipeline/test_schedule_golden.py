@@ -91,7 +91,7 @@ def stage_signature(stage) -> dict:
     elif kind == "CaseSplit":
         sig.update(splits=[repr(split) for split in stage.splits])
     elif kind == "Saturate":
-        limits = stage.budget or Budget(
+        limits = Budget(
             iters=stage.iter_limit,
             nodes=stage.node_limit,
             time_s=stage.time_limit,

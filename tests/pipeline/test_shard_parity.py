@@ -153,7 +153,7 @@ class TestStressDesignCompletesMonolithically:
 class TestBudgetedShardParity:
     """Sharded+budgeted runs pass the same differential contract: under a
     generous shared budget (which never binds at these limits) the governed
-    flow extracts exactly what the ungoverned one does, and the budget's
+    flow extracts exactly what the unbudgeted one does, and the budget's
     only effect is the ledger it leaves behind."""
 
     def test_generous_budget_changes_nothing_but_the_ledger(self, name):
@@ -166,7 +166,6 @@ class TestBudgetedShardParity:
                 governed.optimized_costs[output].key
                 == plain.optimized_costs[output].key
             )
-        assert governed.governor is not None
         shard_rows = {f"shard:{r.name}" for r in governed.shard_results}
         assert set(governed.governor.ledger) >= shard_rows
         # The only other rows are wall-time charges for the non-shard

@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 
 import repro.pipeline.session as session_mod
-from repro.pipeline import Budget, Job
+from repro.pipeline import Budget, Job, execute_job
 from repro.service import (
     EventFeed,
     OptimizationQueue,
@@ -242,6 +242,19 @@ class TestEventFeed:
         assert kinds[0] == "queued" and kinds[-1] == "done"
         assert "running" in kinds
         assert feed.coverage("covered") >= 0.95
+
+    def test_unbudgeted_record_replays_spend_for_every_stage(self):
+        """Every run is governed: a job without a budget still ledgers
+        each stage, so its replayed feed says what every stage spent."""
+        record = execute_job(_job("unbudgeted", verify=True))
+        assert record.status == "ok", record.error
+        running = [e for e in events_from_record(record) if e.kind == "running"]
+        assert [e.stage for e in running] == list(record.stage_timings)
+        assert all(e.spend for e in running), running
+        ledgered = sum(
+            row["spent"]["time_s"] for row in record.budget["stages"].values()
+        )
+        assert ledgered >= 0.9 * record.budget["spent"]["time_s"]
 
     def test_poll_cursor_sees_only_fresh_events(self):
         queue = OptimizationQueue(TENANTS)

@@ -138,10 +138,10 @@ class TestGovernedStage:
         assert ctx.extract_reports[0].status in ("complete", "deadline")
 
     def test_ungoverned_run_is_capped_by_its_own_time_limit(self):
-        """No governor: the stage's ``time_limit`` still bounds refinement
+        """Unlimited pool: the stage's ``time_limit`` still bounds refinement
         (a pipeline that asked for no budget must not stall on a proof)."""
         ctx, output = _pipeline(OptimalExtract(time_limit=0.5))
-        assert ctx.governor is None
+        assert ctx.governor.budget.is_unlimited
         assert output in ctx.extracted
         assert ctx.extract_reports[-1].status.startswith("ilp:")
 
