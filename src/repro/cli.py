@@ -344,6 +344,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     source = _read_source(args.source)
 
     from repro.pipeline import CompositionError
+    from repro.rtl import ElaborationError, ParseError
+    from repro.rtl.lexer import LexError
 
     config = OptimizerConfig(
         iter_limit=args.iters,
@@ -364,9 +366,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     )
     tool = DatapathOptimizer(dict(args.ranges), config)
     try:
-        # The schedule check raises before any stage runs.
+        # The schedule check raises before any stage runs; malformed
+        # Verilog raises in the first one.
         module = tool.optimize_verilog(source)
-    except CompositionError as err:
+    except (CompositionError, LexError, ParseError, ElaborationError) as err:
         raise SystemExit(f"error: {err}") from None
 
     for name, result in module.outputs.items():

@@ -10,14 +10,16 @@ POPL 2021).  This package reimplements the same machinery in Python:
   re-keying, egg-style e-class analyses, compact pickling),
 * :mod:`~repro.egraph.egraph` — the object-shaped ``EGraph``/``EClass`` API,
   a thin façade over the core,
-* :mod:`~repro.egraph.legacy` — the previous per-object engine, kept as a
-  differential-testing oracle,
-* :mod:`~repro.egraph.pattern` — pattern language and generic e-matching,
+* :mod:`~repro.egraph.pattern` — pattern language, plus the interpreted
+  matcher (:func:`~repro.egraph.pattern.ematch`) for ad-hoc queries and as
+  the reference the compiled code is tested against,
 * :mod:`~repro.egraph.query` — compiled multi-pattern e-matching (all active
   patterns lowered into one per-op query plan over the core arrays),
-* :mod:`~repro.egraph.rewrite` — declarative and dynamic rewrite rules,
+* :mod:`~repro.egraph.rewrite` — declarative and dynamic rewrite rules
+  (compiled right-hand-side builders, callable appliers),
 * :mod:`~repro.egraph.runner` — saturation runner with a backoff scheduler,
-* :mod:`~repro.egraph.extract` — cost-directed extraction,
+* :mod:`~repro.egraph.extract` — cost-directed extraction (one bottom-up
+  fixpoint over the core, one decomposable cost protocol),
 * :mod:`~repro.egraph.serialize` — persistent e-graph artifacts (versioned
   save/load format for warm starts) and cross-graph absorption (stitching).
 """
@@ -26,7 +28,6 @@ from repro.egraph.unionfind import UnionFind
 from repro.egraph.enode import ENode
 from repro.egraph.core import CoreGraph, GraphSnapshot
 from repro.egraph.egraph import Analysis, EClass, EGraph
-from repro.egraph.legacy import LegacyEGraph
 from repro.egraph.pattern import AttrVar, Pattern, PatternNode, PatternVar, parse_pattern
 from repro.egraph.rewrite import Rewrite, rewrite, birewrite
 from repro.egraph.runner import Runner, RunnerReport, StopReason
@@ -55,7 +56,6 @@ __all__ = [
     "GraphSnapshot",
     "EGraph",
     "EClass",
-    "LegacyEGraph",
     "Analysis",
     "Pattern",
     "PatternVar",

@@ -87,8 +87,8 @@ class GraphSnapshot:
 
     Carries exactly what a renderer needs — the canonical classes with their
     member e-nodes and analysis data, plus a ``find`` resolving child ids —
-    so the same exporter works identically over the flat core, the façade,
-    and the legacy object engine.
+    so the same exporter works identically over the flat core and the
+    façade.
     """
 
     __slots__ = ("classes", "find")

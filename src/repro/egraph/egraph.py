@@ -16,9 +16,9 @@ properties materialize :class:`~repro.egraph.enode.ENode` values from the
 arrays on demand — and every ``EGraph`` method is a one-hop delegation.  Hot
 consumers (the runner's compiled e-matching, the extractor, sharding) reach
 through :attr:`EGraph.core` and work on the arrays directly; everything else
-keeps the object-shaped API unchanged.  The previous per-object engine
-survives as :class:`repro.egraph.legacy.LegacyEGraph` for differential
-testing.
+keeps the object-shaped API unchanged.  The flat core is the only engine:
+the previous per-object one lives on in the test-suite as a differential
+oracle.
 
 E-class analyses implement the egg ``Analysis`` interface (``make`` /
 ``join`` / ``modify``).  ``join`` is called both when classes merge and when

@@ -37,7 +37,7 @@ import time
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.egraph.egraph import EGraph
 from repro.egraph.enode import ENode
@@ -46,27 +46,61 @@ from repro.ir.expr import Expr
 
 
 class CostFunction:
-    """Interface: assign a totally ordered cost to choosing an e-node."""
+    """Interface: a decomposable extraction objective.
 
-    def enode_cost(
-        self, egraph: EGraph, class_id: int, enode: ENode, child_costs: list
-    ) -> Any:
-        """Cost of ``enode`` given the best costs of its children."""
+    A node's cost is its *own* (delay, area) combined with its children's:
+    ``delay = own + max(children)``, ``area = own + sum(children)``, and an
+    ``ASSUME`` costs exactly its guarded child.  ``key`` orders the folded
+    parts and ``cost_from_parts`` turns them into the cost value callers see.
+    The ILP extraction (:mod:`repro.solve.ilp`) consumes the same protocol.
+    """
+
+    def pricer(self, egraph: EGraph) -> Callable[[int, ENode], tuple[float, float]]:
+        """``price(class_id, enode)``: the node's own (delay, area) over
+        ``egraph`` as it stands."""
         raise NotImplementedError
+
+    def key(self, delay: float, area: float) -> Any:
+        """The totally ordered comparison key of folded parts."""
+        raise NotImplementedError
+
+    def cost_from_parts(self, delay: float, area: float) -> Any:
+        """The cost value of folded parts."""
+        raise NotImplementedError
+
+
+def _unit_area(class_id: int, enode: ENode) -> tuple[float, float]:
+    return (0.0, 1.0)
+
+
+def _unit_delay(class_id: int, enode: ENode) -> tuple[float, float]:
+    return (1.0, 0.0)
 
 
 class AstSizeCost(CostFunction):
     """Number of operators in the extracted tree (egg's ``AstSize``)."""
 
-    def enode_cost(self, egraph, class_id, enode, child_costs):
-        return 1 + sum(child_costs)
+    def pricer(self, egraph):
+        return _unit_area
+
+    def key(self, delay, area):
+        return area
+
+    def cost_from_parts(self, delay, area):
+        return int(area)
 
 
 class AstDepthCost(CostFunction):
     """Height of the extracted tree (egg's ``AstDepth``)."""
 
-    def enode_cost(self, egraph, class_id, enode, child_costs):
-        return 1 + max(child_costs, default=0)
+    def pricer(self, egraph):
+        return _unit_delay
+
+    def key(self, delay, area):
+        return delay
+
+    def cost_from_parts(self, delay, area):
+        return int(delay)
 
 
 @dataclass
@@ -202,26 +236,24 @@ class Extractor:
         self.complete = True
         #: True when a fitting ``table`` replaced the fixpoint.
         self.reused = False
-        self._best: dict[int, tuple[Any, ENode]] = {}
+        #: class -> (key, delay, area, best nid): the fixpoint's solution.
+        self._best: dict[int, tuple] = {}
         self._memo: dict[int, Expr] = {}
         self._table: ExtractTable | None = None
-        if hasattr(egraph, "core") and hasattr(cost_fn, "pricer"):
-            objective = objective_tag(cost_fn.key)
-            if table is not None and table.fits(egraph.core, objective):
-                self._adopt(table)
-            else:
-                fast = self._run_fixpoint_core()
-                if self.complete and objective is not None:
-                    self._table = ExtractTable.solved(objective, egraph.core, fast)
+        self._price = cost_fn.pricer(egraph)
+        objective = objective_tag(cost_fn.key)
+        if table is not None and table.fits(egraph.core, objective):
+            self._adopt(table)
         else:
-            self._run_fixpoint()
+            self._solve()
+            if self.complete and objective is not None:
+                self._table = ExtractTable.solved(objective, egraph.core, self._best)
 
     def _adopt(self, table: ExtractTable) -> None:
         """Rebuild ``_best`` from a solved table, in its original order."""
-        node_enode = self.egraph.core.node_enode
-        from_parts = self.cost_fn.cost_from_parts
+        key = self.cost_fn.key
         self._best = {
-            cid: (from_parts(delay, area), node_enode(nid))
+            cid: (key(delay, area), delay, area, nid)
             for cid, nid, delay, area in zip(
                 table.classes, table.nids, table.delays, table.areas
             )
@@ -232,95 +264,30 @@ class Extractor:
     def table(self) -> ExtractTable | None:
         """The solved fixpoint as a persistable :class:`ExtractTable`.
 
-        ``None`` unless the flat-core fixpoint ran to completion (or a table
-        was adopted) under a key with an :func:`objective_tag`: a truncated
+        ``None`` unless the fixpoint ran to completion (or a table was
+        adopted) under a key with an :func:`objective_tag`: a truncated
         checkpoint is not the fixpoint, and a closure's ordering cannot be
         named across processes.
         """
         return self._table
 
     # --------------------------------------------------------------- fixpoint
-    def _candidates(self, class_id: int) -> Iterable[ENode]:
-        return self.egraph[class_id].nodes
-
-    def _enode_cost(self, class_id: int, enode: ENode) -> Any:
-        """Cost of one e-node, or None when some child is still uncosted."""
-        find = self.egraph.find
-        if enode.op is ops.ASSUME:
-            entry = self._best.get(find(enode.children[0]))
-            return None if entry is None else entry[0]
-        child_costs = []
-        for child in enode.children:
-            entry = self._best.get(find(child))
-            if entry is None:
-                return None
-            child_costs.append(entry[0])
-        return self.cost_fn.enode_cost(self.egraph, class_id, enode, child_costs)
-
-    def _run_fixpoint(self) -> None:
-        """Parent-driven worklist to the best-cost fixpoint.
+    def _solve(self) -> None:
+        """Parent-driven worklist to the best-cost fixpoint over the core.
 
         Every class is visited once bottom-up (creation order approximates a
         topological order), and a class is revisited only when one of its
         children improved — instead of whole-graph sweeps repeated until
-        quiescence.
-        """
-        find = self.egraph.find
-        clock = self.clock
-        bounded = not math.isinf(self.deadline)
-        pending: deque[int] = deque()
-        queued: set[int] = set()
-        for eclass in self.egraph.classes():
-            pending.append(eclass.id)
-            queued.add(eclass.id)
-        while pending:
-            # Anytime poll: one read per step keeps the overshoot at one
-            # worklist step, and costs nothing when there is no deadline.
-            if bounded and clock() > self.deadline:
-                self.complete = False
-                break
-            self.steps += 1
-            class_id = pending.popleft()
-            queued.discard(class_id)
-            root = find(class_id)
-            eclass = self.egraph[root]
-            current = self._best.get(root)
-            improved = False
-            for enode in eclass.nodes:
-                cost = self._enode_cost(root, enode)
-                if cost is None:
-                    continue
-                if current is None or cost < current[0]:
-                    current = (cost, enode)
-                    improved = True
-            if not improved:
-                continue
-            self._best[root] = current
-            for pid in eclass.parents.values():
-                parent = find(pid)
-                if parent not in queued:
-                    pending.append(parent)
-                    queued.add(parent)
-
-    def _run_fixpoint_core(self) -> dict[int, tuple]:
-        """Flat-core fixpoint for decomposable delay/area cost functions.
-
-        Same worklist as :meth:`_run_fixpoint`, but over the core's int
-        arrays: candidates are nids iterated straight from the member sets
-        (no :class:`ENode` views), each node's *own* (delay, area) comes from
-        the cost function's per-run ``pricer`` and is cached by nid, and the
-        combine — ``delay = own + max(children)``,
-        ``area = own + sum(children)``, ASSUME = its guarded child — runs on
-        plain floats, with comparison keys built by ``cost_fn.key`` and full
-        cost objects materialized only when a class's best improves (so the
-        anytime ``_best`` checkpoint stays identical to the generic path's).
-        Returns the float mirror, ``class -> (key, delay, area, best nid)``.
+        quiescence.  Candidates are nids iterated straight from the member
+        sets, each node's *own* (delay, area) comes from the cost function's
+        ``pricer`` and is cached by nid, and the combine —
+        ``delay = own + max(children)``, ``area = own + sum(children)``,
+        ASSUME = its guarded child — runs on plain floats, compared by
+        ``cost_fn.key``.
         """
         core = self.egraph.core
-        cost_fn = self.cost_fn
-        price = cost_fn.pricer(self.egraph)
-        key_fn = cost_fn.key
-        from_parts = cost_fn.cost_from_parts
+        price = self._price
+        key_fn = self.cost_fn.key
         clock = self.clock
         bounded = not math.isinf(self.deadline)
         find = core.uf.find
@@ -335,12 +302,10 @@ class Extractor:
         node_enode = core.node_enode
         assume_id = core.op_ids.get(ops.ASSUME, -1)
 
-        #: root -> (key, delay, area, nid); mirrors ``_best`` without objects.
-        fast: dict[int, tuple] = {}
+        best = self._best
         #: Own (delay, area) of each node (child-independent), as flat
         #: columns with a NaN not-yet-computed sentinel — a dict of tuples
-        #: here is live exactly when the graph peaks, and would put the
-        #: flat path's peak bytes above the object engine's.
+        #: here is live exactly when the graph peaks.
         nan = math.nan
         own_delay = array("d", [nan]) * len(node_op)
         own_area = array("d", [nan]) * len(node_op)
@@ -350,18 +315,20 @@ class Extractor:
             pending.append(class_id)
             queued.add(class_id)
         while pending:
+            # Anytime poll: one read per step keeps the overshoot at one
+            # worklist step, and costs nothing when there is no deadline.
             if bounded and clock() > self.deadline:
                 self.complete = False
                 break
             self.steps += 1
             root = find(pending.popleft())
             queued.discard(root)
-            current = fast.get(root)
-            best_nid = -1
+            current = best.get(root)
+            improved = False
             for nid in class_nodes[root]:
                 first = node_first[nid]
                 if node_op[nid] == assume_id:
-                    entry = fast.get(find(kids_buf[first]))
+                    entry = best.get(find(kids_buf[first]))
                     if entry is None:
                         continue
                     key, delay, area, _ = entry
@@ -369,7 +336,7 @@ class Extractor:
                     delay = 0.0
                     area = 0.0
                     for i in range(first, first + node_nkids[nid]):
-                        entry = fast.get(find(kids_buf[i]))
+                        entry = best.get(find(kids_buf[i]))
                         if entry is None:
                             break
                         if entry[1] > delay:
@@ -386,18 +353,14 @@ class Extractor:
                         key = key_fn(delay, area)
                         if current is None or key < current[0]:
                             current = (key, delay, area, nid)
-                            best_nid = nid
+                            improved = True
                     continue
                 if current is None or key < current[0]:
                     current = (key, delay, area, nid)
-                    best_nid = nid
-            if best_nid < 0:
+                    improved = True
+            if not improved:
                 continue
-            fast[root] = current
-            self._best[root] = (
-                from_parts(current[1], current[2]),
-                node_enode(best_nid),
-            )
+            best[root] = current
             for pid in class_parents[root]:
                 if not node_alive[pid]:
                     continue
@@ -405,7 +368,28 @@ class Extractor:
                 if parent not in queued:
                     pending.append(parent)
                     queued.add(parent)
-        return fast
+
+    def _parts(self, root: int, nid: int) -> tuple[float, float] | None:
+        """The fixpoint's combine for one candidate: node ``nid``'s folded
+        (delay, area) in class ``root``, or None while a child is uncosted."""
+        core = self.egraph.core
+        find = core.uf.find
+        kids = core.kids
+        first = core.node_first[nid]
+        if core.ops[core.node_op[nid]] is ops.ASSUME:
+            entry = self._best.get(find(kids[first]))
+            return None if entry is None else (entry[1], entry[2])
+        delay = 0.0
+        area = 0.0
+        for i in range(first, first + core.node_nkids[nid]):
+            entry = self._best.get(find(kids[i]))
+            if entry is None:
+                return None
+            if entry[1] > delay:
+                delay = entry[1]
+            area += entry[2]
+        own_delay, own_area = self._price(root, core.node_enode(nid))
+        return delay + own_delay, area + own_area
 
     # ---------------------------------------------------------------- queries
     def selection(self) -> dict[int, ENode]:
@@ -419,7 +403,8 @@ class Extractor:
         guaranteed-acyclic selection repair it through
         :func:`repro.solve.ilp.feasible_selection`.
         """
-        return {cid: entry[1] for cid, entry in self._best.items()}
+        node_enode = self.egraph.core.node_enode
+        return {cid: node_enode(entry[3]) for cid, entry in self._best.items()}
 
     def has_cost(self, class_id: int) -> bool:
         """Whether the (possibly truncated) fixpoint costed this class."""
@@ -440,19 +425,20 @@ class Extractor:
         except (KeyError, _CycleError):
             return None
 
-    def cost_of(self, class_id: int) -> Any:
-        """Best cost for the class (raises if unextractable)."""
+    def _entry(self, class_id: int) -> tuple:
         entry = self._best.get(self.egraph.find(class_id))
         if entry is None:
             raise KeyError(f"class {class_id} has no extractable expression")
-        return entry[0]
+        return entry
+
+    def cost_of(self, class_id: int) -> Any:
+        """Best cost for the class (raises if unextractable)."""
+        entry = self._entry(class_id)
+        return self.cost_fn.cost_from_parts(entry[1], entry[2])
 
     def best_enode(self, class_id: int) -> ENode:
         """The e-node realizing the best cost."""
-        entry = self._best.get(self.egraph.find(class_id))
-        if entry is None:
-            raise KeyError(f"class {class_id} has no extractable expression")
-        return entry[1]
+        return self.egraph.core.node_enode(self._entry(class_id)[3])
 
     def expr_of(self, class_id: int) -> Expr:
         """Rebuild the cheapest expression for the class.
@@ -464,19 +450,21 @@ class Extractor:
         return self._build(self.egraph.find(class_id), frozenset())
 
     def _build(self, class_id: int, path: frozenset[int]) -> Expr:
-        find = self.egraph.find
-        class_id = find(class_id)
+        class_id = self.egraph.find(class_id)
         if class_id in self._memo:
             return self._memo[class_id]
         if class_id in path:
             raise _CycleError(class_id)
         path = path | {class_id}
 
+        node_enode = self.egraph.core.node_enode
+        from_parts = self.cost_fn.cost_from_parts
         ranked = []
-        for enode in self._candidates(class_id):
-            cost = self._enode_cost(class_id, enode)
-            if cost is not None:
-                ranked.append((cost, repr(enode), enode))
+        for nid in self.egraph.core.class_nodes[class_id]:
+            parts = self._parts(class_id, nid)
+            if parts is not None:
+                enode = node_enode(nid)
+                ranked.append((from_parts(*parts), repr(enode), enode))
         ranked.sort(key=lambda t: (t[0], t[1]))
         if not ranked:
             raise KeyError(f"class {class_id} has no extractable expression")

@@ -14,8 +14,9 @@ Compiled matchers require a *clean* graph (directly after ``rebuild``):
 ``node_class`` entries and child ids are then canonical, so no ``find``
 calls appear anywhere in the generated code.  The saturation runner — the
 only caller — searches exactly there.  Environments, match order and limit
-truncation replicate the generic matcher's semantics; the generic path
-remains for legacy graphs and ad-hoc queries on dirty graphs.
+truncation replicate the generic matcher's semantics (the test-suite
+checks them against :func:`~repro.egraph.pattern.ematch`, which remains for
+ad-hoc queries on dirty graphs).
 
 Generated code for ``(* ?a 2)`` looks like::
 

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.egraph.egraph import EGraph
-from repro.egraph.pattern import (
-    Pattern,
-    as_pattern,
-    ematch,
-    instantiate,
-    pattern_vars,
-)
+from repro.egraph.pattern import Pattern, as_pattern, pattern_vars
 from repro.egraph.query import Builder, compile_builder
 
 #: A condition receives (egraph, env) and vetoes the application when False.
@@ -51,21 +45,23 @@ class Rewrite:
     once: bool = False
 
     def search(self, egraph: EGraph, index: dict, limit: int) -> list[tuple[int, dict]]:
-        """All match candidates, capped at ``limit``."""
-        if callable(self.searcher):
-            found = []
-            for item in self.searcher(egraph, index):
-                found.append(item)
-                if len(found) >= limit:
-                    break
-            return found
-        return ematch(egraph, self.searcher, index, limit=limit)
+        """All match candidates of a callable searcher, capped at ``limit``.
+
+        Declarative left-hand sides are searched by the runner's compiled
+        :class:`~repro.egraph.query.QueryPlan`, not here.
+        """
+        if not callable(self.searcher):
+            raise TypeError(f"rule {self.name}: declarative rules search through a QueryPlan")
+        found = []
+        for item in self.searcher(egraph, index):
+            found.append(item)
+            if len(found) >= limit:
+                break
+        return found
 
     def apply(self, egraph: EGraph, class_id: int, env: dict) -> bool:
         """Apply to one match; returns True when the graph changed."""
-        builder = None
-        if hasattr(egraph, "core") and not callable(self.applier):
-            builder = compile_builder(self.applier)
+        builder = None if callable(self.applier) else compile_builder(self.applier)
         return self.bind(egraph, builder)(class_id, env)
 
     def bind(
@@ -76,18 +72,17 @@ class Rewrite:
         the matched class and returns True when the graph changed.
 
         Everything that does not depend on the match is resolved here, once.
-        On the flat core a declarative right-hand side is built by
-        ``builder``, its :func:`~repro.egraph.query.compile_builder` output
-        (the runner's :class:`~repro.egraph.query.QueryPlan` compiles them
-        with the matchers).  The legacy oracle engine keeps interpreting it
-        through :func:`instantiate`.
+        A declarative right-hand side is built by ``builder``, its
+        :func:`~repro.egraph.query.compile_builder` output (the runner's
+        :class:`~repro.egraph.query.QueryPlan` compiles them with the
+        matchers); a dynamic rule calls its applier.
         """
         conditions = self.conditions
         applier = self.applier
-        core = getattr(egraph, "core", None)
-        if core is not None and not callable(applier):
+        core = egraph.core
+        if not callable(applier):
             if builder is None:
-                raise ValueError(f"rule {self.name}: flat-core apply needs its builder")
+                raise ValueError(f"rule {self.name}: declarative apply needs its builder")
             union = core.union
 
             def step(class_id: int, env: dict) -> bool:
@@ -105,10 +100,7 @@ class Rewrite:
                 if not cond(egraph, env):
                     return False
             before = egraph.version
-            if callable(applier):
-                new_id = applier(egraph, env, egraph.find(class_id))
-            else:
-                new_id = instantiate(egraph, applier, env)
+            new_id = applier(egraph, env, egraph.find(class_id))
             if new_id is not None:
                 egraph.union(class_id, new_id)
             return egraph.version != before

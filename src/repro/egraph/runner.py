@@ -231,13 +231,10 @@ class Runner:
         #: check is a full sweep).
         self.check_invariants = check_invariants
         self._spent_once_rules: set[str] = set()
-        #: Compiled plan (flat-core e-graphs only): every rule lowered once —
-        #: pattern searchers into matchers searched in one batched per-op
-        #: scan each iteration, declarative right-hand sides into builders
-        #: (see :meth:`Rewrite.bind`).  Legacy graphs keep the generic
-        #: pattern-at-a-time search and the interpreted ``instantiate``.
-        self._plan = QueryPlan(self.rules) if hasattr(egraph, "core") else None
-        self._builders = self._plan.builders if self._plan is not None else {}
+        #: Every rule lowered once: pattern searchers into matchers searched
+        #: in one batched per-op scan each iteration, declarative right-hand
+        #: sides into builders (see :meth:`Rewrite.bind`).
+        self._plan = QueryPlan(self.rules)
 
     def run(self) -> RunnerReport:
         """Run to saturation or budget exhaustion; the e-graph is mutated
@@ -288,7 +285,9 @@ class Runner:
             t0 = clock()
             matches: list[tuple[int, list[tuple[int, dict]]]] = []
             plan_results: dict[int, list] = {}
-            if self._plan is not None and clock() <= deadline:
+            # Skipped only once the deadline has passed, and then the loop
+            # below stops before searching any rule.
+            if clock() <= deadline:
                 budgets = {
                     position: self.scheduler.budget(rule)
                     for position, rule in enumerate(self.rules)
@@ -306,10 +305,10 @@ class Runner:
                     continue
                 if not self.scheduler.enabled(rule, iteration):
                     continue
-                found = plan_results.get(position)
-                if found is None:
-                    # Dynamic rule, legacy graph, or the plan was skipped
-                    # (deadline already blown): generic search path.
+                if position in self._plan:
+                    found = plan_results[position]
+                else:
+                    # Dynamic rule: its callable searcher reads the façade.
                     if index is None:
                         index = self.egraph.nodes_by_op()
                     found = rule.search(
@@ -336,7 +335,7 @@ class Runner:
                         # conditions and compiled builder stay out of the
                         # per-match loop below.
                         step = steps[position] = rule.bind(
-                            egraph, self._builders.get(position)
+                            egraph, self._plan.builders.get(position)
                         )
                     applied = 0
                     for class_id, env in found:

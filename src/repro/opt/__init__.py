@@ -11,7 +11,7 @@ from repro.opt.optimizer import (
     OptimizationResult,
     OptimizerConfig,
 )
-from repro.opt.report import egraph_model_cost, format_comparison, model_cost
+from repro.opt.report import format_comparison, model_cost
 
 __all__ = [
     "DatapathOptimizer",
@@ -20,5 +20,4 @@ __all__ = [
     "ModuleResult",
     "format_comparison",
     "model_cost",
-    "egraph_model_cost",
 ]

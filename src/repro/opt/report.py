@@ -1,18 +1,18 @@
-"""Report formatting (plus back-compat aliases for the tree cost helpers).
+"""Report formatting (plus a back-compat alias for the tree cost helper).
 
-``model_cost``/``egraph_model_cost`` moved to :mod:`repro.synth.treecost` so
-that :mod:`repro.pipeline.stages` can import them at module level without
-the ``repro.opt`` -> ``repro.pipeline`` -> ``repro.opt`` package cycle the
-old home forced (``Extract.run`` used to hide it behind a lazy import).
-They are re-exported here because ``repro.opt.model_cost`` is a documented
-entry point.
+``model_cost`` moved to :mod:`repro.synth.treecost` so that
+:mod:`repro.pipeline.stages` can import it at module level without the
+``repro.opt`` -> ``repro.pipeline`` -> ``repro.opt`` package cycle the old
+home forced (``Extract.run`` used to hide it behind a lazy import).  It is
+re-exported here because ``repro.opt.model_cost`` is a documented entry
+point.
 """
 
 from __future__ import annotations
 
-from repro.synth.treecost import egraph_model_cost, model_cost
+from repro.synth.treecost import model_cost
 
-__all__ = ["model_cost", "egraph_model_cost", "format_comparison"]
+__all__ = ["model_cost", "format_comparison"]
 
 
 def format_comparison(

@@ -293,7 +293,16 @@ def elaborate(module: ast.Module) -> dict[str, Expr]:
 
 
 def module_to_ir(source: str) -> dict[str, Expr]:
-    """Parse + elaborate in one call."""
-    from repro.rtl.parser import parse_module
+    """Parse + elaborate in one call.
 
-    return elaborate(parse_module(source))
+    Raises :class:`~repro.rtl.parser.ParseError` or
+    :class:`ElaborationError` for any source it cannot take, including one
+    nested too deeply to elaborate.
+    """
+    from repro.rtl.parser import TOO_DEEP, ParseError, parse_module
+
+    module = parse_module(source)
+    try:
+        return elaborate(module)
+    except RecursionError:
+        raise ParseError(TOO_DEEP) from None

@@ -25,9 +25,21 @@ _LEVELS: list[tuple[str, ...]] = [
 ]
 
 
+#: The reason a module too deeply nested for the recursive descent (or the
+#: elaborator's recursion) is refused.
+TOO_DEEP = "expression nesting too deep"
+
+
 def parse_module(source: str) -> ast.Module:
-    """Parse exactly one module."""
-    return _Parser(tokenize(source)).module()
+    """Parse exactly one module.
+
+    Source outside the subset raises :class:`ParseError`, and so does
+    nesting deeper than the interpreter's recursion limit allows.
+    """
+    try:
+        return _Parser(tokenize(source)).module()
+    except RecursionError:
+        raise ParseError(TOO_DEEP) from None
 
 
 class _Parser:

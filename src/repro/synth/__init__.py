@@ -23,7 +23,7 @@ from repro.synth.cost import DelayArea, DelayAreaCost
 from repro.synth.netlist import Gate, Netlist, Signal
 from repro.synth.lower import LoweringError, lower_to_netlist
 from repro.synth.sweep import SynthesisPoint, min_delay_point
-from repro.synth.treecost import dag_cost, egraph_model_cost, model_cost
+from repro.synth.treecost import dag_cost, model_cost
 
 __all__ = [
     "delay_model",
@@ -39,5 +39,4 @@ __all__ = [
     "min_delay_point",
     "model_cost",
     "dag_cost",
-    "egraph_model_cost",
 ]

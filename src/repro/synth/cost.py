@@ -130,35 +130,7 @@ class DelayAreaCost(CostFunction):
 
     def __init__(self, key: Callable[[float, float], tuple] | None = None) -> None:
         self.key = key if key is not None else lexicographic_key
-        # The extractor's worklist revisits an e-node whenever a child's
-        # cost improves; the node's *own* delay/area only depends on
-        # analysis data that is frozen during extraction, so cache it.
-        self._model_cache: dict[tuple[int, ENode], tuple[float, float]] = {}
-        #: The graph the bound ``_price`` reads, and that pricer.
-        self._priced: EGraph | None = None
-        self._price: Callable[[int, ENode], tuple[float, float]] | None = None
 
-    def enode_cost(
-        self, egraph: EGraph, class_id: int, enode: ENode, child_costs: list
-    ) -> DelayArea:
-        cache_key = (class_id, enode)
-        own = self._model_cache.get(cache_key)
-        if own is None:
-            if self._priced is not egraph:
-                self._price = self.pricer(egraph)
-                self._priced = egraph
-            own = self._price(class_id, enode)
-            self._model_cache[cache_key] = own
-        own_delay, own_area = own
-        delay = own_delay + max((c.delay for c in child_costs), default=0.0)
-        area = own_area + sum(c.area for c in child_costs)
-        return DelayArea(delay, area, self.key(delay, area))
-
-    # Decomposed interface consumed by the extractor's flat-core fixpoint
-    # (`Extractor._run_fixpoint_core`) and the ILP builder: the node's own
-    # contribution and the parts -> cost-object constructor, so the fixpoint
-    # can fold delay/area as plain floats and only materialize `DelayArea`
-    # on improvement.
     def pricer(self, egraph: EGraph) -> Callable[[int, ENode], tuple[float, float]]:
         """``price(class_id, enode)``: the (delay, area) of the node itself,
         before child contributions, over ``egraph`` as it stands.

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.analysis import DatapathAnalysis, expr_ranges, expr_totals
+from repro.analysis import expr_ranges, expr_totals
 from repro.intervals import IntervalSet
 from repro.ir import ops
 from repro.ir.expr import Expr
 from repro.synth.cost import (
     CONST_HINT_POSITIONS,
     DelayArea,
-    DelayAreaCost,
     lexicographic_key,
     operator_model,
 )
@@ -41,8 +40,8 @@ def model_cost(
     derive, and each operator is priced through the same
     :func:`~repro.synth.cost.operator_model` the extraction objective uses.
     (Earlier revisions loaded the tree into a throwaway e-graph per call —
-    the dominant cost of reporting on large batches; the e-graph path
-    survives as :func:`egraph_model_cost` and the test suite asserts parity.)
+    the dominant cost of reporting on large batches; the test suite keeps
+    that path as its reference and asserts parity.)
 
     Folding mirrors the e-class analysis: a total subterm whose range is a
     single value is a constant (zero cost), an ``ASSUME`` is a wire over its
@@ -170,20 +169,3 @@ def dag_cost(
     delay = delay_memo[expr]
     return DelayArea(delay, area_total, lexicographic_key(delay, area_total))
 
-
-def egraph_model_cost(
-    expr: Expr, input_ranges: Mapping[str, IntervalSet] | None = None
-) -> DelayArea:
-    """Reference implementation of :func:`model_cost` through the e-graph.
-
-    Loads the tree into a throwaway e-graph (no rewriting) so the extraction
-    cost function sees e-class analysis widths, then costs it as-is.  Kept as
-    the differential oracle for the tree path.
-    """
-    from repro.egraph import EGraph, Extractor  # heavy; only this oracle needs it
-
-    egraph = EGraph([DatapathAnalysis(dict(input_ranges or {}))])
-    root = egraph.add_expr(expr)
-    egraph.rebuild()
-    extractor = Extractor(egraph, DelayAreaCost())
-    return extractor.cost_of(root)

@@ -1,29 +1,36 @@
 """Differential parity: flat-core ``EGraph`` vs the legacy object engine.
 
 The flat struct-of-arrays core replaced the per-object engine behind the
-same API; the legacy implementation is kept (``repro.egraph.legacy``) as a
-differential oracle.  Both engines are driven in lockstep through random
-add/union workloads, saturation runs, and the full optimization pipeline,
-and must agree on every observable: class/node counts, the partition of
-tracked ids (canonical ids up to isomorphism — the engines allocate ids
-differently, so only the induced equivalence relation is comparable),
-extraction costs, and each registry design's optimized cost.
+same API; the legacy implementation is kept in the test-suite
+(:mod:`oracles.legacy`) as a differential oracle.  Both engines take the
+same random add/union workloads and saturate the same rule sets, and must
+agree on every observable: class/node counts, the partition of tracked ids
+(canonical ids up to isomorphism — the engines allocate ids differently, so
+only the induced equivalence relation is comparable) and extraction costs.
+
+Saturation runs compare *fixpoints*: the flat graph goes through the
+production :class:`~repro.egraph.runner.Runner` (compiled matchers and
+builders), the legacy graph through the interpreted reference loop
+(:func:`oracles.reference.saturate`).  A saturated e-graph does not depend
+on the schedule that reached it, so the two must coincide.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.legacy import LegacyEGraph
+from oracles.reference import ast_size_costs, saturate
 
-from repro.designs import DESIGNS, get_design
 from repro.egraph import EGraph, Extractor, Runner
 from repro.egraph.extract import AstSizeCost
-from repro.egraph.legacy import LegacyEGraph
 from repro.egraph.rewrite import rewrite
+from repro.egraph.runner import StopReason
 from repro.ir import ops
+from repro.pipeline.budget import Budget
 
-ENGINES = (EGraph, LegacyEGraph)
+#: Generous enough that every workload below saturates.
+SATURATE = Budget(iters=100, nodes=100_000, time_s=60.0)
 
 
 @st.composite
@@ -80,13 +87,14 @@ def test_counts_and_partition_agree(load):
 @given(workload())
 def test_extraction_costs_agree(load):
     """Bottom-up extraction sees the same best AST size for every tracked id
-    (flat runs the façade/view path, legacy the object path)."""
+    (flat runs the production core fixpoint, legacy the generic reference
+    fixpoint over ``EClass.nodes``)."""
     flat, flat_ids = _drive(EGraph, load)
     legacy, legacy_ids = _drive(LegacyEGraph, load)
     ex_flat = Extractor(flat, AstSizeCost())
-    ex_legacy = Extractor(legacy, AstSizeCost())
+    reference = ast_size_costs(legacy)
     for fid, lid in zip(flat_ids, legacy_ids, strict=True):
-        assert ex_flat.cost_of(fid) == ex_legacy.cost_of(lid)
+        assert ex_flat.cost_of(fid) == reference[legacy.find(lid)]
 
 
 #: A small confluent rule set exercising search, apply, and congruence.
@@ -115,8 +123,9 @@ def expr_workload(draw):
 @settings(max_examples=25, deadline=None)
 @given(expr_workload())
 def test_saturation_runs_agree(steps):
-    """A bounded Runner over the same rule set leaves both engines with the
-    same class count and the same best extraction cost at every root."""
+    """Saturated to a fixpoint — the flat graph by the compiled Runner, the
+    legacy graph by the interpreted reference loop — both engines hold the
+    same classes and nodes and extract the same AST size at every root."""
 
     def build(engine):
         g = engine()
@@ -137,50 +146,17 @@ def test_saturation_runs_agree(steps):
 
     flat, flat_ids = build(EGraph)
     legacy, legacy_ids = build(LegacyEGraph)
-    from repro.pipeline.budget import Budget
+    report = Runner(flat, _rules(), budget=SATURATE, check_invariants=True).run()
+    saturate(legacy, _rules())
+    legacy.check_invariants()
 
-    budget = Budget(iters=3, nodes=4_000, time_s=30.0)
-    Runner(flat, _rules(), budget=budget, check_invariants=True).run()
-    Runner(legacy, _rules(), budget=budget, check_invariants=True).run()
-
+    assert report.stop_reason is StopReason.SATURATED
     assert flat.class_count == legacy.class_count
     assert flat.node_count == legacy.node_count
     ex_flat = Extractor(flat, AstSizeCost())
-    ex_legacy = Extractor(legacy, AstSizeCost())
+    reference = ast_size_costs(legacy)
     for fid, lid in zip(flat_ids, legacy_ids, strict=True):
-        assert ex_flat.cost_of(fid) == ex_legacy.cost_of(lid)
-
-
-#: Harness limits for the full-pipeline differential (keeps legacy runtime
-#: tolerable while every optimization mechanism still fires).
-ITERS = 3
-NODE_LIMIT = 8_000
-
-
-def _optimize(design, engine_cls, monkeypatch):
-    import repro.pipeline.stages as stages
-    from repro.pipeline import Extract, Ingest, Pipeline, Saturate
-    from repro.rewrites import compose_rules
-
-    monkeypatch.setattr(stages, "EGraph", engine_cls)
-    result = Pipeline(
-        [
-            Ingest(source=design.verilog),
-            Saturate(compose_rules(), iter_limit=ITERS, node_limit=NODE_LIMIT),
-            Extract(),
-        ]
-    ).run(input_ranges=design.input_ranges)
-    return {name: cost.key for name, cost in result.optimized_costs.items()}
-
-
-@pytest.mark.parametrize("name", sorted(DESIGNS))
-def test_registry_designs_optimized_costs_match_legacy(name, monkeypatch):
-    """The flat core optimizes every registry design to exactly the cost the
-    legacy engine reached under the same budgets."""
-    design = get_design(name)
-    flat = _optimize(design, EGraph, monkeypatch)
-    legacy = _optimize(design, LegacyEGraph, monkeypatch)
-    assert flat == legacy
+        assert ex_flat.cost_of(fid) == reference[legacy.find(lid)]
 
 
 def test_rules_sharing_a_name_keep_their_own_matchers():
@@ -188,23 +164,25 @@ def test_rules_sharing_a_name_keep_their_own_matchers():
     apply its own right-hand side.  Keyed by name, the MUL matcher ran over
     the ADD candidates and its matches were applied with the ADD rule's RHS,
     merging ``a+b`` with ``a*b`` on the flat core only."""
-    from repro.pipeline.budget import Budget
-
     rules = [
         rewrite("comm", "(+ ?x ?y)", "(+ ?y ?x)"),
         rewrite("comm", "(* ?x ?y)", "(* ?y ?x)"),
     ]
     shapes = {}
-    for engine in ENGINES:
+    for engine in (EGraph, LegacyEGraph):
         g = engine()
         a = g.add_node(ops.VAR, ("a", 8))
         b = g.add_node(ops.VAR, ("b", 8))
         add = g.add_node(ops.ADD, (), (a, b))
         mul = g.add_node(ops.MUL, (), (a, b))
         g.rebuild()
-        report = Runner(g, rules, budget=Budget(iters=3), check_invariants=True).run()
+        if engine is EGraph:
+            report = Runner(g, rules, budget=SATURATE, check_invariants=True).run()
+            assert report.stop_reason is StopReason.SATURATED
+        else:
+            saturate(g, rules)
         assert g.find(add) != g.find(mul)
         assert g.find(g.add_node(ops.ADD, (), (b, a))) == g.find(add)
         assert g.find(g.add_node(ops.MUL, (), (b, a))) == g.find(mul)
-        shapes[engine] = (g.class_count, g.node_count, report.stop_reason)
+        shapes[engine] = (g.class_count, g.node_count)
     assert shapes[EGraph] == shapes[LegacyEGraph]

@@ -111,6 +111,41 @@ class TestCli:
         assert proc.returncode == 1
         assert proc.stderr == "error: stitch requires a sharded schedule\n"
 
+    @pytest.mark.parametrize(
+        "source, reason",
+        [
+            (
+                "module m (input signed [3:0] a, output y); endmodule",
+                "signed ports are not supported",
+            ),
+            (
+                "module m (input [3:0] a, output y); assign y = b; endmodule",
+                "undeclared identifier 'b'",
+            ),
+            (
+                "module m (input [7:0] x, output [7:0] y); assign y = "
+                + "(" * 400 + "x" + " + 8'd1)" * 400 + "; endmodule",
+                "expression nesting too deep",
+            ),
+        ],
+        ids=["signed", "undeclared", "deep"],
+    )
+    @pytest.mark.parametrize("command", [["optimize"], []], ids=["optimize", "alias"])
+    def test_malformed_verilog_exits_cleanly(self, tmp_path, source, reason, command):
+        """Parse and elaboration failures print their reason and exit 1,
+        through the subcommand and the bare alias alike."""
+        import subprocess
+        import sys
+
+        src = tmp_path / "bad.v"
+        src.write_text(source)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *command, str(src), "--no-verify"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {reason}\n"
+
     def test_parser_flags(self):
         parser = build_parser()
         args = parser.parse_args(

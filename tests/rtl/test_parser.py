@@ -1,8 +1,10 @@
 """Verilog subset: lexer + parser."""
 
+import sys
+
 import pytest
 
-from repro.rtl import ParseError, parse_module
+from repro.rtl import ParseError, module_to_ir, parse_module
 from repro.rtl.lexer import LexError, parse_sized_literal, tokenize
 
 
@@ -110,3 +112,28 @@ class TestParser:
                 "module m (input [3:0] a, input [1:0] i, output y);"
                 "assign y = a[i:0]; endmodule"
             )
+
+
+class TestDeepNesting:
+    """Nesting past the recursion limit is refused with a reason, not a
+    ``RecursionError``, at both front-end entry points."""
+
+    DEPTH = 3 * sys.getrecursionlimit()
+
+    @staticmethod
+    def _module(rhs: str) -> str:
+        return f"module m (input [7:0] x, output [7:0] y); assign y = {rhs}; endmodule"
+
+    def test_nested_parentheses(self):
+        rhs = "x"
+        for _ in range(self.DEPTH):
+            rhs = f"({rhs} + 8'd1)"
+        for entry in (parse_module, module_to_ir):
+            with pytest.raises(ParseError, match="nesting too deep"):
+                entry(self._module(rhs))
+
+    def test_long_chain_parses_but_is_too_deep_to_elaborate(self):
+        source = self._module("x" + " + 8'd1" * self.DEPTH)
+        assert parse_module(source).name == "m"
+        with pytest.raises(ParseError, match="nesting too deep"):
+            module_to_ir(source)
