@@ -12,9 +12,11 @@ distinguished by the record's ``job`` field: ``perf:fp_sub`` (the single-
 output hot path), ``perf:stress_wide`` (the 8-output monolithic governed
 run the flat core unlocked), ``perf:fp_sub_warm`` (cold-vs-warm on an
 edited design, pinning the warm-start speedup), ``perf:stress_wide_stitch``
-(the stitched sharded run closing the sharding cost gap) and
-``perf:fp_sub_ilp`` (the globally optimal DAG-cost extraction, pinning
-the ilp objective's never-worse-than-greedy win); the bench-smoke factor
+(the stitched sharded run closing the sharding cost gap),
+``perf:interpolation`` (the default-schedule, node-limit run where union's
+ASSUME-parent requeue concentrates) and ``perf:fp_sub_ilp`` (the globally
+optimal DAG-cost extraction, pinning the ilp objective's
+never-worse-than-greedy win); the bench-smoke factor
 compares each run against the previous entry *of the same series*.
 
 Unlike the paper-figure benches this one is cheap (a few seconds) and runs
@@ -245,6 +247,44 @@ def test_perf_stress_wide_monolithic_governed():
         f"governed monolithic stress_wide regressed: {wall:.3f}s"
     )
     _smoke_guard(history, "perf:stress_wide", wall)
+
+
+#: Absolute ceiling for the default-schedule interpolation run.  It takes
+#: ~2 s on the baseline box; the ceiling leaves room for slow runners.
+INTERPOLATION_WALL_CEILING_S = 15.0
+
+
+def test_perf_interpolation_default_schedule():
+    """The ``perf:interpolation`` series: ``interpolation`` under the
+    ``bench`` defaults (the design's node limit, verification off), which
+    stops on the node limit.  Its saturation is union-heavy: each union
+    requeues the ASSUME parents of both classes for analysis, and the
+    constant classes carry thousands of parents, so the series shows
+    whether a union still pays for the whole parent set to find them."""
+    t0 = time.perf_counter()
+    record = execute_job(
+        Job(name="perf:interpolation", design="interpolation", verify=False)
+    )
+    wall = time.perf_counter() - t0
+
+    assert record.status == "ok", record.error
+    assert record.stop_reason == "node limit", record.stop_reason
+    assert record.nodes_per_s > 0
+
+    payload, history = _load_trajectory()
+    entry = record.as_dict()
+    entry["wall_s"] = round(wall, 4)
+    history = _append_entry(payload, history, entry)
+
+    print(
+        f"\ninterpolation default schedule: wall {wall:.3f}s, "
+        f"{record.nodes} nodes, {record.iterations} iterations, "
+        f"stop {record.stop_reason!r}"
+    )
+    assert wall < INTERPOLATION_WALL_CEILING_S, (
+        f"default-schedule interpolation regressed: {wall:.3f}s"
+    )
+    _smoke_guard(history, "perf:interpolation", wall)
 
 
 #: ``tracemalloc`` peak bytes of the retired per-object engine on the

@@ -31,28 +31,30 @@ CONSTR_OPS = frozenset(
 )
 
 
-def constr_candidates(egraph, constraint: int, cache: dict | None) -> tuple:
+def constr_candidates(egraph, constraint: int, cache: dict | None) -> list:
     """Member e-nodes of a *canonical* class with a ``Constr``-shaped op.
 
     ``ASSUME`` transfer runs on every rebuild of every ASSUME e-node, but a
     constraint class's membership rarely changes between two runs — rescanning
     the full node set each time is ~15% of rebuild time on the paper's case
-    study.  The scan result is cached per canonical class, keyed by the
-    class's membership revision (:attr:`~repro.egraph.egraph.EClass.rev`).
+    study.  The probe (:meth:`~repro.egraph.egraph.EGraph.members`, which
+    builds views of the matching members only) is cached per canonical
+    class, keyed by the class's membership revision
+    (:attr:`~repro.egraph.egraph.EClass.rev`).
 
     Cached nodes may carry non-canonical children after later unions; callers
     must resolve children through ``egraph.find`` at use time (which
     :func:`decode_constr` does anyway).  ``cache=None`` disables caching —
     the reference path the property tests compare against.
     """
-    eclass = egraph[constraint]
     if cache is None:
-        return tuple(n for n in eclass.nodes if n.op in CONSTR_OPS)
-    entry = cache.get(eclass.id)
-    if entry is not None and entry[0] == eclass.rev:
+        return egraph.members(constraint, CONSTR_OPS)
+    rev = egraph.core.class_rev[constraint]
+    entry = cache.get(constraint)
+    if entry is not None and entry[0] == rev:
         return entry[1]
-    candidates = tuple(n for n in eclass.nodes if n.op in CONSTR_OPS)
-    cache[eclass.id] = (eclass.rev, candidates)
+    candidates = egraph.members(constraint, CONSTR_OPS)
+    cache[constraint] = (rev, candidates)
     return candidates
 
 

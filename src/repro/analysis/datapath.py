@@ -164,9 +164,7 @@ class DatapathAnalysis(Analysis):
         # contributes its own failure domain, which ASSUME(value, C) would
         # erase.  (Nested-ASSUME chains first collapse via Table I row 3,
         # after which the guarded child is a total expression.)
-        for enode in list(egraph[class_id].nodes):
-            if enode.op is not ops.ASSUME:
-                continue
+        for enode in egraph.members(class_id, ops.ASSUME):
             if not egraph.data(enode.children[0], self.name).total:
                 continue
             const_id = egraph.add_const(value)

@@ -13,7 +13,9 @@ and e-classes live in parallel int arrays instead of per-object
 
 Class ids index ``class_nodes`` (member nid sets), ``class_parents``
 (nids referencing the class as a child), ``class_data`` (analysis slots)
-and ``class_rev`` (membership revision).  The hashcons ``memo`` maps
+and ``class_rev`` (membership revision).  ``class_assume_parents`` maps a
+class id to the ``ASSUME`` entries of its ``class_parents``, in the same
+order; only classes that have one get an entry.  The hashcons ``memo`` maps
 signature tuples ``(op_id, attr_id, child_ids)`` to nids; the nested
 ``child_ids`` tuple is stored once per node (``_kid_tups``) and shared by
 the memo key and the node's :class:`ENode` view, so one canonicalization
@@ -30,9 +32,17 @@ deferred-re-keying object engine blew through mid-apply.  What remains
 deferred (and is drained by :meth:`rebuild`, exactly as in egg) are the
 *congruence unions* discovered during re-keying and the analysis fixpoint.
 
+A union requeues the ``ASSUME`` parents of both classes for analysis even
+when their data did not change (the ``ASSUME`` transfer function reads
+constraint-class membership, which a merge changes).  The
+``class_assume_parents`` index hands it exactly those nids, so a union
+never walks the whole parent set of a class to find them — the constant
+classes carry thousands of parents, of which a few percent are ASSUMEs.
+
 The core pickles through a compact :meth:`__reduce__`: only the arrays, the
 intern tables, the union-find, the analysis data and the member/parent
-orders ship; the hashcons and per-op index are derived on load.
+orders ship; the hashcons, per-op index and ASSUME-parent index are derived
+on load.
 """
 
 from __future__ import annotations
@@ -119,6 +129,7 @@ class CoreGraph:
         "memo",
         "class_nodes",
         "class_parents",
+        "class_assume_parents",
         "class_data",
         "class_rev",
         "op_nodes",
@@ -154,6 +165,9 @@ class CoreGraph:
         self.memo: dict[tuple, int] = {}
         self.class_nodes: list[dict[int, None] | None] = []
         self.class_parents: list[dict[int, None] | None] = []
+        #: Class id -> the ASSUME nids of its ``class_parents``, in that
+        #: order; a class gets an entry with its first ASSUME parent.
+        self.class_assume_parents: dict[int, dict[int, None]] = {}
         self.class_data: list[dict[str, Any] | None] = []
         self.class_rev: list[int] = []
         #: Per-op index: op_id -> ordered set of alive nids.
@@ -340,8 +354,13 @@ class CoreGraph:
         self.n_classes += 1
         self.op_nodes[op_id][nid] = None
         if canon_kids:
+            class_parents = self.class_parents
+            assume_parents = self.class_assume_parents
+            is_assume = op_id == self._assume_id
             for child in set(canon_kids):
-                self.class_parents[child][nid] = None
+                class_parents[child][nid] = None
+                if is_assume:
+                    assume_parents.setdefault(child, {})[nid] = None
         if self.analyses:
             owner = self.owner
             enode = self.node_enode(nid)
@@ -386,6 +405,9 @@ class CoreGraph:
         gparents = self.class_parents[gone]
         self.class_parents[gone] = None
         kparents = self.class_parents[keep]
+        assume_parents = self.class_assume_parents
+        gassume = assume_parents.pop(gone, None)
+        kassume = assume_parents.get(keep)
         gnodes = self.class_nodes[gone]
         self.class_nodes[gone] = None
 
@@ -435,20 +457,21 @@ class CoreGraph:
         self.class_data[gone] = None
         if self.analyses:
             pend = self.analysis_pending
-            node_op = self.node_op
-            assume_id = self._assume_id
-            for changed, parents in (
-                (keep_changed, kparents),
-                (gone_changed, gparents),
+            for changed, parents, assumes in (
+                (keep_changed, kparents, kassume),
+                (gone_changed, gparents, gassume),
             ):
                 if changed:
                     pend.update(parents)
-                else:
-                    for nid in parents:
-                        if node_op[nid] == assume_id:
-                            pend[nid] = None
+                elif assumes is not None:
+                    pend.update(assumes)
 
         kparents.update(gparents)
+        if gassume is not None:
+            if kassume is None:
+                assume_parents[keep] = gassume
+            else:
+                kassume.update(gassume)
         if self.analyses:
             owner = self.owner
             for analysis in self.analyses:
@@ -644,11 +667,27 @@ class CoreGraph:
         swept_classes = 0
         for cid, nodes in enumerate(self.class_nodes):
             if nodes is None:
+                assert cid not in self.class_assume_parents, (
+                    f"absorbed class {cid} keeps an ASSUME-parent index"
+                )
                 continue
             swept_classes += 1
             swept_nodes += len(nodes)
             assert find(cid) == cid, f"absorbed class {cid} still canonical"
             assert self.class_parents[cid] is not None
+            assumes = [
+                nid
+                for nid in self.class_parents[cid]
+                if self.node_op[nid] == self._assume_id
+            ]
+            indexed_assumes = self.class_assume_parents.get(cid)
+            assert list(indexed_assumes or ()) == assumes, (
+                f"class {cid}: ASSUME-parent index {list(indexed_assumes or ())} "
+                f"!= ASSUME-filtered parent set {assumes}"
+            )
+            assert indexed_assumes is None or indexed_assumes, (
+                f"class {cid}: empty ASSUME-parent index allocated"
+            )
             assert self.class_data[cid] is not None
             for nid in nodes:
                 assert self.node_alive[nid], f"dead node {nid} in class {cid}"
@@ -704,6 +743,9 @@ class CoreGraph:
             dict(parents) if parents is not None else None
             for parents in self.class_parents
         ]
+        clone.class_assume_parents = {
+            cid: dict(parents) for cid, parents in self.class_assume_parents.items()
+        }
         clone.class_data = [
             dict(data) if data is not None else None for data in self.class_data
         ]
@@ -733,14 +775,15 @@ class CoreGraph:
     def __reduce__(self):
         """Compact pickling: arrays, intern tables, analysis data and orders.
 
-        The hashcons, per-op index and view cache are derived on load.  The
-        member and parent sets ship as flat nid columns in their iteration
-        order, so the revived graph walks its classes exactly as this one
-        does: an order-sensitive pass (the extraction fixpoint's tie-breaks
-        and worklist) computes the same result on both sides.  The shipped
-        arrays must be canonical, but draining pending work in place would
-        make pickling side-effecting — so a dirty graph is cloned first and
-        the *clone* is rebuilt; ``self`` is untouched.
+        The hashcons, per-op index, ASSUME-parent index and view cache are
+        derived on load.  The member and parent sets ship as flat nid
+        columns in their iteration order, so the revived graph walks its
+        classes exactly as this one does: an order-sensitive pass (the
+        extraction fixpoint's tie-breaks and worklist) computes the same
+        result on both sides.  The shipped arrays must be canonical, but
+        draining pending work in place would make pickling side-effecting —
+        so a dirty graph is cloned first and the *clone* is rebuilt;
+        ``self`` is untouched.
         """
         core = self
         if not core.is_clean:
@@ -832,8 +875,13 @@ def _core_from_state(state) -> CoreGraph:
         core.class_nodes[cid] = dict.fromkeys(members[start : start + count])
         start += count
     start = 0
+    assume_id = core._assume_id
     for cid, count in zip(canonical, parent_counts):
-        core.class_parents[cid] = dict.fromkeys(parents[start : start + count])
+        shipped = parents[start : start + count]
+        core.class_parents[cid] = dict.fromkeys(shipped)
+        assumes = [nid for nid in shipped if node_op[nid] == assume_id]
+        if assumes:
+            core.class_assume_parents[cid] = dict.fromkeys(assumes)
         start += count
     core._kid_tups = [
         tuple(kids[node_first[nid] : node_first[nid] + node_nkids[nid]])

@@ -30,7 +30,7 @@ authors' companion paper arXiv:2205.14989).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+from typing import AbstractSet, Any, Iterable, Iterator
 
 from repro.egraph.core import Analysis, CoreGraph, GraphSnapshot
 from repro.egraph.enode import ENode
@@ -216,6 +216,24 @@ class EGraph:
     def class_const(self, class_id: int) -> int | None:
         """The CONST value of a class if it contains a literal node."""
         return self.core.class_const(class_id)
+
+    def members(self, class_id: int, op: Op | AbstractSet[Op]) -> list[ENode]:
+        """The class's member e-nodes with operator ``op`` (or with any
+        operator in the set ``op``), in member order.
+
+        Members are filtered on the core's op column before any view is
+        built, so probing a wide class for one operator costs one int
+        compare per member instead of one :class:`ENode` each.
+        """
+        core = self.core
+        view = core.node_enode
+        node_op = core.node_op
+        members = core.class_nodes[self.find(class_id)]
+        if isinstance(op, Op):
+            op_id = core.op_ids.get(op)
+            return [view(nid) for nid in members if node_op[nid] == op_id]
+        op_of = core.ops
+        return [view(nid) for nid in members if op_of[node_op[nid]] in op]
 
     def nodes_by_op(self) -> dict[Op, list[tuple[int, ENode]]]:
         """Index op -> [(class id, e-node)], from the core's per-op index.

@@ -25,6 +25,8 @@ from repro.egraph.query import Builder, compile_builder
 Condition = Callable[[EGraph, dict], bool]
 
 #: Dynamic searcher: egraph, per-op index -> iterable of (class_id, env).
+#: The index is read through ``index.get(op, ())`` only: a list of
+#: ``(class_id, enode)`` per operator, as :meth:`EGraph.nodes_by_op` maps it.
 Searcher = Callable[[EGraph, dict], Iterable[tuple[int, dict]]]
 
 #: Dynamic applier: egraph, env, matched class -> replacement class id or

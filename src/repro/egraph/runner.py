@@ -198,6 +198,37 @@ class BackoffScheduler:
         self._banned_until[rule.name] = iteration + (self.ban_length << banned)
 
 
+class _LazyOpIndex:
+    """The per-op node index dynamic searchers read, built op by op.
+
+    ``get(op, default)`` answers what :meth:`EGraph.nodes_by_op` would map
+    ``op`` to — ``[(class id, e-node), ...]`` in the core's ``op_nodes``
+    order — but materializes an operator's list only when a searcher first
+    asks for it, so an iteration pays for the operators its dynamic rules
+    read, not for a view of every node in the graph.  Valid while the graph
+    does not change, as during one search phase.
+    """
+
+    __slots__ = ("_core", "_lists")
+
+    def __init__(self, egraph: EGraph) -> None:
+        self._core = egraph.core
+        self._lists: dict = {}
+
+    def get(self, op, default=()):
+        entries = self._lists.get(op)
+        if entries is None:
+            core = self._core
+            op_id = core.op_ids.get(op)
+            nids = core.op_nodes[op_id] if op_id is not None else None
+            if not nids:
+                return default
+            node_class = core.node_class
+            view = core.node_enode
+            entries = self._lists[op] = [(node_class[nid], view(nid)) for nid in nids]
+        return entries
+
+
 class Runner:
     """Drive a set of rewrites over an e-graph until a stop condition.
 
@@ -279,7 +310,7 @@ class Runner:
                 classes_before=self.egraph.class_count,
             )
             version_before = self.egraph.version
-            index: dict | None = None
+            index: _LazyOpIndex | None = None
 
             # --- search phase -------------------------------------------
             t0 = clock()
@@ -310,7 +341,7 @@ class Runner:
                 else:
                     # Dynamic rule: its callable searcher reads the façade.
                     if index is None:
-                        index = self.egraph.nodes_by_op()
+                        index = _LazyOpIndex(self.egraph)
                     found = rule.search(
                         self.egraph, index, self.scheduler.budget(rule)
                     )

@@ -1,4 +1,5 @@
-"""Architectural linter: layer map, stdlib policy, clock injection, globals.
+"""Architectural linter: layer map, stdlib policy, clock injection, hot-path
+e-class view scans, globals.
 
 This module is the **single source of truth** for the import architecture.
 ``tests/test_import_cycles.py`` imports :data:`ENTRY_POINTS` and the layer
@@ -485,19 +486,83 @@ def _stage_run_methods(tree: ast.Module):
                 yield f"{cls.name}.run", method
 
 
-def _walk_calls(tree: ast.Module):
-    """Yield ``(Call, enclosing_qualname)`` over the whole module."""
+def _walk(tree: ast.Module):
+    """Yield ``(node, enclosing_qualname)`` over the whole module."""
 
     def rec(node: ast.AST, qual: str):
         for child in ast.iter_child_nodes(node):
             inner = qual
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{qual}.{child.name}" if qual else child.name
-            if isinstance(child, ast.Call):
-                yield child, qual
+            yield child, qual
             yield from rec(child, inner)
 
     yield from rec(tree, "")
+
+
+def _walk_calls(tree: ast.Module):
+    """Yield ``(Call, enclosing_qualname)`` over the whole module."""
+    return ((node, qual) for node, qual in _walk(tree) if isinstance(node, ast.Call))
+
+
+# ------------------------------------------------------------------ AR-VIEWSCAN
+#: Units on the saturation hot path: rule searchers, appliers and analysis
+#: hooks run per match or per rebuilt node.
+_HOT_PATH_UNITS = frozenset({"rewrites", "analysis"})
+
+
+def check_view_scans(tree: SourceTree) -> list[Finding]:
+    """``.nodes`` reads on an e-class view inside the hot-path units.
+
+    ``egraph[c].nodes`` (or ``eclass.nodes`` for a name bound to
+    ``egraph[c]`` or to an item of ``egraph.classes()``) builds an
+    :class:`ENode` view of every member of the class — to find the few
+    with one operator.  ``egraph.members(c, op)`` filters on the core's op
+    column first and builds views of the matches only.
+    """
+    findings = []
+    for module in tree:
+        if unit_of(module.name) not in _HOT_PATH_UNITS:
+            continue
+        views = _view_names(module.tree)
+        for node, qualname in _walk(module.tree):
+            if not (isinstance(node, ast.Attribute) and node.attr == "nodes"):
+                continue
+            value = node.value
+            if isinstance(value, ast.Subscript) or (
+                isinstance(value, ast.Name) and value.id in views
+            ):
+                findings.append(
+                    Finding(
+                        "AR-VIEWSCAN",
+                        f"{module.name}:{qualname or '<module>'}",
+                        f"`{ast.unparse(node)}` builds a view of every member "
+                        "of the class — probe with `egraph.members(class_id, "
+                        "op)`, which filters on the core's op column first",
+                        module=module.name,
+                        path=module.path,
+                        line=node.lineno,
+                    )
+                )
+    return findings
+
+
+def _view_names(tree: ast.Module) -> set[str]:
+    """Names a module binds to an e-class view: ``x = egraph[c]`` or
+    ``for x in egraph.classes()``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Subscript):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif (
+            isinstance(node, (ast.For, ast.comprehension))
+            and isinstance(node.target, ast.Name)
+            and isinstance(node.iter, ast.Call)
+            and isinstance(node.iter.func, ast.Attribute)
+            and node.iter.func.attr == "classes"
+        ):
+            names.add(node.target.id)
+    return names
 
 
 # ------------------------------------------------------------------- AR-GLOBAL
@@ -566,5 +631,6 @@ def check_arch(tree: SourceTree) -> list[Finding]:
         check_layers(tree)
         + check_stdlib(tree)
         + check_clocks(tree)
+        + check_view_scans(tree)
         + check_globals(tree)
     )

@@ -29,12 +29,12 @@ from repro.ir import ops
 
 #: Strict operators ASSUME distributes over (rule 2 of Table I).  MUX is
 #: excluded (it has dedicated rules 4/5); VAR/CONST/ASSUME are not ops.
-_DISTRIBUTES = (
+_DISTRIBUTES = frozenset({
     ops.ADD, ops.SUB, ops.MUL, ops.NEG, ops.SHL, ops.SHR,
     ops.AND, ops.OR, ops.XOR, ops.NOT, ops.LNOT,
     ops.LT, ops.LE, ops.GT, ops.GE, ops.EQ, ops.NE,
     ops.LZC, ops.TRUNC, ops.SLICE, ops.CONCAT, ops.ABS, ops.MIN, ops.MAX,
-)
+})
 
 
 def assume_rules() -> list[Rewrite]:
@@ -53,10 +53,8 @@ def mux_branch_assume_rule() -> Rewrite:
 
     def _already_assumed(egraph: EGraph, branch: int, cond: int) -> bool:
         """Is this branch already an ASSUME carrying this condition?"""
-        for node in egraph[branch].nodes:
-            if node.op is ops.ASSUME and cond in (
-                egraph.find(c) for c in node.children[1:]
-            ):
+        for node in egraph.members(branch, ops.ASSUME):
+            if cond in (egraph.find(c) for c in node.children[1:]):
                 return True
         return False
 
@@ -86,8 +84,8 @@ def assume_distribute_rule() -> Rewrite:
         for class_id, enode in index.get(ops.ASSUME, ()):
             guarded = egraph.find(enode.children[0])
             constraints = tuple(egraph.find(c) for c in enode.children[1:])
-            for inner in egraph[guarded].nodes:
-                if inner.op in _DISTRIBUTES and inner.children:
+            for inner in egraph.members(guarded, _DISTRIBUTES):
+                if inner.children:
                     yield egraph.find(class_id), {
                         "inner": inner,
                         "constraints": constraints,
@@ -112,9 +110,8 @@ def assume_merge_nested_rule() -> Rewrite:
         for class_id, enode in index.get(ops.ASSUME, ()):
             guarded = egraph.find(enode.children[0])
             outer = tuple(egraph.find(c) for c in enode.children[1:])
-            for inner in egraph[guarded].nodes:
-                if inner.op is ops.ASSUME:
-                    yield egraph.find(class_id), {"inner": inner, "outer": outer}
+            for inner in egraph.members(guarded, ops.ASSUME):
+                yield egraph.find(class_id), {"inner": inner, "outer": outer}
 
     def apply(egraph: EGraph, env: dict, class_id: int):
         inner: ENode = env["inner"]
@@ -134,9 +131,7 @@ def assume_mux_prune_rule() -> Rewrite:
             guarded = egraph.find(enode.children[0])
             constraints = tuple(egraph.find(c) for c in enode.children[1:])
             constraint_set = set(constraints)
-            for inner in egraph[guarded].nodes:
-                if inner.op is not ops.MUX:
-                    continue
+            for inner in egraph.members(guarded, ops.MUX):
                 cond, if_true, if_false = (egraph.find(c) for c in inner.children)
                 if cond in constraint_set:
                     yield egraph.find(class_id), {

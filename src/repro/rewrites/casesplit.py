@@ -34,11 +34,10 @@ def split_sub_shift_rule(threshold: int = 1) -> Rewrite:
     def search(egraph: EGraph, index: dict):
         for class_id, enode in index.get(ops.SUB, ()):
             rhs = egraph.find(enode.children[1])
-            for inner in egraph[rhs].nodes:
-                if inner.op is ops.SHR:
-                    shift_amount = egraph.find(inner.children[1])
-                    yield egraph.find(class_id), {"c": shift_amount}
-                    break
+            for inner in egraph.members(rhs, ops.SHR):
+                shift_amount = egraph.find(inner.children[1])
+                yield egraph.find(class_id), {"c": shift_amount}
+                break
 
     def apply(egraph: EGraph, env: dict, class_id: int):
         limit = egraph.add_const(threshold)

@@ -63,12 +63,11 @@ def mux_pull_rule() -> Rewrite:
             for class_id, enode in index.get(op, ()):
                 for position, child in enumerate(enode.children):
                     child_root = egraph.find(child)
-                    for inner in egraph[child_root].nodes:
-                        if inner.op is ops.MUX:
-                            yield (
-                                egraph.find(class_id),
-                                {"outer": enode, "pos": position, "mux": inner},
-                            )
+                    for inner in egraph.members(child_root, ops.MUX):
+                        yield (
+                            egraph.find(class_id),
+                            {"outer": enode, "pos": position, "mux": inner},
+                        )
 
     def apply(egraph: EGraph, env: dict, class_id: int):
         outer: ENode = env["outer"]

@@ -125,9 +125,7 @@ def lzc_shl_rule() -> Rewrite:
         for class_id, enode in index.get(ops.LZC, ()):
             (width,) = enode.attrs
             child = egraph.find(enode.children[0])
-            for inner in egraph[child].nodes:
-                if inner.op is not ops.SHL:
-                    continue
+            for inner in egraph.members(child, ops.SHL):
                 shift = egraph.class_const(inner.children[1])
                 if shift is None or not 0 < shift < width:
                     continue
@@ -190,9 +188,7 @@ def lzc_norm_invariant_rule() -> Rewrite:
     def search(egraph: EGraph, index: dict):
         for class_id, enode in index.get(ops.SHL, ()):
             shifted, amount = (egraph.find(c) for c in enode.children)
-            for lzc_node in egraph[amount].nodes:
-                if lzc_node.op is not ops.LZC:
-                    continue
+            for lzc_node in egraph.members(amount, ops.LZC):
                 (width,) = lzc_node.attrs
                 if egraph.find(lzc_node.children[0]) != shifted:
                     continue
@@ -201,9 +197,7 @@ def lzc_norm_invariant_rule() -> Rewrite:
                 top = range_of(egraph, shifted).max()
                 if top is None or top >= (1 << width):
                     continue
-                for inner in egraph[shifted].nodes:
-                    if inner.op is not ops.SHL:
-                        continue
+                for inner in egraph.members(shifted, ops.SHL):
                     base, pre = (egraph.find(c) for c in inner.children)
                     pre_lo = range_of(egraph, pre).min()
                     if pre_lo is None or pre_lo < 0 or not total_of(egraph, pre):

@@ -75,13 +75,12 @@ def trunc_trunc_rule() -> Rewrite:
         for class_id, enode in index.get(ops.TRUNC, ()):
             (outer_w,) = enode.attrs
             child = egraph.find(enode.children[0])
-            for inner in egraph[child].nodes:
-                if inner.op is ops.TRUNC:
-                    (inner_w,) = inner.attrs
-                    yield egraph.find(class_id), {
-                        "a": egraph.find(inner.children[0]),
-                        "w": min(outer_w, inner_w),
-                    }
+            for inner in egraph.members(child, ops.TRUNC):
+                (inner_w,) = inner.attrs
+                yield egraph.find(class_id), {
+                    "a": egraph.find(inner.children[0]),
+                    "w": min(outer_w, inner_w),
+                }
 
     def apply(egraph: EGraph, env: dict, class_id: int):
         return egraph.add_node(ops.TRUNC, (env["w"],), (egraph.find(env["a"]),))

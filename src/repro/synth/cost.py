@@ -138,22 +138,27 @@ class DelayAreaCost(CostFunction):
         Ranges are read straight from the engine's ``class_data`` column;
         operand widths come memoized on the hash-consed ranges themselves
         (:meth:`IntervalSet.storage_width`), so nothing is re-derived per
-        (e-node, operand) pair.  Valid while the graph does not change, as
-        during one extraction.
+        (e-node, operand) pair.  The classes that hold a CONST member are
+        collected once, from the core's per-op index, so a const hint is a
+        set probe rather than a scan of the operand's members.  Valid while
+        the graph does not change, as during one extraction.
         """
         class_data = egraph.class_data
         find = egraph.find
-        class_const = egraph.class_const
+        core = egraph.core
+        node_class = core.node_class
+        const_classes = {
+            find(node_class[nid]) for nid in core.op_nodes[core.op_ids[ops.CONST]]
+        }
         hint_positions = CONST_HINT_POSITIONS
 
         def price(class_id: int, enode: ENode) -> tuple[float, float]:
             op = enode.op
             children = enode.children
             consts = [False] * len(children)
-            # class_const scans the operand's member set: only pay for it at
-            # the positions whose model actually reads the hint.
+            # Only the positions whose model actually reads the hint.
             for position in hint_positions.get(op, ()):
-                consts[position] = class_const(children[position]) is not None
+                consts[position] = find(children[position]) in const_classes
             return operator_model(
                 op,
                 class_data[find(class_id)][ANALYSIS_NAME].iset,

@@ -13,6 +13,7 @@ from repro.lint.arch import (
     check_globals,
     check_layers,
     check_stdlib,
+    check_view_scans,
     unit_of,
 )
 from repro.lint.model import SourceTree, load_source_tree
@@ -179,6 +180,61 @@ class TestClocks:
             }
         )
         assert check_clocks(t) == []
+
+
+# --------------------------------------------------------------- view scans
+class TestViewScans:
+    def test_subscripted_view_nodes_in_a_rule_is_flagged(self):
+        t = tree(
+            repro_rewrites="def search(egraph, c):\n"
+            "    for node in egraph[c].nodes:\n"
+            "        yield node\n"
+        )
+        [finding] = check_view_scans(t)
+        assert finding.rule_id == "AR-VIEWSCAN"
+        assert finding.anchor == "repro.rewrites:search"
+        assert finding.line == 2
+
+    def test_name_bound_to_a_view_in_an_analysis_is_flagged(self):
+        t = tree(
+            repro_analysis="def scan(egraph, c):\n"
+            "    eclass = egraph[c]\n"
+            "    return [n for n in eclass.nodes if n.op]\n"
+        )
+        [finding] = check_view_scans(t)
+        assert finding.anchor == "repro.analysis:scan"
+
+    def test_class_loop_variable_is_flagged(self):
+        t = tree(
+            repro_rewrites="def f(egraph):\n"
+            "    for eclass in egraph.classes():\n"
+            "        print(eclass.nodes)\n"
+        )
+        assert rule_ids(check_view_scans(t)) == {"AR-VIEWSCAN"}
+
+    def test_member_probe_is_clean(self):
+        t = tree(
+            repro_rewrites="def search(egraph, c, op):\n"
+            "    for node in egraph.members(c, op):\n"
+            "        yield node\n"
+        )
+        assert check_view_scans(t) == []
+
+    def test_other_nodes_attributes_are_clean(self):
+        t = tree(
+            repro_rewrites="def f(plan, snapshot):\n"
+            "    return plan.nodes, [c.nodes for c in snapshot.classes]\n"
+        )
+        assert check_view_scans(t) == []
+
+    def test_views_outside_the_hot_path_units_are_clean(self):
+        t = tree(
+            **{
+                "repro.egraph.dot": "def f(egraph, c):\n    return egraph[c].nodes\n",
+                "repro.solve.ilp": "def g(egraph, c):\n    return egraph[c].nodes\n",
+            }
+        )
+        assert check_view_scans(t) == []
 
 
 # ------------------------------------------------------------------ globals
