@@ -14,7 +14,9 @@ run the flat core unlocked), ``perf:fp_sub_warm`` (cold-vs-warm on an
 edited design, pinning the warm-start speedup), ``perf:stress_wide_stitch``
 (the stitched sharded run closing the sharding cost gap),
 ``perf:interpolation`` (the default-schedule, node-limit run where union's
-ASSUME-parent requeue concentrates) and ``perf:fp_sub_ilp`` (the globally
+ASSUME-parent requeue concentrates), ``perf:stress_wide_verify`` (the
+designer run with verification on, where 8 cones of two shapes run 2 shard
+pipelines and 2 BDD proofs) and ``perf:fp_sub_ilp`` (the globally
 optimal DAG-cost extraction, pinning the ilp objective's
 never-worse-than-greedy win); the bench-smoke factor
 compares each run against the previous entry *of the same series*.
@@ -471,6 +473,64 @@ def test_perf_stress_wide_stitch(tmp_path):
         f"mono {mono.optimized_area}), {stitched.stitch!r}"
     )
     _smoke_guard(history, "perf:stress_wide_stitch", wall)
+
+
+#: Absolute ceiling for the designer stress_wide run with verification on.
+#: It takes ~1 s on the baseline box (~2 s before shard and verdict reuse);
+#: the ceiling leaves room for slow runners.
+STRESS_WIDE_VERIFY_WALL_CEILING_S = 15.0
+
+
+def test_perf_stress_wide_verify():
+    """The ``perf:stress_wide_verify`` series: ``optimize stress_wide.v
+    --iters 4`` as the CLI builds it, verification on.  Its 8 auto-sharded
+    cones are two shapes up to renaming, so 2 shards run a pipeline and 2
+    BDDs are built; the ledger names the representative of the other 6."""
+    from repro.cli import build_parser
+
+    design = DESIGNS["stress_wide"]
+    args = build_parser().parse_args(["optimize", "stress_wide.v", "--iters", "4"])
+    config = OptimizerConfig(
+        iter_limit=args.iters,
+        node_limit=args.nodes,
+        time_limit=args.time_limit,
+        verify=True,
+        split_threshold=args.split_threshold,
+        auto_shard_nodes=args.auto_shard_nodes or None,
+        budget_policy=args.budget_policy,
+    )
+    t0 = time.perf_counter()
+    result = DatapathOptimizer(design.input_ranges, config).optimize_verilog(
+        design.verilog
+    )
+    wall = time.perf_counter() - t0
+
+    record = record_from_context(
+        "perf:stress_wide_verify", "stress_wide", "out0", result.context
+    )
+    assert record.status == "ok", record.error
+    assert record.shards == 8
+    assert all(o.equivalence.equivalent for o in result.outputs.values())
+    stages = record.budget["stages"]
+    shard_rows = {k: v for k, v in stages.items() if k.startswith("shard:")}
+    ran = sorted(k for k, v in shard_rows.items() if "reused_from" not in v)
+    assert ran == ["shard:out0", "shard:out1"], ran
+    assert len(stages["verify"]["reused_from"]) == 6
+    assert stages["verify"]["spent"]["bdd_nodes"] == 8_777 + 28_419
+
+    payload, history = _load_trajectory()
+    entry = record.as_dict()
+    entry["wall_s"] = round(wall, 4)
+    history = _append_entry(payload, history, entry)
+
+    print(
+        f"\nstress_wide designer run, verify on: wall {wall:.3f}s, "
+        f"{len(ran)} of {len(shard_rows)} shards ran"
+    )
+    assert wall < STRESS_WIDE_VERIFY_WALL_CEILING_S, (
+        f"designer stress_wide with verification regressed: {wall:.3f}s"
+    )
+    _smoke_guard(history, "perf:stress_wide_verify", wall)
 
 
 #: Minimum fraction of a governed run's wall the per-stage ledger must

@@ -15,7 +15,10 @@ Class ids index ``class_nodes`` (member nid sets), ``class_parents``
 (nids referencing the class as a child), ``class_data`` (analysis slots)
 and ``class_rev`` (membership revision).  ``class_assume_parents`` maps a
 class id to the ``ASSUME`` entries of its ``class_parents``, in the same
-order; only classes that have one get an entry.  The hashcons ``memo`` maps
+order; only classes that have one get an entry.  ``class_ops`` is a
+per-class bitmask of member op ids, OR-ed on union, so an op probe
+(:meth:`~repro.egraph.egraph.EGraph.members`, :meth:`class_const`) skips a
+class that cannot hold the op without walking it.  The hashcons ``memo`` maps
 signature tuples ``(op_id, attr_id, child_ids)`` to nids; the nested
 ``child_ids`` tuple is stored once per node (``_kid_tups``) and shared by
 the memo key and the node's :class:`ENode` view, so one canonicalization
@@ -41,8 +44,8 @@ classes carry thousands of parents, of which a few percent are ASSUMEs.
 
 The core pickles through a compact :meth:`__reduce__`: only the arrays, the
 intern tables, the union-find, the analysis data and the member/parent
-orders ship; the hashcons, per-op index and ASSUME-parent index are derived
-on load.
+orders ship; the hashcons, per-op index, ASSUME-parent index and op masks
+are derived on load.
 """
 
 from __future__ import annotations
@@ -130,6 +133,7 @@ class CoreGraph:
         "class_nodes",
         "class_parents",
         "class_assume_parents",
+        "class_ops",
         "class_data",
         "class_rev",
         "op_nodes",
@@ -168,6 +172,11 @@ class CoreGraph:
         #: Class id -> the ASSUME nids of its ``class_parents``, in that
         #: order; a class gets an entry with its first ASSUME parent.
         self.class_assume_parents: dict[int, dict[int, None]] = {}
+        #: Class id -> bitmask of the op ids its members have carried
+        #: (``1 << op_id``); a superset once a member is killed, 0 for an
+        #: absorbed class.  Lets an op probe skip a class that cannot hold it.
+        #: Unsigned 64-bit: the IR has fewer than 64 operators.
+        self.class_ops = array("Q")
         self.class_data: list[dict[str, Any] | None] = []
         self.class_rev: list[int] = []
         #: Per-op index: op_id -> ordered set of alive nids.
@@ -272,8 +281,11 @@ class CoreGraph:
     def class_const(self, class_id: int) -> int | None:
         """The CONST value of a class if it contains a literal node."""
         const_id = self._const_id
+        root = self.uf.find(class_id)
+        if not self.class_ops[root] >> const_id & 1:
+            return None
         node_op = self.node_op
-        for nid in self.class_nodes[self.uf.find(class_id)]:
+        for nid in self.class_nodes[root]:
             if node_op[nid] == const_id:
                 return self.attrs[self.node_attr[nid]][0]
         return None
@@ -346,6 +358,7 @@ class CoreGraph:
         self.node_class.append(class_id)
         self.class_nodes.append({nid: None})
         self.class_parents.append({})
+        self.class_ops.append(1 << op_id)
         data: dict[str, Any] = {}
         self.class_data.append(data)
         self.class_rev.append(0)
@@ -410,6 +423,9 @@ class CoreGraph:
         kassume = assume_parents.get(keep)
         gnodes = self.class_nodes[gone]
         self.class_nodes[gone] = None
+        class_ops = self.class_ops
+        class_ops[keep] |= class_ops[gone]
+        class_ops[gone] = 0
 
         # Eager hashcons repair: every parent of the absorbed class gets its
         # signature canonicalized in place and re-inserted immediately.
@@ -670,6 +686,9 @@ class CoreGraph:
                 assert cid not in self.class_assume_parents, (
                     f"absorbed class {cid} keeps an ASSUME-parent index"
                 )
+                assert not self.class_ops[cid], (
+                    f"absorbed class {cid} keeps an op mask"
+                )
                 continue
             swept_classes += 1
             swept_nodes += len(nodes)
@@ -692,6 +711,10 @@ class CoreGraph:
             for nid in nodes:
                 assert self.node_alive[nid], f"dead node {nid} in class {cid}"
                 assert self.node_class[nid] == cid
+                assert self.class_ops[cid] >> self.node_op[nid] & 1, (
+                    f"class {cid}: op mask misses member {nid}'s "
+                    f"{self.ops[self.node_op[nid]]}"
+                )
         assert self.n_nodes == swept_nodes, (
             f"node counter {self.n_nodes} != swept {swept_nodes}"
         )
@@ -746,6 +769,7 @@ class CoreGraph:
         clone.class_assume_parents = {
             cid: dict(parents) for cid, parents in self.class_assume_parents.items()
         }
+        clone.class_ops = array("Q", self.class_ops)
         clone.class_data = [
             dict(data) if data is not None else None for data in self.class_data
         ]
@@ -869,10 +893,16 @@ def _core_from_state(state) -> CoreGraph:
     core.op_nodes = [{} for _ in core.ops]
     core.class_nodes = [None] * len(core.class_data)
     core.class_parents = [None] * len(core.class_data)
+    core.class_ops = array("Q", bytes(8 * len(core.class_data)))
     canonical = [cid for cid, data in enumerate(core.class_data) if data is not None]
     start = 0
     for cid, count in zip(canonical, member_counts):
-        core.class_nodes[cid] = dict.fromkeys(members[start : start + count])
+        shipped = members[start : start + count]
+        core.class_nodes[cid] = dict.fromkeys(shipped)
+        mask = 0
+        for nid in shipped:
+            mask |= 1 << node_op[nid]
+        core.class_ops[cid] = mask
         start += count
     start = 0
     assume_id = core._assume_id

@@ -223,17 +223,30 @@ class EGraph:
 
         Members are filtered on the core's op column before any view is
         built, so probing a wide class for one operator costs one int
-        compare per member instead of one :class:`ENode` each.
+        compare per member instead of one :class:`ENode` each — and nothing
+        at all when the class's op mask says no member has the operator.
         """
         core = self.core
-        view = core.node_enode
-        node_op = core.node_op
-        members = core.class_nodes[self.find(class_id)]
+        op_ids = core.op_ids
+        root = self.find(class_id)
+        mask = core.class_ops[root]
         if isinstance(op, Op):
-            op_id = core.op_ids.get(op)
-            return [view(nid) for nid in members if node_op[nid] == op_id]
+            op_id = op_ids.get(op)
+            if op_id is None or not mask >> op_id & 1:
+                return []
+            node_op = core.node_op
+            view = core.node_enode
+            return [
+                view(nid) for nid in core.class_nodes[root] if node_op[nid] == op_id
+            ]
+        if not any(mask >> op_ids[o] & 1 for o in op if o in op_ids):
+            return []
+        node_op = core.node_op
+        view = core.node_enode
         op_of = core.ops
-        return [view(nid) for nid in members if op_of[node_op[nid]] in op]
+        return [
+            view(nid) for nid in core.class_nodes[root] if op_of[node_op[nid]] in op
+        ]
 
     def nodes_by_op(self) -> dict[Op, list[tuple[int, ENode]]]:
         """Index op -> [(class id, e-node)], from the core's per-op index.

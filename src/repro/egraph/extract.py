@@ -291,6 +291,10 @@ class Extractor:
         clock = self.clock
         bounded = not math.isinf(self.deadline)
         find = core.uf.find
+        #: Union-find parents: an id that is its own parent is canonical,
+        #: and most child ids of a rebuilt graph are, so the fixpoint tests
+        #: that before paying for a ``find`` call.
+        uf_parent = core.uf._parent
         node_first = core.node_first
         node_nkids = core.node_nkids
         node_alive = core.node_alive
@@ -328,7 +332,10 @@ class Extractor:
             for nid in class_nodes[root]:
                 first = node_first[nid]
                 if node_op[nid] == assume_id:
-                    entry = best.get(find(kids_buf[first]))
+                    child = kids_buf[first]
+                    entry = best.get(
+                        child if uf_parent[child] == child else find(child)
+                    )
                     if entry is None:
                         continue
                     key, delay, area, _ = entry
@@ -336,7 +343,10 @@ class Extractor:
                     delay = 0.0
                     area = 0.0
                     for i in range(first, first + node_nkids[nid]):
-                        entry = best.get(find(kids_buf[i]))
+                        child = kids_buf[i]
+                        entry = best.get(
+                            child if uf_parent[child] == child else find(child)
+                        )
                         if entry is None:
                             break
                         if entry[1] > delay:

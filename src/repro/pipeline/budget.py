@@ -516,11 +516,19 @@ class ResourceGovernor:
         matches: int = 0,
         bdd_nodes: int = 0,
         allocated: Budget | dict | None = None,
+        reused_from: str | dict[str, str] | None = None,
     ) -> None:
-        """Record spend under ``label`` (repeat labels accumulate)."""
+        """Record spend under ``label`` (repeat labels accumulate).
+
+        ``reused_from`` names whose work the row reused instead of redoing:
+        a shard's name for a renamed shard result, or output -> output for
+        verdicts a stage reused per output.  It lands on the row as is.
+        """
         entry = self.ledger.setdefault(
             label, {"allocated": None, "spent": spend_dict()}
         )
+        if reused_from is not None:
+            entry["reused_from"] = reused_from
         if allocated is not None:
             quota = (
                 allocated.as_dict(include_deadline=False)
@@ -572,10 +580,7 @@ class ResourceGovernor:
                 bdd_nodes=self.spent_bdd_nodes,
             ),
             "stages": {
-                label: {
-                    "allocated": entry["allocated"],
-                    "spent": dict(entry["spent"]),
-                }
+                label: {**entry, "spent": dict(entry["spent"])}
                 for label, entry in self.ledger.items()
             },
         }

@@ -28,6 +28,13 @@ the parent's *absolute* deadline, which is the fix for the classic
 sharded-deadline bug: a slow shard no longer restarts the whole
 ``time_limit``, so an N-shard run cannot overshoot its deadline N-fold.
 
+Each distinct cone runs once: wide datapaths repeat one structure across
+lanes, so every task has an order-preserving rename-canonical key
+(:meth:`ShardTask.key`), one pipeline runs per distinct key, and every
+other shard with that key gets the result with its inputs and outputs
+renamed (:func:`reuse_shard_result`).  A stitched schedule still runs every
+shard, because the stitch absorbs each shard's own e-graph.
+
 Why this scales: equality saturation is super-linear in e-graph size, and a
 node limit is a *shared* budget monolithically — one greedy cone starves
 every other output.  Shard-per-cone gives each output the full budget and
@@ -49,6 +56,7 @@ from repro.egraph import EGraph, absorb_graph
 from repro.egraph.runner import RunnerReport
 from repro.ir.cones import cone_inputs
 from repro.ir.expr import Expr
+from repro.ir.rename import rename_key, rename_vars
 from repro.pipeline.budget import (
     Budget,
     BudgetPool,
@@ -80,6 +88,22 @@ class ShardTask:
     schedule: Schedule
     budget: Budget = Budget()
 
+    def key(self) -> tuple[tuple, tuple[str, ...]]:
+        """``(key, names)``: the order-preserving rename-canonical form of
+        this task (:func:`~repro.ir.rename.rename_key` over the cone's roots
+        and its sliced designer splits, plus the budget allocation) and the
+        cone's input names in first-occurrence order.
+
+        Within one fan-out (one schedule), two tasks with equal keys produce
+        the same result up to renaming their inputs onto each other: the
+        shard pipeline reads input names only through sorts and
+        first-occurrence walks, which the renaming preserves.
+        """
+        roots = tuple(self.shard.roots.values())
+        splits = sliced_splits(self.schedule.splits, self.shard)
+        canon, names = rename_key(roots + splits, self.shard.input_ranges)
+        return (canon, len(roots), self.budget), names
+
 
 @dataclass
 class ShardResult:
@@ -102,6 +126,9 @@ class ShardResult:
     #: only when the schedule set ``ship_egraph`` (None/{} otherwise).
     egraph: EGraph | None = None
     root_ids: dict[str, int] = field(default_factory=dict)
+    #: The shard whose result this one renamed instead of running its own
+    #: pipeline (empty when the shard ran).
+    reused_from: str = ""
 
     @property
     def stop_reasons(self) -> tuple[str, ...]:
@@ -197,6 +224,52 @@ def run_shard_task(task: ShardTask, clock=None) -> ShardResult:
         egraph=ctx.egraph if task.schedule.ship_egraph else None,
         root_ids=dict(ctx.root_ids) if task.schedule.ship_egraph else {},
     )
+
+
+def reuse_shard_result(
+    representative: ShardResult,
+    representative_names: tuple[str, ...],
+    task: ShardTask,
+    names: tuple[str, ...],
+    clock,
+) -> ShardResult:
+    """``representative``'s result renamed onto ``task``'s cone.
+
+    The two tasks have equal :meth:`ShardTask.key`; ``representative_names``
+    and ``names`` are their inputs in first-occurrence order, so inputs map
+    position-wise, and so do outputs.  The copy keeps the representative's
+    costs and reports, charges no nodes, iterations or matches, and its
+    wall — the renaming itself — is measured on ``clock``, the governor's.
+    """
+    started = clock()
+    mapping = dict(zip(representative_names, names, strict=True))
+    outputs = dict(zip(representative.outputs, task.shard.outputs, strict=True))
+    renamed = rename_vars(
+        (representative.extracted[output] for output in outputs), mapping
+    )
+    result = ShardResult(
+        name=task.shard.name,
+        outputs=task.shard.outputs,
+        extracted=dict(zip(outputs.values(), renamed, strict=True)),
+        original_costs={
+            mine: representative.original_costs[theirs]
+            for theirs, mine in outputs.items()
+        },
+        optimized_costs={
+            mine: representative.optimized_costs[theirs]
+            for theirs, mine in outputs.items()
+        },
+        reports=list(representative.reports),
+        wall_s=0.0,
+        extract_status=representative.extract_status,
+        reused_from=representative.name,
+    )
+    result.wall_s = clock() - started
+    result.budget = {
+        "spent": spend_dict(time_s=result.wall_s),
+        "allocated": task.budget.as_dict(include_deadline=False),
+    }
+    return result
 
 
 def _nested_pool_available() -> bool:
@@ -304,7 +377,15 @@ class Shard:
                 matches=spent.get("matches", 0),
                 bdd_nodes=spent.get("bdd_nodes", 0),
                 allocated=result.budget.get("allocated"),
+                reused_from=result.reused_from or None,
             )
+
+    def _key(self, index: int, task: ShardTask) -> tuple[object, tuple[str, ...]]:
+        """The task's reuse key, or a key no other task shares when every
+        shard must run: a stitched merge needs each shard's own e-graph."""
+        if self.schedule.ship_egraph:
+            return index, ()
+        return task.key()
 
     # ------------------------------------------------------------- substrates
     def _run_process_pool(
@@ -314,31 +395,68 @@ class Shard:
 
         Concurrent shards race the parent's absolute deadline rather than
         receiving wall-time slices (wall time is not additive across
-        concurrency); countable quotas split by the policy's shares.
+        concurrency); countable quotas split by the policy's shares.  Only
+        the first task of each distinct key goes to the pool; the others
+        rename its result.
         """
         children = concurrent_children(parent, weights, allocator, clock())
         budgeted = [
             replace(task, budget=child)
             for task, child in zip(tasks, children, strict=True)
         ]
+        keyed = [self._key(index, task) for index, task in enumerate(budgeted)]
+        first: dict[object, int] = {}
+        for index, (key, _names) in enumerate(keyed):
+            first.setdefault(key, index)
+        distinct = list(first.values())
         try:
             with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-                return list(pool.map(run_shard_task, budgeted))
+                ran = dict(
+                    zip(
+                        distinct,
+                        pool.map(run_shard_task, [budgeted[i] for i in distinct]),
+                        strict=True,
+                    )
+                )
         except OSError:
             # Pool never came up (fd/process limits, sandboxing): the
             # shards are pure functions, rerunning inline is safe.
             return None
+        results = []
+        for index, (key, names) in enumerate(keyed):
+            rep = first[key]
+            results.append(
+                ran[rep]
+                if rep == index
+                else reuse_shard_result(
+                    ran[rep], keyed[rep][1], budgeted[index], names, clock
+                )
+            )
+        return results
 
     def _run_inline(
         self, tasks, parent, allocator, weights, clock
     ) -> list[ShardResult]:
-        """Serial fan-out with live draw/settle budget accounting."""
+        """Serial fan-out with live draw/settle budget accounting.
+
+        A task whose key an earlier task had renames that task's result
+        instead of running.  The pool still settles the representative's
+        spend for it, so every later draw — and so every later result — is
+        the one a fan-out that ran each shard would see; the ledger row
+        charges only what was spent.
+        """
         pool = BudgetPool(parent, weights, allocator, clock=clock)
+        ran: dict[object, tuple[ShardResult, tuple[str, ...]]] = {}
         results = []
-        for task in tasks:
-            child = pool.draw()
-            result = run_shard_task(replace(task, budget=child))
-            spent = result.budget.get("spent", {})
+        for index, task in enumerate(tasks):
+            task = replace(task, budget=pool.draw())
+            key, names = self._key(index, task)
+            if key in ran:
+                result = reuse_shard_result(*ran[key], task, names, clock)
+            else:
+                result = run_shard_task(task)
+                ran[key] = (result, names)
+            spent = ran[key][0].budget.get("spent", {})
             pool.settle(
                 nodes=spent.get("nodes", 0),
                 iters=spent.get("iters", 0),

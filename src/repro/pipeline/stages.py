@@ -28,12 +28,13 @@ from repro.egraph.runner import (
 from repro.egraph.rewrite import Rewrite
 from repro.ir.digest import canonical_digest
 from repro.ir.expr import Expr
+from repro.ir.rename import rename_key
 from repro.rewrites import compose_rules
 from repro.rewrites.casesplit import case_split_on
 from repro.rtl import emit_verilog, module_to_ir
 from repro.synth.cost import DelayAreaCost, default_key
 from repro.synth.treecost import model_cost
-from repro.verify import check_equivalent
+from repro.verify import EquivalenceResult, check_equivalent
 from repro.verify.equiv import DEFAULT_BDD_NODE_LIMIT
 
 from repro.pipeline.budget import Budget, ResourceGovernor
@@ -534,6 +535,15 @@ class Verify:
     charges its wall and BDD-node spend into the governor's ledger like
     every other stage (including on the strict-raise path, so failed runs
     stay diagnosable from the run record).
+
+    Within one run, an output whose (behavioural, optimized) pair is a
+    renaming of a pair already checked — equal
+    :func:`~repro.ir.rename.rename_key` over both trees and the ranges,
+    under the same check kwargs — reuses that verdict with its
+    counterexample renamed.  The ledger charges only the BDD nodes actually
+    built, and its row maps each reused output to the one it reused
+    (``reused_from``); a later check's BDD quota still draws on the reused
+    verdict's nodes, so reuse never changes what a check is asked to do.
     """
 
     name = "verify"
@@ -560,14 +570,21 @@ class Verify:
             deadline = min(deadline, self.budget.deadline_at(started))
         own_quota = self.budget.bdd_nodes if self.budget is not None else None
         spent_bdd = 0
+        #: What the checks would have built had none been reused: the
+        #: quotas draw on it, so reuse never changes a later check's kwargs.
+        drawn_bdd = 0
         allocated_bdd = None
+        #: Rename-canonical (pair, ranges, kwargs) key -> the output whose
+        #: check it was, and that pair's inputs in first-occurrence order.
+        checked: dict[tuple, tuple[str, tuple[str, ...]]] = {}
+        reused: dict[str, str] = {}
         try:
             for name, expr in ctx.roots.items():
                 optimized = ctx.extracted[name]
-                kwargs = {}
+                kwargs: dict = {}
                 if self.random_trials is not None:
                     kwargs["random_trials"] = self.random_trials
-                quota = self._bdd_pool_left(governor, own_quota, spent_bdd)
+                quota = self._bdd_pool_left(governor, own_quota, drawn_bdd)
                 if quota is not None:
                     # A quota *tightens* the engine's safety cap; a pool
                     # larger than the cap must not loosen it.
@@ -577,11 +594,26 @@ class Verify:
                 if not math.isinf(deadline):
                     kwargs["deadline"] = deadline
                     kwargs["clock"] = clock
-                verdict = check_equivalent(
-                    expr, optimized, ctx.input_ranges, **kwargs
-                )
+                canon, names = rename_key((expr, optimized), ctx.input_ranges)
+                key = (canon, tuple(sorted(kwargs.items())))
+                if key in checked:
+                    # A renaming of a pair already checked under the same
+                    # kwargs: the check reads names only through sorts and
+                    # first-occurrence walks, so its verdict carries over.
+                    theirs, their_names = checked[key]
+                    verdict = _renamed_verdict(
+                        ctx.equivalence[theirs],
+                        dict(zip(their_names, names, strict=True)),
+                    )
+                    reused[name] = theirs
+                else:
+                    verdict = check_equivalent(
+                        expr, optimized, ctx.input_ranges, **kwargs
+                    )
+                    checked[key] = (name, names)
+                    spent_bdd += verdict.bdd_nodes
+                drawn_bdd += verdict.bdd_nodes
                 ctx.equivalence[name] = verdict
-                spent_bdd += verdict.bdd_nodes
                 if self.strict and verdict.equivalent is False:
                     raise AssertionError(
                         f"optimizer produced a non-equivalent design for "
@@ -599,6 +631,7 @@ class Verify:
                 time_s=elapsed,
                 bdd_nodes=spent_bdd,
                 allocated=allocated or None,
+                reused_from=reused or None,
             )
 
     @staticmethod
@@ -619,6 +652,16 @@ class Verify:
             own_left = max(0, own_quota - spent)
             left = own_left if left is None else min(left, own_left)
         return left
+
+
+def _renamed_verdict(
+    verdict: EquivalenceResult, mapping: dict[str, str]
+) -> EquivalenceResult:
+    """``verdict`` with its counterexample's inputs renamed by ``mapping``."""
+    counterexample = verdict.counterexample
+    if counterexample is not None:
+        counterexample = {mapping[k]: v for k, v in counterexample.items()}
+    return replace(verdict, counterexample=counterexample)
 
 
 class Emit:

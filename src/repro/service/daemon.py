@@ -24,6 +24,7 @@ exits, so a submitted job is never lost to a graceful stop.
 
 from __future__ import annotations
 
+import gc
 import json
 import socket
 import threading
@@ -173,7 +174,15 @@ class OptimizationDaemon:
     def _drain_loop(self) -> None:
         while not self._stopping.is_set():
             if self.queue.pending():
-                self.queue._run_round()
+                records = self.queue._run_round()
+                if any(not record.cache_hit for record in records):
+                    # Hand the next job a fresh collector: otherwise when
+                    # its collections fire depends on what this job and
+                    # the accept thread left in the generation counts, and
+                    # a warm start's peak memory swings by the size of its
+                    # graph from one run to the next.  A full pass over the
+                    # idle daemon's heap is cheap next to the job before it.
+                    gc.collect()
             else:
                 time.sleep(self.poll_s)
 

@@ -90,21 +90,41 @@ def operator_model(
     tree-level cost (:func:`repro.synth.treecost.model_cost`) price operators
     through here, which is what keeps the two paths in exact parity.
     """
-    width = range_width(result_range)
-    operand_widths = tuple(range_width(r) for r in operand_ranges)
-
     shift_levels: int | None = None
     const_operand = False
     if op in (ops.SHL, ops.SHR):
         if not operand_is_const[1]:
-            top = operand_ranges[1].max()
-            shift_levels = max(top, 1).bit_length() if top is not None else 6
+            shift_levels = shift_levels_of(operand_ranges[1])
     elif op in (ops.LT, ops.LE, ops.GT, ops.GE, ops.EQ, ops.NE, ops.ADD, ops.SUB):
         const_operand = any(operand_is_const)
+    return model_of(
+        op,
+        range_width(result_range),
+        tuple(range_width(r) for r in operand_ranges),
+        shift_levels,
+        const_operand,
+    )
 
-    # The models are pure in the derived parameters, and saturation produces
-    # thousands of nodes sharing a handful of (op, widths) shapes — memoize
-    # on the derived key (ops hash by identity, so the key is cheap).
+
+def shift_levels_of(amount: IntervalSet) -> int:
+    """Barrel-shifter levels for a non-constant shift amount's range."""
+    top = amount.max()
+    return max(top, 1).bit_length() if top is not None else 6
+
+
+def model_of(
+    op,
+    width: int,
+    operand_widths: tuple[int, ...],
+    shift_levels: int | None,
+    const_operand: bool,
+) -> tuple[float, float]:
+    """(delay, area) of one operator from the model's derived parameters.
+
+    The models are pure in these parameters, and saturation produces
+    thousands of nodes sharing a handful of (op, widths) shapes — memoize
+    on them (ops hash by identity, so the key is cheap).
+    """
     key = (op, width, operand_widths, shift_levels, const_operand)
     cached = _MODEL_MEMO.get(key)
     if cached is None:
@@ -135,13 +155,14 @@ class DelayAreaCost(CostFunction):
         """``price(class_id, enode)``: the (delay, area) of the node itself,
         before child contributions, over ``egraph`` as it stands.
 
-        Ranges are read straight from the engine's ``class_data`` column;
-        operand widths come memoized on the hash-consed ranges themselves
-        (:meth:`IntervalSet.storage_width`), so nothing is re-derived per
-        (e-node, operand) pair.  The classes that hold a CONST member are
-        collected once, from the core's per-op index, so a const hint is a
-        set probe rather than a scan of the operand's members.  Valid while
-        the graph does not change, as during one extraction.
+        Ranges are read straight from the engine's ``class_data`` column,
+        and each class's storage width is derived once and kept by class id,
+        so nothing is re-derived per (e-node, operand) pair; the node's
+        model parameters go straight to :func:`model_of`, the memo
+        :func:`operator_model` also ends in.  The classes that hold a CONST
+        member are collected once, from the core's per-op index, so a const
+        hint is a set probe rather than a scan of the operand's members.
+        Valid while the graph does not change, as during one extraction.
         """
         class_data = egraph.class_data
         find = egraph.find
@@ -150,20 +171,37 @@ class DelayAreaCost(CostFunction):
         const_classes = {
             find(node_class[nid]) for nid in core.op_nodes[core.op_ids[ops.CONST]]
         }
-        hint_positions = CONST_HINT_POSITIONS
+        #: Canonical class id -> storage width of its range.
+        widths: dict[int, int] = {}
+
+        def width(class_id: int) -> int:
+            root = find(class_id)
+            found = widths.get(root)
+            if found is None:
+                found = widths[root] = range_width(
+                    class_data[root][ANALYSIS_NAME].iset
+                )
+            return found
 
         def price(class_id: int, enode: ENode) -> tuple[float, float]:
             op = enode.op
             children = enode.children
-            consts = [False] * len(children)
-            # Only the positions whose model actually reads the hint.
-            for position in hint_positions.get(op, ()):
-                consts[position] = find(children[position]) in const_classes
-            return operator_model(
+            shift_levels = None
+            const_operand = False
+            if op is ops.SHL or op is ops.SHR:
+                amount = find(children[1])
+                if amount not in const_classes:
+                    shift_levels = shift_levels_of(
+                        class_data[amount][ANALYSIS_NAME].iset
+                    )
+            elif op in CONST_HINT_POSITIONS:
+                const_operand = any(find(c) in const_classes for c in children)
+            return model_of(
                 op,
-                class_data[find(class_id)][ANALYSIS_NAME].iset,
-                [class_data[find(c)][ANALYSIS_NAME].iset for c in children],
-                consts,
+                width(class_id),
+                tuple(map(width, children)),
+                shift_levels,
+                const_operand,
             )
 
         return price

@@ -1,4 +1,5 @@
-"""The ASSUME-parent index and the op-filtered member probes.
+"""The ASSUME-parent index, the per-class op masks and the op-filtered
+member probes.
 
 A union requeues the ``ASSUME`` parents of both classes for analysis even
 when their data did not change; the core finds them through
@@ -6,7 +7,10 @@ when their data did not change; the core finds them through
 keep their own scan of ``class_parents`` as the reference: after every
 union the ``analysis_pending`` insertion order must be what the scan
 predicts, and the index must equal the ASSUME-filtered parent order — on a
-live graph, after a pickle round trip and on a ``_clean_copy``.
+live graph, after a pickle round trip and on a ``_clean_copy``.  On the
+same graphs each class's op mask must cover the ops of its members (an
+absorbed class has none), and a member probe must answer what a scan of
+the member set answers, including when the mask lets it skip the scan.
 
 The member probes (:meth:`EGraph.members`) and the runner's lazy per-op
 index must answer exactly what a filter over the façade views answers, on
@@ -55,12 +59,24 @@ def _assume_scan(core, class_id: int) -> list[int]:
 
 
 def _assert_index(core) -> None:
+    egraph = core.owner
     for class_id, members in enumerate(core.class_nodes):
         indexed = core.class_assume_parents.get(class_id)
+        mask = core.class_ops[class_id]
         if members is None:
             assert indexed is None, f"absorbed class {class_id} kept an index"
+            assert mask == 0, f"absorbed class {class_id} kept an op mask"
             continue
         assert list(indexed or ()) == _assume_scan(core, class_id)
+        for nid in members:
+            assert mask >> core.node_op[nid] & 1, (
+                f"class {class_id}: mask {mask:b} misses member {nid}"
+            )
+        for op_id, op in enumerate(core.ops):
+            scan = [nid for nid in members if core.node_op[nid] == op_id]
+            assert egraph.members(class_id, op) == list(
+                map(core.node_enode, scan)
+            )
 
 
 def _union_checked(egraph: EGraph, a: int, b: int) -> None:
@@ -144,6 +160,32 @@ def test_check_invariants_rejects_a_wrong_index():
     core.class_assume_parents[x] = dict.fromkeys(reversed(core.class_assume_parents[x]))
     with pytest.raises(AssertionError, match="ASSUME-parent index"):
         core.check_invariants()
+
+
+def test_check_invariants_rejects_a_mask_missing_a_member_op():
+    egraph = EGraph()
+    x = egraph.add_node(ops.VAR, ("x", 4))
+    y = egraph.add_node(ops.NEG, (), (x,))
+    egraph.union(x, y)
+    egraph.rebuild()
+    egraph.check_invariants()
+    core = egraph.core
+    root = egraph.find(x)
+    core.class_ops[root] &= ~(1 << core.op_ids[ops.NEG])
+    with pytest.raises(AssertionError, match="op mask misses member"):
+        core.check_invariants()
+    core.class_ops[root] |= 1 << core.op_ids[ops.NEG]
+    gone = y if root == x else x
+    core.class_ops[gone] = 1
+    with pytest.raises(AssertionError, match="keeps an op mask"):
+        core.check_invariants()
+
+
+def test_class_const_agrees_with_a_member_scan(saturated):
+    egraph = saturated
+    for eclass in egraph.classes():
+        literals = [n.attrs[0] for n in eclass.nodes if n.op is ops.CONST]
+        assert egraph.class_const(eclass.id) == (literals[0] if literals else None)
 
 
 def test_classes_without_assume_parents_allocate_no_index():
