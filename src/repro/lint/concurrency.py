@@ -12,6 +12,14 @@ each module's imports, and bare method calls (``obj.meth()``) over-
 approximate to *every* known function of that name in the modules the
 worker can reach.  False negatives (a write the walk misses) are worse
 than false positives (a waivable finding), so resolution errs broad.
+
+The same walk flags calls that reset interpreter-wide settings
+(``CC-SETTER``): the recursion limit, the thread switch interval, the
+cyclic collector's switches and thresholds, the working directory.  On the
+daemon's drain thread such a call changes every other thread's interpreter
+mid-flight, and a save/restore pair around it races with any other thread
+doing the same.  Reading a setting or running ``gc.collect`` is not a
+setter and stays allowed.
 """
 
 from __future__ import annotations
@@ -46,6 +54,14 @@ AUDITED_WRITES: dict[tuple[str, str], str] = {
         "a racy double-compute inserts an identical tuple (dict item "
         "assignment is atomic under the GIL for the daemon's thread)",
 }
+
+
+#: Calls that set interpreter- or process-wide state.
+PROCESS_SETTERS = frozenset({
+    "sys.setrecursionlimit", "sys.setswitchinterval",
+    "gc.disable", "gc.enable", "gc.freeze", "gc.set_threshold",
+    "os.chdir",
+})
 
 
 @dataclass(frozen=True)
@@ -225,11 +241,34 @@ def _global_writes(defn: _Def, index: _Index) -> list[tuple[str, str, int]]:
     return writes
 
 
+def _setter_calls(defn: _Def, index: _Index) -> dict[str, int]:
+    """``module.function`` -> first line, for each :data:`PROCESS_SETTERS`
+    entry the function calls, as ``sys.setrecursionlimit(...)`` (module
+    aliases resolved) or as a name imported with ``from sys import
+    setrecursionlimit``.  A save/restore pair is one entry."""
+    imports = index.imports[defn.module]
+    calls: dict[str, int] = {}
+    for node in ast.walk(defn.node):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            setter = f"{imports.get(func.value.id)}.{func.attr}"
+        elif isinstance(func, ast.Name):
+            setter = f"{imports.get(func.id)}.{func.id}"
+        else:
+            continue
+        if setter in PROCESS_SETTERS:
+            calls[setter] = min(node.lineno, calls.get(setter, node.lineno))
+    return calls
+
+
 def check_concurrency(
     tree: SourceTree,
     entry_points: dict[str, tuple[str, ...]] | None = None,
 ) -> list[Finding]:
-    """Flag worker-reachable writes to module-level mutable state."""
+    """Flag worker-reachable writes to module-level mutable state and
+    worker-reachable calls that reset interpreter-wide settings."""
     entries = WORKER_ENTRY_POINTS if entry_points is None else entry_points
     index = _Index(tree)
 
@@ -273,6 +312,21 @@ def check_concurrency(
                     path=module.path if module else "",
                     line=line,
                     detail={"target": f"{mod}.{name}"},
+                )
+            )
+        for setter, line in _setter_calls(defn, index).items():
+            findings.append(
+                Finding(
+                    "CC-SETTER",
+                    f"{defn.module}:{defn.qualname}:{setter}",
+                    f"{defn.qualname} (reachable from a worker entry point) "
+                    f"calls {setter}, which changes interpreter-wide state "
+                    "under every other thread — make the code need no such "
+                    "setting, or set it once at process start",
+                    module=defn.module,
+                    path=module.path if module else "",
+                    line=line,
+                    detail={"target": setter},
                 )
             )
     return findings

@@ -35,6 +35,19 @@ replaces it, and a deadline or step-quota expiry returns the best incumbent
 with ``status="incumbent"`` instead of raising; a drained search tree
 returns ``status="optimal"``.
 
+The search branches on the first undecided class of the definitely-needed
+region in the pre-order of :func:`_partial_bound`'s walk from the roots, so
+the decided classes always form a prefix of that pre-order.  That invariant
+is what lets the bound be maintained incrementally along the depth-first
+search instead of re-walked per node: deciding a class updates the region,
+its area, the arrivals of its decided ancestors, the cycle test and the
+next frontier locally (:func:`_branch_and_bound`), and undoing it restores
+them from a log.  Delay is recomputed with the walk's own expression and is
+bit-exact; area is a float sum in a different order, so a node whose
+incremental key is within rounding of the incumbent's asks the walk, which
+stays the one definition of the bound.  The search itself — branch class,
+candidate order, step counting, prune decisions — is the walk-per-step one.
+
 ``ASSUME`` nodes cost as wires over their guarded child (the paper treats
 them as assignment statements); constraint children never contribute
 hardware and are therefore not part of the problem — the stage rebuilding
@@ -46,8 +59,9 @@ from __future__ import annotations
 import math
 import sys
 import time
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Container, Iterable, Mapping
 
 from repro.ir import ops
 from repro.synth.cost import default_key
@@ -323,7 +337,7 @@ def _min_area(problem: ExtractionProblem) -> dict[int, float]:
 def _partial_bound(
     problem: ExtractionProblem,
     selection: Mapping[int, int],
-    decided: set[int],
+    decided: Container[int],
     lb_delay: Mapping[int, float],
     lb_area: Mapping[int, float],
 ) -> tuple[tuple, list[int]] | None:
@@ -337,7 +351,9 @@ def _partial_bound(
     Returns ``(bound_key, undecided_frontier)`` — the frontier in
     deterministic discovery order, which is also the branch order — or
     ``None`` when the decided region itself closes a cycle (the subtree is
-    infeasible and the caller prunes it).
+    infeasible and the caller prunes it).  This walk defines the bound;
+    :func:`_branch_and_bound` maintains it incrementally and calls the walk
+    to settle near-ties.
     """
     candidates = problem.candidates
     GRAY, BLACK = 1, 2
@@ -377,6 +393,212 @@ def _partial_bound(
         )
     delay = max((arrival[r] for r in problem.roots), default=0.0)
     return problem.key(delay, area), frontier
+
+
+def _area_tolerance(problem: ExtractionProblem) -> float:
+    """How far an incrementally maintained area may drift from the walk's.
+
+    :func:`_partial_bound` adds the region's areas up in pre-order; the
+    search adds and subtracts the same terms in decide order, so the two
+    float sums can differ in the last bits.  Every partial sum of either is
+    at most twice ``scale`` (the sum of each class's largest ``|area|``),
+    the search performs at most three roundings per class along a path and
+    the walk one, so ``4 (n + 1) eps scale`` covers both.  A non-finite
+    scale disables the incremental verdict: every step asks the walk.
+    """
+    scale = 0.0
+    for members in problem.candidates.values():
+        if members:
+            scale += max(abs(member.area) for member in members)
+    if not math.isfinite(scale):
+        return math.inf
+    return 4.0 * (problem.size + 1) * sys.float_info.epsilon * scale
+
+
+def _branch_and_bound(
+    problem: ExtractionProblem,
+    best_sel: dict[int, int],
+    best_eval: tuple,
+    steps: int,
+    max_steps: int,
+    limit: float,
+    clock: Callable[[], float],
+) -> tuple[dict[int, int], tuple, int, bool]:
+    """Depth-first search of :func:`solve_extraction`'s phase 2.
+
+    Branches on the first undecided class of the definitely-needed region
+    in the walk's pre-order, trying its candidates cheapest-first, and
+    prunes a node when :func:`_partial_bound`'s key reaches the incumbent's.
+    The bound is maintained along the search instead of re-walked per node:
+
+    * *region*: deciding ``X = c`` adds ``c``'s children not yet in it;
+    * *area*: ``c.area - lb_area[X]`` plus ``lb_area`` of each added child;
+    * *arrival*: ``X`` and then its decided ancestors are recomputed with
+      the walk's own expression until nothing changes, so delay is exact;
+    * *cycles*: ``c`` closes one exactly when one of its children lies on
+      the walk's DFS path to ``X`` (``X`` included);
+    * *frontier*: decided classes are always a prefix of the walk's
+      pre-order, so a node's frontier is ``c``'s undecided children (in
+      order, de-duplicated) followed by its parent's ``frontier[1:]``
+      without them.  It is built only for nodes that branch.
+
+    Area is the one inexact part (see :func:`_area_tolerance`): a node whose
+    incremental key is within the tolerance of the incumbent's asks the
+    walk.  Returns ``(best_sel, best_eval, steps, complete)``.
+    """
+    candidates = problem.candidates
+    key = problem.key
+    lb_delay = _min_delay_fixpoint(problem)
+    lb_area = _min_area(problem)
+    tol = _area_tolerance(problem)
+    roots = list(dict.fromkeys(problem.roots))
+    selection: dict[int, int] = {}
+    region = set(roots)
+    arrival = dict(lb_delay)
+    #: class -> decided classes whose choice needs it, in decide order.
+    dparents: defaultdict[int, list[int]] = defaultdict(list)
+    #: region class -> the walk's DFS-tree parent (absent or None: a root
+    #: reached first from the root list).
+    tparent: dict[int, int | None] = {}
+    area = 0.0
+    for root in roots:
+        area += lb_area[root]
+    best_key = best_eval[0]
+
+    # A frame per branching node: [class, candidate order, next position,
+    # frontier, its decide record, its tparent log].  A decide record is
+    # (class, children, classes it added to the region, old area, arrival
+    # log); ``record is None`` with ``cyclic`` false is the root node.
+    stack: list[list] = []
+    record: tuple | None = None
+    cyclic = False
+    parent_frontier: list[int] = []
+    while True:
+        steps += 1
+        if steps > max_steps or clock() > limit:
+            return best_sel, best_eval, steps, False
+        expand = False
+        if not cyclic:
+            delay = max([arrival[r] for r in roots], default=0.0)
+            # A non-finite ``tol`` makes neither verdict hold: the walk decides.
+            if key(delay, area - tol) >= best_key:
+                pruned = True
+            elif key(delay, area + tol) < best_key:
+                pruned = False
+            else:
+                bound = _partial_bound(
+                    problem, selection, selection, lb_delay, lb_area
+                )
+                pruned = bound is None or bound[0] >= best_key
+            if not pruned:
+                if len(region) == len(selection):
+                    # Fully decided needed region: the bound was exact.
+                    result = evaluate_selection(problem, selection)
+                    if result is not None and result[0] < best_key:
+                        best_sel = dict(selection)
+                        best_eval = result
+                        best_key = result[0]
+                else:
+                    expand = True
+        if expand:
+            log: list[tuple[int, int | None]] = []
+            if record is None:
+                frontier = list(roots)
+            else:
+                decided_class, children = record[0], record[1]
+                fresh = [k for k in dict.fromkeys(children) if k not in selection]
+                if fresh:
+                    for k in fresh:
+                        log.append((k, tparent.get(k)))
+                        tparent[k] = decided_class
+                    moved = set(fresh)
+                    frontier = fresh + [
+                        f for f in parent_frontier[1:] if f not in moved
+                    ]
+                else:
+                    frontier = parent_frontier[1:]
+            branch = frontier[0]
+            members = candidates[branch]
+            order = sorted(
+                range(len(members)),
+                key=lambda i, members=members: (members[i].delay, members[i].area, i),
+            )
+            stack.append([branch, order, 0, frontier, record, log])
+            leaving = None
+        else:
+            leaving = record
+
+        # Undo the finished nodes and decide the next sibling.
+        while True:
+            if leaving is not None:
+                decided_class, children, added, old_area, changes = leaving
+                del selection[decided_class]
+                for k in children:
+                    dparents[k].pop()
+                region.difference_update(added)
+                area = old_area
+                for cid, old in reversed(changes):
+                    arrival[cid] = old
+                leaving = None
+            if not stack:
+                return best_sel, best_eval, steps, True
+            frame = stack[-1]
+            position = frame[2]
+            if position == len(frame[1]):
+                stack.pop()
+                for k, old_parent in frame[5]:
+                    tparent[k] = old_parent
+                leaving = frame[4]
+                continue
+            frame[2] = position + 1
+            branch = frame[0]
+            index = frame[1][position]
+            parent_frontier = frame[3]
+            chosen = candidates[branch][index]
+            children = chosen.children
+            cyclic = False
+            for k in children:
+                if k == branch or k in selection:
+                    on_path = branch
+                    while on_path is not None:
+                        if on_path in children:
+                            cyclic = True
+                            break
+                        on_path = tparent.get(on_path)
+                    break
+            if cyclic:
+                record = None
+                break
+            selection[branch] = index
+            old_area = area
+            area = area + chosen.area - lb_area[branch]
+            added = []
+            for k in children:
+                if k not in region:
+                    region.add(k)
+                    added.append(k)
+                    area += lb_area[k]
+                dparents[k].append(branch)
+            changes: list[tuple[int, float]] = []
+            value = chosen.delay + (
+                max([arrival[k] for k in children]) if children else 0.0
+            )
+            if value != arrival[branch]:
+                changes.append((branch, arrival[branch]))
+                arrival[branch] = value
+                work = [branch]
+                while work:
+                    for parent in dparents[work.pop()]:
+                        member = candidates[parent][selection[parent]]
+                        value = member.delay + max(
+                            [arrival[k] for k in member.children]
+                        )
+                        if value != arrival[parent]:
+                            changes.append((parent, arrival[parent]))
+                            arrival[parent] = value
+                            work.append(parent)
+            record = (branch, children, added, old_area, changes)
+            break
 
 
 # -------------------------------------------------------------------- solver
@@ -455,59 +677,11 @@ def solve_extraction(
 
     # Phase 2: branch-and-bound for the optimality proof (and any wins the
     # descent's one-swap neighbourhood cannot reach).
-    lb_delay = _min_delay_fixpoint(problem)
-    lb_area = _min_area(problem)
-    complete = True
-
-    def search(selection: dict[int, int], decided: set[int]) -> bool:
-        """Depth-first expansion; returns False when the budget expired."""
-        nonlocal best_sel, best_eval, steps, complete
-        steps += 1
-        if steps > max_steps or clock() > limit:
-            complete = False
-            return False
-        bound = _partial_bound(problem, selection, decided, lb_delay, lb_area)
-        if bound is None:
-            return True  # cyclic decided region: prune, keep searching
-        bound_key, frontier = bound
-        if bound_key >= best_eval[0]:
-            return True  # cannot beat the incumbent
-        if not frontier:
-            # Fully decided needed region — ``bound`` was exact.
-            result = evaluate_selection(problem, selection)
-            if result is not None and result[0] < best_eval[0]:
-                best_sel = dict(selection)
-                best_eval = result
-            return True
-        branch = frontier[0]
-        members = problem.candidates[branch]
-        order = sorted(
-            range(len(members)), key=lambda i: (members[i].delay, members[i].area, i)
-        )
-        for index in order:
-            selection[branch] = index
-            decided.add(branch)
-            alive = search(selection, decided)
-            decided.discard(branch)
-            del selection[branch]
-            if not alive:
-                return False
-        return True
-
+    complete = False
     if steps < max_steps and clock() <= limit:
-        # The DFS depth is bounded by the class count, not the DAG depth —
-        # give the interpreter headroom on big cones instead of dying.
-        needed_limit = 3 * problem.size + 1000
-        old_limit = sys.getrecursionlimit()
-        if old_limit < needed_limit:
-            sys.setrecursionlimit(needed_limit)
-        try:
-            search({}, set())
-        finally:
-            if old_limit < needed_limit:
-                sys.setrecursionlimit(old_limit)
-    else:
-        complete = False
+        best_sel, best_eval, steps, complete = _branch_and_bound(
+            problem, best_sel, best_eval, steps, max_steps, limit, clock
+        )
 
     return SolveResult(
         status="optimal" if complete else "incumbent",

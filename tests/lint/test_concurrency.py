@@ -114,6 +114,98 @@ class TestSyntheticRaces:
         assert check_concurrency(t, ENTRIES) == []
 
 
+class TestInterpreterSetters:
+    def test_recursion_limit_bump_in_worker_is_flagged_once(self):
+        # The save/restore pair around a deep recursion: one finding.
+        t = SourceTree.from_sources(
+            {
+                "repro.pipeline.session":
+                    "import sys\n\n"
+                    "def execute_job(job):\n"
+                    "    old = sys.getrecursionlimit()\n"
+                    "    sys.setrecursionlimit(10_000)\n"
+                    "    try:\n"
+                    "        return job\n"
+                    "    finally:\n"
+                    "        sys.setrecursionlimit(old)\n",
+            }
+        )
+        [finding] = check_concurrency(t, ENTRIES)
+        assert finding.rule_id == "CC-SETTER"
+        assert finding.detail["target"] == "sys.setrecursionlimit"
+        assert finding.line == 5
+
+    def test_setter_through_callee_and_from_import_is_flagged(self):
+        t = SourceTree.from_sources(
+            {
+                "repro.pipeline.session":
+                    "from repro.solve.ilp import solve\n\n"
+                    "def execute_job(job):\n"
+                    "    return solve(job)\n",
+                "repro.solve.ilp":
+                    "from sys import setswitchinterval\n\n"
+                    "def solve(job):\n"
+                    "    setswitchinterval(0.5)\n",
+            }
+        )
+        [finding] = check_concurrency(t, ENTRIES)
+        assert finding.rule_id == "CC-SETTER"
+        assert finding.detail["target"] == "sys.setswitchinterval"
+        assert finding.module == "repro.solve.ilp"
+
+    @pytest.mark.parametrize(
+        "call, target",
+        [
+            ("_gc.disable()", "gc.disable"),
+            ("_gc.enable()", "gc.enable"),
+            ("_gc.freeze()", "gc.freeze"),
+            ("_gc.set_threshold(1000)", "gc.set_threshold"),
+            ("os.chdir('/')", "os.chdir"),
+        ],
+    )
+    def test_gc_switches_and_chdir_are_flagged(self, call, target):
+        t = SourceTree.from_sources(
+            {
+                "repro.pipeline.session":
+                    "import gc as _gc\nimport os\n\n"
+                    "def execute_job(job):\n"
+                    f"    {call}\n",
+            }
+        )
+        [finding] = check_concurrency(t, ENTRIES)
+        assert finding.rule_id == "CC-SETTER"
+        assert finding.detail["target"] == target
+
+    def test_collecting_and_reading_settings_are_clean(self):
+        # The daemon's drain loop runs a full collection between rounds:
+        # that is work, not a setting.
+        t = SourceTree.from_sources(
+            {
+                "repro.pipeline.session":
+                    "import gc\nimport os\nimport sys\n\n"
+                    "def execute_job(job):\n"
+                    "    gc.collect()\n"
+                    "    os.getcwd()\n"
+                    "    return sys.getrecursionlimit(), gc.get_threshold()\n",
+            }
+        )
+        assert check_concurrency(t, ENTRIES) == []
+
+    def test_setter_outside_worker_reachability_is_clean(self):
+        t = SourceTree.from_sources(
+            {
+                "repro.pipeline.session":
+                    "def execute_job(job):\n"
+                    "    return job\n",
+                "repro.cli":
+                    "import sys\n\n"
+                    "def main():\n"
+                    "    sys.setrecursionlimit(10_000)\n",
+            }
+        )
+        assert check_concurrency(t, ENTRIES) == []
+
+
 class TestRealRepo:
     @pytest.fixture(scope="class")
     def repo_tree(self):

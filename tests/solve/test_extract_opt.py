@@ -1,6 +1,6 @@
 """Contract tests for the ILP extraction stage (`OptimalExtract`).
 
-Three guarantees, each pinned deterministically:
+Four guarantees, each pinned deterministically:
 
 * **never worse than greedy** — on every registry design the ilp objective's
   DAG cost is <= the greedy objective's (the adoption gate measures the
@@ -9,6 +9,9 @@ Three guarantees, each pinned deterministically:
   incumbent with ``"ilp:incumbent"`` provenance, never raises, and the
   ledger's ``extract`` row covers the spend; a quota blow-up degrades to
   greedy with ``"fallback:quota"`` provenance;
+* **step quota, not wall** — with a clock that never advances, fp_sub's and
+  interpolation's refinements end on the 50,000-step quota with pinned
+  solver keys;
 * **record compatibility** — the new ``RunRecord`` fields round-trip JSON
   and legacy rows (pre-solver ``BENCH_perf.json`` entries) still load.
 """
@@ -24,10 +27,12 @@ from repro.pipeline import (
     Ingest,
     Job,
     Pipeline,
+    PipelineContext,
     RunRecord,
     Saturate,
     execute_job,
 )
+from repro.pipeline.session import job_stages
 from repro.solve.extract_opt import OptimalExtract
 from repro.synth.cost import default_key
 from repro.synth.treecost import dag_cost
@@ -144,6 +149,36 @@ class TestGovernedStage:
         assert ctx.governor.budget.is_unlimited
         assert output in ctx.extracted
         assert ctx.extract_reports[-1].status.startswith("ilp:")
+
+
+class TestStepQuotaPin:
+    """With the wall limit out of the way (a clock that never advances),
+    each registry cone's refinement ends on the 50,000-step quota, so its
+    ILP record is exact whatever the machine's speed."""
+
+    @pytest.mark.parametrize(
+        "design, key",
+        [
+            ("fp_sub", (79.205, 63.0, 3241.0)),
+            ("interpolation", (92.2375, 78.0, 2847.5)),
+        ],
+    )
+    def test_refinement_ends_on_the_step_quota(self, design, key):
+        job = Job(
+            name=design,
+            design=design,
+            iter_limit=4,
+            verify=False,
+            extract_objective="ilp",
+        )
+        ctx = Pipeline(job_stages(job, DESIGNS[design])).run(
+            ctx=PipelineContext(), budget=Budget(), clock=FakeClock(tick=0.0)
+        )
+        record = ctx.artifacts["extract_ilp"]
+        assert record["roots"] == {"out": "incumbent"}
+        [info] = record["detail"].values()
+        assert info["steps"] == 50_001
+        assert default_key(info["solver_delay"], info["solver_area"]) == key
 
 
 # ------------------------------------------------------ record compatibility
