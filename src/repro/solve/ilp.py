@@ -40,13 +40,16 @@ region in the pre-order of :func:`_partial_bound`'s walk from the roots, so
 the decided classes always form a prefix of that pre-order.  That invariant
 is what lets the bound be maintained incrementally along the depth-first
 search instead of re-walked per node: deciding a class updates the region,
-its area, the arrivals of its decided ancestors, the cycle test and the
-next frontier locally (:func:`_branch_and_bound`), and undoing it restores
-them from a log.  Delay is recomputed with the walk's own expression and is
-bit-exact; area is a float sum in a different order, so a node whose
-incremental key is within rounding of the incumbent's asks the walk, which
-stays the one definition of the bound.  The search itself — branch class,
-candidate order, step counting, prune decisions — is the walk-per-step one.
+its area, the cycle test and the next frontier locally
+(:func:`_branch_and_bound`), and undoing it restores them from a log.  The
+arrivals of its decided ancestors are propagated only when a cheaper lower
+bound cannot prune the decide already: the class's new arrival plus the own
+delays along its DFS-tree path from the roots.  Most decides are pruned on
+that path bound alone.  Propagated delay is bit-exact with the walk's; area
+is a float sum in a different order, so a node whose incremental key is
+within rounding of the incumbent's asks the walk, which stays the one
+definition of the bound.  The search itself — branch class, candidate
+order, step counting, prune decisions — is the walk-per-step one.
 
 ``ASSUME`` nodes cost as wires over their guarded child (the paper treats
 them as assignment statements); constraint children never contribute
@@ -97,7 +100,13 @@ class Candidate:
 
 @dataclass
 class ExtractionProblem:
-    """The 0/1 program over one cone: classes, candidates, roots, objective."""
+    """The 0/1 program over one cone: classes, candidates, roots, objective.
+
+    Every candidate's ``delay`` is finite and non-negative, and the sum of
+    each class's largest delay is finite (:func:`solve_extraction` raises
+    ``ValueError`` otherwise): arrivals then only rise as classes are
+    decided, which the search's delay bounds rely on.
+    """
 
     roots: tuple[int, ...]
     #: class id -> candidate tuple (every id reachable from the roots).
@@ -259,31 +268,57 @@ def feasible_selection(
                     break
         ranked[cid] = order
     chosen: dict[int, int] = {}
+    path: set[int] = set()
 
-    def build(cid: int, path: frozenset[int]) -> bool:
-        if cid in chosen:
-            return True
-        if cid in path:
-            return False
-        path = path | {cid}
+    def realize(cid: int):
+        """Pick ``cid``'s first ranked candidate whose children all realize.
+
+        The recursive builder's body as a generator, so :func:`build` can
+        run it on an explicit stack (a cone can be deeper than the
+        interpreter's recursion limit): it yields each child it needs
+        realized and is sent back whether that worked.  A child on the
+        current path fails the candidate; a memoized child succeeds.
+        """
+        path.add(cid)
         for index in ranked[cid]:
-            if all(build(k, path) for k in candidates[cid][index].children):
+            for k in candidates[cid][index].children:
+                if k not in chosen and (k in path or not (yield k)):
+                    break
+            else:
                 # Children may have been memoized through this candidate's
                 # own path; the memo only ever holds acyclic subtrees, so
                 # the combination stays acyclic (same argument as the
                 # extractor's ``_build``).
                 chosen[cid] = index
-                return True
-        return False
+                break
+        path.discard(cid)
+        return cid in chosen
+
+    def build(root: int) -> bool:
+        if root in chosen:
+            return True
+        stack = [realize(root)]
+        returned = None
+        while True:
+            try:
+                child = stack[-1].send(returned)
+            except StopIteration as finished:
+                stack.pop()
+                returned = finished.value
+                if not stack:
+                    return returned
+            else:
+                stack.append(realize(child))
+                returned = None
 
     for root in problem.roots:
-        if not build(root, frozenset()):
+        if not build(root):
             return None
     # Cover the remaining classes too (descent may wander into them): any
     # acyclic choice is fine, and unreachable-from-roots classes never
     # affect the objective.
     for cid in candidates:
-        build(cid, frozenset())
+        build(cid)
     return chosen
 
 
@@ -415,8 +450,33 @@ def _area_tolerance(problem: ExtractionProblem) -> float:
     return 4.0 * (problem.size + 1) * sys.float_info.epsilon * scale
 
 
+def _delay_tolerance(problem: ExtractionProblem) -> float:
+    """How far the path bound's float sum may sit above the exact delay.
+
+    :func:`_branch_and_bound` bounds the root delay after deciding ``X``
+    from below by ``arrival[X]`` plus the own delays on ``X``'s DFS-tree
+    path, added up in a different order than the arrivals nest.  Delays
+    are non-negative, so every partial sum of either is at most twice
+    ``scale`` (the sum of each class's largest delay: the decided path and
+    the min-delay path below it each visit a class at most once), and
+    either side rounds at most ``n + 3`` times by half an ulp, so
+    ``4 (n + 1) eps scale`` covers both.  Raises ``ValueError`` on a
+    problem outside :class:`ExtractionProblem`'s delay contract.
+    """
+    scale = 0.0
+    for members in problem.candidates.values():
+        delays = [member.delay for member in members]
+        if not all(0.0 <= delay < math.inf for delay in delays):
+            raise ValueError("candidate delays must be finite and non-negative")
+        scale += max(delays, default=0.0)
+    if not math.isfinite(scale):
+        raise ValueError("candidate delays must have a finite total")
+    return 4.0 * (problem.size + 1) * sys.float_info.epsilon * scale
+
+
 def _branch_and_bound(
     problem: ExtractionProblem,
+    dtol: float,
     best_sel: dict[int, int],
     best_eval: tuple,
     steps: int,
@@ -433,8 +493,15 @@ def _branch_and_bound(
 
     * *region*: deciding ``X = c`` adds ``c``'s children not yet in it;
     * *area*: ``c.area - lb_area[X]`` plus ``lb_area`` of each added child;
-    * *arrival*: ``X`` and then its decided ancestors are recomputed with
-      the walk's own expression until nothing changes, so delay is exact;
+    * *arrival*: propagated only for a decide the path bound cannot prune.
+      That bound is ``c``'s arrival plus the own delays on ``X``'s DFS-tree
+      path from the roots (``up[X]``, less ``dtol`` from
+      :func:`_delay_tolerance`), or the parent node's delay if larger.
+      Delays are non-negative, so arrivals only rise, the bound never
+      exceeds the exact delay, and a prune on it is a prune on the exact
+      key.  A surviving decide raises ``X``'s decided ancestors to
+      ``max(old, own + risen)`` until nothing changes, which is the walk's
+      own expression bit for bit;
     * *cycles*: ``c`` closes one exactly when one of its children lies on
       the walk's DFS path to ``X`` (``X`` included);
     * *frontier*: decided classes are always a prefix of the walk's
@@ -455,23 +522,30 @@ def _branch_and_bound(
     selection: dict[int, int] = {}
     region = set(roots)
     arrival = dict(lb_delay)
-    #: class -> decided classes whose choice needs it, in decide order.
+    #: class -> decided classes whose choice needs it, in decide order; a
+    #: decide registers here only once it propagates.
     dparents: defaultdict[int, list[int]] = defaultdict(list)
     #: region class -> the walk's DFS-tree parent (absent or None: a root
     #: reached first from the root list).
     tparent: dict[int, int | None] = {}
+    #: region class -> own delays summed along its ``tparent`` path.
+    up: dict[int, float | None] = dict.fromkeys(roots, 0.0)
+    #: class -> candidate indices cheapest first, sorted on first branch.
+    orders: dict[int, list[int]] = {}
     area = 0.0
     for root in roots:
         area += lb_area[root]
     best_key = best_eval[0]
 
     # A frame per branching node: [class, candidate order, next position,
-    # frontier, its decide record, its tparent log].  A decide record is
-    # (class, children, classes it added to the region, old area, arrival
-    # log); ``record is None`` with ``cyclic`` false is the root node.
+    # frontier, its decide record, its tparent/up log, its exact delay].  A
+    # decide record is [class, children, classes it added to the region,
+    # old area, arrival log or None until it propagates]; ``record is
+    # None`` with ``cyclic`` false is the root node.
     stack: list[list] = []
-    record: tuple | None = None
+    record: list | None = None
     cyclic = False
+    pending = parent_delay = 0.0
     parent_frontier: list[int] = []
     while True:
         steps += 1
@@ -479,17 +553,44 @@ def _branch_and_bound(
             return best_sel, best_eval, steps, False
         expand = False
         if not cyclic:
-            delay = max([arrival[r] for r in roots], default=0.0)
-            # A non-finite ``tol`` makes neither verdict hold: the walk decides.
-            if key(delay, area - tol) >= best_key:
-                pruned = True
-            elif key(delay, area + tol) < best_key:
-                pruned = False
-            else:
-                bound = _partial_bound(
-                    problem, selection, selection, lb_delay, lb_area
-                )
-                pruned = bound is None or bound[0] >= best_key
+            pruned = False
+            if record is not None:
+                decided_class = record[0]
+                bound = pending + up[decided_class] - dtol
+                if bound < parent_delay:
+                    bound = parent_delay
+                pruned = key(bound, area - tol) >= best_key
+                if not pruned:
+                    for k in record[1]:
+                        dparents[k].append(decided_class)
+                    changes: list[tuple[int, float]] = []
+                    record[4] = changes
+                    if pending != arrival[decided_class]:
+                        changes.append((decided_class, arrival[decided_class]))
+                        arrival[decided_class] = pending
+                        work = [decided_class]
+                        while work:
+                            risen = work.pop()
+                            below = arrival[risen]
+                            for parent in dparents[risen]:
+                                member = candidates[parent][selection[parent]]
+                                value = member.delay + below
+                                if value > arrival[parent]:
+                                    changes.append((parent, arrival[parent]))
+                                    arrival[parent] = value
+                                    work.append(parent)
+            if not pruned:
+                delay = max([arrival[r] for r in roots], default=0.0)
+                # A non-finite ``tol`` makes neither verdict hold: the walk decides.
+                if key(delay, area - tol) >= best_key:
+                    pruned = True
+                elif key(delay, area + tol) < best_key:
+                    pruned = False
+                else:
+                    bound = _partial_bound(
+                        problem, selection, selection, lb_delay, lb_area
+                    )
+                    pruned = bound is None or bound[0] >= best_key
             if not pruned:
                 if len(region) == len(selection):
                     # Fully decided needed region: the bound was exact.
@@ -501,16 +602,20 @@ def _branch_and_bound(
                 else:
                     expand = True
         if expand:
-            log: list[tuple[int, int | None]] = []
+            log: list[tuple[int, int | None, float | None]] = []
             if record is None:
                 frontier = list(roots)
             else:
                 decided_class, children = record[0], record[1]
                 fresh = [k for k in dict.fromkeys(children) if k not in selection]
                 if fresh:
+                    below = up[decided_class] + (
+                        candidates[decided_class][selection[decided_class]].delay
+                    )
                     for k in fresh:
-                        log.append((k, tparent.get(k)))
+                        log.append((k, tparent.get(k), up.get(k)))
                         tparent[k] = decided_class
+                        up[k] = below
                     moved = set(fresh)
                     frontier = fresh + [
                         f for f in parent_frontier[1:] if f not in moved
@@ -518,12 +623,14 @@ def _branch_and_bound(
                 else:
                     frontier = parent_frontier[1:]
             branch = frontier[0]
-            members = candidates[branch]
-            order = sorted(
-                range(len(members)),
-                key=lambda i, members=members: (members[i].delay, members[i].area, i),
-            )
-            stack.append([branch, order, 0, frontier, record, log])
+            order = orders.get(branch)
+            if order is None:
+                members = candidates[branch]
+                order = orders[branch] = sorted(
+                    range(len(members)),
+                    key=lambda i, members=members: (members[i].delay, members[i].area, i),
+                )
+            stack.append([branch, order, 0, frontier, record, log, delay])
             leaving = None
         else:
             leaving = record
@@ -533,12 +640,13 @@ def _branch_and_bound(
             if leaving is not None:
                 decided_class, children, added, old_area, changes = leaving
                 del selection[decided_class]
-                for k in children:
-                    dparents[k].pop()
+                if changes is not None:
+                    for k in children:
+                        dparents[k].pop()
+                    for cid, old in reversed(changes):
+                        arrival[cid] = old
                 region.difference_update(added)
                 area = old_area
-                for cid, old in reversed(changes):
-                    arrival[cid] = old
                 leaving = None
             if not stack:
                 return best_sel, best_eval, steps, True
@@ -546,14 +654,16 @@ def _branch_and_bound(
             position = frame[2]
             if position == len(frame[1]):
                 stack.pop()
-                for k, old_parent in frame[5]:
+                for k, old_parent, old_up in frame[5]:
                     tparent[k] = old_parent
+                    up[k] = old_up
                 leaving = frame[4]
                 continue
             frame[2] = position + 1
             branch = frame[0]
             index = frame[1][position]
             parent_frontier = frame[3]
+            parent_delay = frame[6]
             chosen = candidates[branch][index]
             children = chosen.children
             cyclic = False
@@ -578,26 +688,10 @@ def _branch_and_bound(
                     region.add(k)
                     added.append(k)
                     area += lb_area[k]
-                dparents[k].append(branch)
-            changes: list[tuple[int, float]] = []
-            value = chosen.delay + (
+            pending = chosen.delay + (
                 max([arrival[k] for k in children]) if children else 0.0
             )
-            if value != arrival[branch]:
-                changes.append((branch, arrival[branch]))
-                arrival[branch] = value
-                work = [branch]
-                while work:
-                    for parent in dparents[work.pop()]:
-                        member = candidates[parent][selection[parent]]
-                        value = member.delay + max(
-                            [arrival[k] for k in member.children]
-                        )
-                        if value != arrival[parent]:
-                            changes.append((parent, arrival[parent]))
-                            arrival[parent] = value
-                            work.append(parent)
-            record = (branch, children, added, old_area, changes)
+            record = [branch, children, added, old_area, None]
             break
 
 
@@ -620,8 +714,10 @@ def solve_extraction(
     it.  ``descend`` runs a coordinate-descent improvement pass before the
     tree search — it finds most sharing wins in a handful of evaluations,
     so a tight deadline still usually beats greedy before the proof work
-    starts.
+    starts.  Raises ``ValueError`` when a delay breaks
+    :class:`ExtractionProblem`'s contract (finite, non-negative).
     """
+    dtol = _delay_tolerance(problem)
     clock = clock if clock is not None else time.monotonic
     limit = math.inf if deadline is None else deadline
     steps = 0
@@ -680,7 +776,7 @@ def solve_extraction(
     complete = False
     if steps < max_steps and clock() <= limit:
         best_sel, best_eval, steps, complete = _branch_and_bound(
-            problem, best_sel, best_eval, steps, max_steps, limit, clock
+            problem, dtol, best_sel, best_eval, steps, max_steps, limit, clock
         )
 
     return SolveResult(

@@ -195,3 +195,57 @@ class TestSharingObjective:
         assert result.status == "incumbent"
         full = solve_extraction(problem)
         assert full is not None and full.key <= result.key
+
+
+class TestDelayContract:
+    """Delays are finite and non-negative; anything else is refused up
+    front, before any search (a cycle of negative total delay would
+    otherwise drive the min-delay fixpoint towards -inf forever)."""
+
+    @pytest.mark.parametrize(
+        "delay", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"]
+    )
+    def test_a_delay_outside_the_contract_is_refused(self, delay):
+        problem = ExtractionProblem(
+            roots=(0,),
+            candidates={
+                0: (Candidate((1,), 1.0, 1.0),),
+                1: (Candidate((), delay, 1.0),),
+            },
+        )
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            solve_extraction(problem)
+
+    def test_an_overflowing_total_is_refused(self):
+        problem = ExtractionProblem(
+            roots=(0,),
+            candidates={
+                0: (Candidate((1,), 1e308, 1.0),),
+                1: (Candidate((), 1e308, 1.0),),
+            },
+        )
+        with pytest.raises(ValueError, match="finite total"):
+            solve_extraction(problem)
+
+    def test_a_negative_cycle_is_refused_not_looped_on(self):
+        problem = ExtractionProblem(
+            roots=(0,),
+            candidates={
+                0: (Candidate((1,), -1.0, 1.0), Candidate((), 5.0, 5.0)),
+                1: (Candidate((0,), -1.0, 1.0), Candidate((), 5.0, 5.0)),
+            },
+        )
+        with pytest.raises(ValueError):
+            solve_extraction(problem, incumbent={0: 1, 1: 1})
+
+    def test_zero_delays_are_within_the_contract(self):
+        problem = ExtractionProblem(
+            roots=(0,),
+            candidates={
+                0: (Candidate((1,), 0.0, 1.0),),
+                1: (Candidate((), 0.0, 1.0),),
+            },
+        )
+        result = solve_extraction(problem)
+        assert result is not None and result.status == "optimal"
+        assert (result.delay, result.area) == (0.0, 2.0)

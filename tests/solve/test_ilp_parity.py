@@ -4,7 +4,7 @@
 its depth-first search and re-walks the decided region only on near-ties;
 :mod:`oracles.ilp_walk` keeps the search that re-walked it on every step.
 The two must be the same search: same status, steps, selection, key,
-delay, area and ``improved`` flag on every input and every quota.  Three
+delay, area and ``improved`` flag on every input and every quota.  These
 input sets hold them to it:
 
 * seeded random programs (shared children, back edges, self-loops) and
@@ -13,6 +13,10 @@ input sets hold them to it:
 * a hand-built near-tie whose areas sum differently in the walk's
   pre-order than in evaluation order, so the incremental key cannot decide
   and the walk must;
+* two hand-built programs for the path bound that spares a decide its
+  arrival propagation: a delay near-tie only the delay tolerance keeps
+  from a wrong prune, and a shared child whose longest root path is not
+  its DFS-tree path;
 * the ILP cones ``OptimalExtract`` builds for ``fp_sub`` and
   ``interpolation`` at ``--iters 4`` with the greedy warm start (the
   50,000-step quota, the stage's own, runs under ``slow``).
@@ -140,6 +144,85 @@ class TestNearTie:
                     )
         # The tied nodes ask the walk, partial ones among them.
         assert {0: 0, 1: 0} in walks
+
+
+class TestDelayNearTie:
+    """The path bound adds ``up[X]`` (the own delays on ``X``'s DFS-tree
+    path, summed from the root down) to ``X``'s arrival, while the exact
+    delay nests the same additions from ``X`` up.  Deciding the leaf of
+    0.1 → 0.2 → 0.3 gives the path bound 0.3 + (0.1 + 0.2) =
+    0.6000000000000001, exactly the incumbent's delay, but the exact delay
+    0.1 + (0.2 + 0.3) = 0.6 beats it.  Only the delay tolerance keeps that
+    decide from being pruned on the path bound: the search must
+    propagate, take the exact test and find the improvement, as the walk
+    does."""
+
+    PROBLEM = ExtractionProblem(
+        roots=(0,),
+        candidates={
+            0: (Candidate((1,), 0.1, 0.0), Candidate((3,), 0.0, 0.0)),
+            1: (Candidate((2,), 0.2, 0.0),),
+            2: (Candidate((), 0.3, 0.0),),
+            3: (Candidate((), 0.6000000000000001, 0.0),),
+        },
+    )
+    #: The one-hop path through class 3: delay 0.6000000000000001.
+    WARM = {0: 1, 1: 0, 2: 0, 3: 0}
+
+    def test_the_sums_really_differ(self):
+        assert 0.3 + (0.1 + 0.2) == 0.6000000000000001  # the path bound
+        assert 0.1 + (0.2 + 0.3) == 0.6  # the exact arrival
+        assert 0.0 < ilp._delay_tolerance(self.PROBLEM) < 1e-12
+        result = solve_extraction(self.PROBLEM, incumbent=self.WARM, descend=False)
+        assert result is not None and result.improved
+        assert result.status == "optimal" and result.delay == 0.6
+        assert result.selection == {0: 0, 1: 0, 2: 0}
+
+    def test_the_search_matches_the_walk(self):
+        for descend in (True, False):
+            for quota in QUOTAS:
+                for incumbent in (None, self.WARM):
+                    assert_parity(
+                        self.PROBLEM, incumbent, max_steps=quota, descend=descend
+                    )
+
+
+class TestLongestPathOffTheTree:
+    """Class 3 is shared by class 1 (its DFS-tree parent, reached first)
+    and class 2, whose own delay is larger, so 3's longest root path
+    (0 → 2 → 3) is not its tree path (0 → 1 → 3).  Deciding 3 = the slow
+    leaf gives the path bound 2.0 + 2.0 = 4.0, strictly below the exact
+    delay 5.0 that runs through undecided class 2's lower bound: the
+    decide must propagate.  Deciding class 2 afterwards prices the slow
+    path exactly (6.0) and prunes it; the search must match the walk at
+    every quota."""
+
+    PROBLEM = ExtractionProblem(
+        roots=(0,),
+        candidates={
+            0: (Candidate((1, 2), 1.0, 1.0),),
+            1: (Candidate((3,), 1.0, 1.0),),
+            2: (Candidate((3,), 3.0, 1.0),),
+            3: (Candidate((), 1.0, 10.0), Candidate((), 2.0, 1.0)),
+        },
+    )
+    #: The slow leaf: delay 6.0, area 4.0, worse than the fast leaf's
+    #: (5.0, 13.0) under the default key.
+    WARM = {0: 0, 1: 0, 2: 0, 3: 1}
+
+    def test_the_tree_path_is_not_the_longest(self):
+        result = solve_extraction(self.PROBLEM, incumbent=self.WARM, descend=False)
+        assert result is not None and result.improved
+        assert result.status == "optimal"
+        assert (result.delay, result.area) == (5.0, 13.0)
+
+    def test_the_search_matches_the_walk(self):
+        for descend in (True, False):
+            for quota in QUOTAS:
+                for incumbent in (None, self.WARM):
+                    assert_parity(
+                        self.PROBLEM, incumbent, max_steps=quota, descend=descend
+                    )
 
 
 # ------------------------------------------------------------ real cones
