@@ -371,6 +371,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         module = tool.optimize_verilog(source)
     except (CompositionError, LexError, ParseError, ElaborationError) as err:
         raise SystemExit(f"error: {err}") from None
+    except RecursionError as err:
+        # A design deeper than a recursive pass (e.g. extraction's tree
+        # rebuild) can follow: a clean error, not a traceback.
+        raise SystemExit(f"error: design too deep to optimize ({err})") from None
 
     for name, result in module.outputs.items():
         before, after = result.original_cost, result.optimized_cost

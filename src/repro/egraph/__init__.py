@@ -10,13 +10,13 @@ POPL 2021).  This package reimplements the same machinery in Python:
   re-keying, egg-style e-class analyses, compact pickling),
 * :mod:`~repro.egraph.egraph` — the object-shaped ``EGraph``/``EClass`` API,
   a thin façade over the core,
-* :mod:`~repro.egraph.pattern` — pattern language, plus the interpreted
-  matcher (:func:`~repro.egraph.pattern.ematch`) for ad-hoc queries and as
-  the reference the compiled code is tested against,
+* :mod:`~repro.egraph.pattern` — pattern language (class and attribute
+  variables, ``(const ?s)`` leaves, computed attributes),
 * :mod:`~repro.egraph.query` — compiled multi-pattern e-matching (all active
   patterns lowered into one per-op query plan over the core arrays),
-* :mod:`~repro.egraph.rewrite` — declarative and dynamic rewrite rules
-  (compiled right-hand-side builders, callable appliers),
+* :mod:`~repro.egraph.rewrite` — declarative rules (search-time guards,
+  apply-time conditions, compiled right-hand-side builders) and dynamic
+  ones (callable searchers and appliers),
 * :mod:`~repro.egraph.runner` — saturation runner with a backoff scheduler,
 * :mod:`~repro.egraph.extract` — cost-directed extraction (one bottom-up
   fixpoint over the core, one decomposable cost protocol),
@@ -29,7 +29,7 @@ from repro.egraph.enode import ENode
 from repro.egraph.core import CoreGraph, GraphSnapshot
 from repro.egraph.egraph import Analysis, EClass, EGraph
 from repro.egraph.pattern import AttrVar, Pattern, PatternNode, PatternVar, parse_pattern
-from repro.egraph.rewrite import Rewrite, rewrite, birewrite
+from repro.egraph.rewrite import Rewrite, rewrite
 from repro.egraph.runner import Runner, RunnerReport, StopReason
 from repro.egraph.extract import (
     AstDepthCost,
@@ -64,7 +64,6 @@ __all__ = [
     "parse_pattern",
     "Rewrite",
     "rewrite",
-    "birewrite",
     "Runner",
     "RunnerReport",
     "StopReason",

@@ -253,8 +253,7 @@ class EGraph:
 
         Class ids are canonical at snapshot time (the core keeps
         ``node_class`` canonical for alive nodes); searchers that cache the
-        index across unions still resolve through :meth:`find`, as
-        :func:`~repro.egraph.pattern.ematch` does.
+        index across unions must still resolve through :meth:`find`.
         """
         core = self.core
         node_class = core.node_class

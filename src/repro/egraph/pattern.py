@@ -1,27 +1,31 @@
-"""Pattern language and e-matching.
+"""The pattern language of declarative rewrites.
 
 Patterns are written as s-expressions, egg-style::
 
     (+ ?a ?b)             commutativity binding ?a, ?b to e-classes
     (* ?a 2)              literal integer -> CONST node
     (lzc ?w ?a)           operator attributes come first (?w binds the width)
+    (<< ?a (const ?s))    ?s binds the value of the class's first CONST member
+    (trunc (min ?v ?w) ?a)  a right-hand side computes an attribute
     (mux ?c ?t ?f)        ternary
     (assume ?x ?c)        ASSUME with exactly one constraint
 
 ``?name`` in a child position is a :class:`PatternVar` (binds an e-class id);
 in an attribute position it is an :class:`AttrVar` (binds the attribute
-value).  E-matching returns every environment under which the pattern is
-present in a class.
+value).  An :class:`AttrExpr` computes an attribute from bound ones; only
+right-hand sides and guards use them.  Patterns are searched by the
+compiled matchers and built by the compiled builders of
+:mod:`repro.egraph.query`.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from types import MappingProxyType
+from typing import Union
 
-from repro.egraph.egraph import EGraph
-from repro.egraph.enode import ENode
 from repro.ir import ops
 from repro.ir.ops import Op
 
@@ -44,6 +48,30 @@ class AttrVar:
 
     def __repr__(self) -> str:
         return f"?{self.name}"
+
+
+#: Functions an :class:`AttrExpr` may apply, by their pattern symbol.
+ATTR_FUNCTIONS = MappingProxyType({"min": min, "+": operator.add, "-": operator.sub})
+
+
+@dataclass(frozen=True, slots=True)
+class AttrExpr:
+    """An attribute computed from bound ones, e.g. ``(- ?w ?s)``."""
+
+    fn: str
+    args: tuple
+
+    def __repr__(self) -> str:
+        return "(" + " ".join([self.fn, *map(repr, self.args)]) + ")"
+
+
+def eval_attr(attr, env: dict):
+    """The value of an attribute slot (literal, variable or expression)."""
+    if isinstance(attr, AttrVar):
+        return env[attr.name]
+    if isinstance(attr, AttrExpr):
+        return ATTR_FUNCTIONS[attr.fn](*(eval_attr(a, env) for a in attr.args))
+    return attr
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,54 +120,64 @@ _SYMBOLS: dict[str, Op] = {
     "min": ops.MIN,
     "max": ops.MAX,
     "assume": ops.ASSUME,
+    "const": ops.CONST,
 }
 
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")
 
 
-def parse_pattern(text: str) -> Pattern:
-    """Parse an s-expression pattern string."""
+def parse_pattern(text: str, attr: bool = False) -> Pattern:
+    """Parse an s-expression pattern string; with ``attr=True``, one
+    attribute slot instead (``3``, ``?w`` or ``(- ?w ?s)``, as guards such
+    as :func:`~repro.rewrites.soundness.fits` take widths)."""
     tokens = _TOKEN.findall(text)
     pos = 0
 
-    def parse() -> Pattern:
+    def take() -> str:
         nonlocal pos
         if pos >= len(tokens):
             raise ValueError(f"unexpected end of pattern: {text!r}")
-        tok = tokens[pos]
         pos += 1
+        return tokens[pos - 1]
+
+    def until_close(item) -> tuple:
+        out = []
+        while tokens[pos] != ")":
+            out.append(item())
+        take()
+        return tuple(out)
+
+    def parse_attr():
+        tok = take()
         if tok == "(":
-            head = tokens[pos]
-            pos += 1
+            fn = take()
+            if fn not in ATTR_FUNCTIONS:
+                raise ValueError(f"unknown attribute function {fn!r} in {text!r}")
+            return AttrExpr(fn, until_close(parse_attr))
+        return AttrVar(tok[1:]) if tok.startswith("?") else int(tok)
+
+    def parse() -> Pattern:
+        tok = take()
+        if tok == "(":
+            head = take()
             op = _SYMBOLS.get(head)
             if op is None:
                 raise ValueError(f"unknown operator {head!r} in {text!r}")
-            n_attrs = len(op.attr_names)
-            attrs = []
-            for _ in range(n_attrs):
-                a = tokens[pos]
-                pos += 1
-                if a.startswith("?"):
-                    attrs.append(AttrVar(a[1:]))
-                else:
-                    attrs.append(int(a))
-            children = []
-            while tokens[pos] != ")":
-                children.append(parse())
-            pos += 1  # consume ')'
+            attrs = tuple(parse_attr() for _ in op.attr_names)
+            children = until_close(parse)
             if op.arity is not None and len(children) != op.arity:
                 raise ValueError(
                     f"{op.name} wants {op.arity} children, got "
                     f"{len(children)} in {text!r}"
                 )
-            return PatternNode(op, tuple(attrs), tuple(children))
+            return PatternNode(op, attrs, children)
         if tok == ")":
             raise ValueError(f"unbalanced ')' in {text!r}")
         if tok.startswith("?"):
             return PatternVar(tok[1:])
         return PatternNode(ops.CONST, (int(tok),), ())
 
-    result = parse()
+    result = parse_attr() if attr else parse()
     if pos != len(tokens):
         raise ValueError(f"trailing tokens in {text!r}")
     return result
@@ -158,127 +196,18 @@ def pattern_vars(pattern: Pattern) -> set[str]:
     stack = [pattern]
     while stack:
         p = stack.pop()
-        if isinstance(p, PatternVar):
+        if isinstance(p, (PatternVar, AttrVar)):
             out.add(p.name)
-        else:
-            for a in p.attrs:
-                if isinstance(a, AttrVar):
-                    out.add(a.name)
+        elif isinstance(p, AttrExpr):
+            stack.extend(p.args)
+        elif isinstance(p, PatternNode):
+            stack.extend(p.attrs)
             stack.extend(p.children)
     return out
 
 
-# -------------------------------------------------------------------- matching
-def _match_attrs(pattern: PatternNode, enode: ENode, env: dict) -> dict | None:
-    """Unify the attribute tuples; returns the extended env or None."""
-    new_env = env
-    for pat_a, node_a in zip(pattern.attrs, enode.attrs, strict=True):
-        if isinstance(pat_a, AttrVar):
-            bound = new_env.get(pat_a.name, _UNSET)
-            if bound is _UNSET:
-                if new_env is env:
-                    new_env = dict(env)
-                new_env[pat_a.name] = node_a
-            elif bound != node_a:
-                return None
-        elif pat_a != node_a:
-            return None
-    return new_env
-
-
-_UNSET = object()
-
-
-def match_in_class(
-    egraph: EGraph, pattern: Pattern, class_id: int, env: dict
-) -> Iterator[dict]:
-    """Yield all environments extending ``env`` that place ``pattern`` in
-    the e-class ``class_id``."""
-    class_id = egraph.find(class_id)
+def class_vars(pattern: Pattern) -> set[str]:
+    """The ?names in child positions (they bind e-classes, not attributes)."""
     if isinstance(pattern, PatternVar):
-        bound = env.get(pattern.name, _UNSET)
-        if bound is _UNSET:
-            new_env = dict(env)
-            new_env[pattern.name] = class_id
-            yield new_env
-        elif egraph.find(bound) == class_id:
-            yield env
-        return
-
-    for enode in list(egraph[class_id].nodes):
-        if enode.op is not pattern.op:
-            continue
-        if pattern.op.arity is None and len(enode.children) != len(pattern.children):
-            continue
-        yield from _match_node(egraph, pattern, enode, env)
-
-
-def _match_node(
-    egraph: EGraph, pattern: PatternNode, enode: ENode, env: dict
-) -> Iterator[dict]:
-    env2 = _match_attrs(pattern, enode, env)
-    if env2 is None:
-        return
-
-    def rec(i: int, cur: dict) -> Iterator[dict]:
-        if i == len(pattern.children):
-            yield cur
-            return
-        for nxt in match_in_class(egraph, pattern.children[i], enode.children[i], cur):
-            yield from rec(i + 1, nxt)
-
-    yield from rec(0, env2)
-
-
-def ematch(
-    egraph: EGraph,
-    pattern: Pattern,
-    index: dict[Op, list[tuple[int, ENode]]] | None = None,
-    limit: int = 100_000,
-) -> list[tuple[int, dict]]:
-    """Match ``pattern`` against every class; returns [(class id, env)].
-
-    ``index`` is the per-op node index from :meth:`EGraph.nodes_by_op`;
-    computing it once per runner iteration amortizes the scan.
-    """
-    results: list[tuple[int, dict]] = []
-    if isinstance(pattern, PatternVar):
-        raise ValueError("a bare pattern variable matches everything")
-    if index is None:
-        index = egraph.nodes_by_op()
-    # The persistent index may hold stale entries for classes absorbed since
-    # the last rebuild; canonicalize and dedup so each (root, e-node) pair is
-    # matched exactly once instead of yielding duplicate environments.  On a
-    # clean (just-rebuilt) graph every entry is already canonical and unique,
-    # so the canonicalization and dedup are skipped entirely.
-    clean = egraph.is_clean
-    variadic = pattern.op.arity is None
-    seen: set[tuple[int, ENode]] = set()
-    for class_id, enode in index.get(pattern.op, ()):
-        if variadic and len(enode.children) != len(pattern.children):
-            continue
-        if clean:
-            root = class_id
-        else:
-            root = egraph.find(class_id)
-            enode = enode.canonical(egraph.find)
-            if (root, enode) in seen:
-                continue
-            seen.add((root, enode))
-        for env in _match_node(egraph, pattern, enode, {}):
-            results.append((root, env))
-            if len(results) >= limit:
-                return results
-    return results
-
-
-# --------------------------------------------------------------- instantiation
-def instantiate(egraph: EGraph, pattern: Pattern, env: dict) -> int:
-    """Build the pattern in the e-graph under ``env``; returns the class id."""
-    if isinstance(pattern, PatternVar):
-        return egraph.find(env[pattern.name])
-    attrs = tuple(
-        env[a.name] if isinstance(a, AttrVar) else a for a in pattern.attrs
-    )
-    children = tuple(instantiate(egraph, c, env) for c in pattern.children)
-    return egraph.add_node(pattern.op, attrs, children)
+        return {pattern.name}
+    return set().union(*map(class_vars, pattern.children))

@@ -1,8 +1,8 @@
 """Compiled multi-pattern e-matching over the flat core.
 
-The generic :func:`repro.egraph.pattern.ematch` interprets a pattern tree
-per candidate e-node, materializing :class:`ENode` views and recursive
-generator frames as it goes.  This module removes both costs: each
+An interpreted matcher walks a pattern tree per candidate e-node,
+materializing :class:`ENode` views and recursive generator frames as it
+goes.  This module removes both costs: each
 :class:`PatternNode` is *compiled once* into a specialized Python function
 of nested ``for`` loops over the core's int arrays (op ids compared as
 ints, child classes read straight out of the flat ``kids`` buffer, literal
@@ -14,13 +14,15 @@ Compiled matchers require a *clean* graph (directly after ``rebuild``):
 ``node_class`` entries and child ids are then canonical, so no ``find``
 calls appear anywhere in the generated code.  The saturation runner — the
 only caller — searches exactly there.  Environments, match order and limit
-truncation replicate the generic matcher's semantics (the test-suite
-checks them against :func:`~repro.egraph.pattern.ematch`, which remains for
-ad-hoc queries on dirty graphs).
+truncation are those of a plain recursive matcher (the test-suite keeps
+one, ``tests/oracles/ematch.py``, and diffs the compiled code against it).
+A rule's search-time guards run on each full match before it counts
+against the limit, and a ``(const ?s)`` leaf binds the value of the
+class's first ``CONST`` member, as :meth:`CoreGraph.class_const` reads it.
 
 Generated code for ``(* ?a 2)`` looks like::
 
-    def _matcher(core, cands, limit, out):
+    def _matcher(core, cands, limit, out, keep=None):
         ... array locals ...
         _op0 = op_ids.get(_OP0)        # MUL — resolved per call
         if _op0 is None: return
@@ -31,7 +33,9 @@ Generated code for ``(* ?a 2)`` looks like::
             _f0 = node_first[n0]
             v0 = kids[_f0]
             if kids[_f0 + 1] != _lc0: continue
-            out.append((node_class[n0], {"a": v0}))
+            _env = {"a": v0}
+            # a guarded rule's matcher adds: if not keep(_env): continue
+            out.append((node_class[n0], _env))
             if len(out) >= limit: return
 
 The apply side is lowered the same way: :func:`compile_builder` turns a
@@ -68,13 +72,13 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.egraph.pattern import AttrVar, Pattern, PatternNode, PatternVar
+from repro.egraph.pattern import AttrExpr, AttrVar, Pattern, PatternNode, PatternVar, eval_attr
 from repro.ir import ops
 from repro.ir.ops import Op
 
-#: Compiled matcher: ``matcher(core, candidate_nids, limit, out)`` appends
-#: ``(root_class_id, env)`` pairs to ``out``, stopping at ``limit``.
-Matcher = Callable[[object, list, int, list], None]
+#: Compiled matcher: ``matcher(core, candidate_nids, limit, out, keep)``
+#: appends ``(root_class_id, env)`` pairs to ``out``, stopping at ``limit``.
+Matcher = Callable[[object, list, int, list, Callable | None], None]
 
 #: Compiled right-hand side: ``build(core, env)`` instantiates the pattern in
 #: the core and returns its canonical class id.
@@ -117,8 +121,9 @@ class _Codegen:
 class _Emitter(_Codegen):
     """Builds the source of one compiled matcher."""
 
-    def __init__(self, pattern: PatternNode) -> None:
+    def __init__(self, pattern: PatternNode, guarded: bool) -> None:
         super().__init__(pattern)
+        self.guarded = guarded
         #: var name -> local holding its binding (class id or attr value).
         self.bound: dict[str, str] = {}
 
@@ -155,6 +160,8 @@ class _Emitter(_Codegen):
         """Attribute checks/bindings for the node bound to local ``nid``."""
         if not pat.attrs:
             return
+        if any(isinstance(a, AttrExpr) for a in pat.attrs):
+            raise ValueError(f"computed attributes are right-hand-side only: {pat}")
         if not any(isinstance(a, AttrVar) for a in pat.attrs):
             self.body.append(
                 f"{ind}if node_attr[{nid}] != {self.attr_id(pat.attrs)}: continue"
@@ -218,6 +225,17 @@ class _Emitter(_Codegen):
                     "continue"
                 )
                 step(i + 1, depth)
+            elif child.op is ops.CONST:
+                # ``(const ?s)``: the class's first CONST member only.
+                inner = self.fresh("_n")
+                self.body += [
+                    f"{ind}for {inner} in class_nodes[{cell}]:",
+                    f"{ind}    if node_op[{inner}] == {self.op_id(ops.CONST)}: break",
+                    f"{ind}else:",
+                    f"{ind}    continue",
+                ]
+                self.emit_attrs(inner, child, ind)
+                step(i + 1, depth)
             else:
                 inner = self.fresh("_n")
                 self.body.append(f"{ind}for {inner} in class_nodes[{cell}]:")
@@ -239,9 +257,10 @@ class _Emitter(_Codegen):
             env = ", ".join(
                 f"{name!r}: {local}" for name, local in self.bound.items()
             )
-            self.body.append(
-                f"{ind}out_append((node_class[{root}], {{{env}}}))"
-            )
+            self.body.append(f"{ind}_env = {{{env}}}")
+            if self.guarded:
+                self.body.append(f"{ind}if not keep(_env): continue")
+            self.body.append(f"{ind}out_append((node_class[{root}], _env))")
             self.body.append(f"{ind}if len(out) >= limit: return")
 
         self.body.append(f"    for {root} in cands:")
@@ -249,7 +268,7 @@ class _Emitter(_Codegen):
 
         src = "\n".join(
             [
-                "def _matcher(core, cands, limit, out):",
+                "def _matcher(core, cands, limit, out, keep=None):",
                 "    op_ids = core.op_ids",
                 "    attr_ids = core.attr_ids",
                 "    memo = core.memo",
@@ -269,12 +288,13 @@ class _Emitter(_Codegen):
         return self.define(src, "_matcher")
 
 
-def compile_pattern(pattern: PatternNode) -> Matcher:
-    """Compile (with caching) a pattern into a flat-core matcher."""
-    key = ("match", pattern)
+def compile_pattern(pattern: PatternNode, guarded: bool = False) -> Matcher:
+    """Compile (with caching) a pattern into a flat-core matcher; a
+    ``guarded`` one appends only the envs its ``keep(env)`` accepts."""
+    key = ("match", pattern, guarded)
     matcher = _COMPILED.get(key)
     if matcher is None:
-        matcher = _Emitter(pattern).compile()
+        matcher = _Emitter(pattern, guarded).compile()
         _COMPILED[key] = matcher
     return matcher
 
@@ -282,8 +302,8 @@ def compile_pattern(pattern: PatternNode) -> Matcher:
 class _BuilderEmitter(_Codegen):
     """Builds the source of one compiled right-hand side.
 
-    The emitted statements replay :func:`repro.egraph.pattern.instantiate`
-    followed by :meth:`CoreGraph.add` step for step — the same post-order,
+    The emitted statements replay a recursive bottom-up instantiation
+    through :meth:`CoreGraph.add` step for step — the same post-order,
     the same ``find`` calls on the same ids, interning in the same order —
     so a compiled build leaves the graph exactly as the interpreted one
     would.  Children are re-canonicalized just before each probe because a
@@ -329,12 +349,8 @@ class _BuilderEmitter(_Codegen):
             )
         else:
             self.body.append(f"    {tup} = ({''.join(f'{k}, ' for k in kids)})")
-        if any(isinstance(a, AttrVar) for a in pat.attrs):
-            attrs = "".join(
-                f"env[{a.name!r}], " if isinstance(a, AttrVar)
-                else f"{self.lit(a)}, "
-                for a in pat.attrs
-            )
+        if any(isinstance(a, (AttrVar, AttrExpr)) for a in pat.attrs):
+            attrs = "".join(f"{self.attr_source(a)}, " for a in pat.attrs)
             at_local = f"a{serial}"
             self.body.append(f"    {at_local} = attr_ids.get(({attrs}))")
             self.body.append(
@@ -357,6 +373,14 @@ class _BuilderEmitter(_Codegen):
         ]
         return cls
 
+    def attr_source(self, attr) -> str:
+        """A Python expression computing one attribute slot from ``env``."""
+        if isinstance(attr, AttrVar):
+            return f"env[{attr.name!r}]"
+        if isinstance(attr, AttrExpr):
+            return f"{self.lit(eval_attr)}({self.lit(attr)}, env)"
+        return self.lit(attr)
+
     def compile(self) -> Builder:
         result = self.emit(self.pattern)
         src = "\n".join(
@@ -378,10 +402,10 @@ class _BuilderEmitter(_Codegen):
 def compile_builder(pattern: Pattern) -> Builder:
     """Compile (with caching) a right-hand side into a flat-core builder.
 
-    ``compile_builder(rhs)(core, env)`` is :func:`instantiate` on the
-    façade over ``core``, with every id, count, ``version`` and hashcons
-    entry identical.  Builders hold no per-core state, so one serves any
-    graph.
+    ``compile_builder(rhs)(core, env)`` builds the pattern as
+    :meth:`EGraph.add_node` calls would on the façade over ``core``, with
+    every id, count, ``version`` and hashcons entry identical.  Builders
+    hold no per-core state, so one serves any graph.
     """
     key = ("build", pattern)
     build = _COMPILED.get(key)
@@ -405,8 +429,8 @@ class QueryPlan:
     """
 
     def __init__(self, rules) -> None:
-        #: root op -> [(rule position, compiled matcher), ...]
-        self.groups: dict[Op, list[tuple[int, Matcher]]] = {}
+        #: root op -> [(rule position, compiled matcher, search-time guards)]
+        self.groups: dict[Op, list[tuple[int, Matcher, tuple]]] = {}
         self.positions: set[int] = set()
         #: rule position -> compiled builder of its declarative RHS.
         self.builders: dict[int, Builder] = {}
@@ -414,7 +438,7 @@ class QueryPlan:
             searcher = rule.searcher
             if isinstance(searcher, PatternNode):
                 self.groups.setdefault(searcher.op, []).append(
-                    (position, compile_pattern(searcher))
+                    (position, compile_pattern(searcher, bool(rule.guards)), rule.guards)
                 )
                 self.positions.add(position)
             if not callable(rule.applier):
@@ -423,14 +447,16 @@ class QueryPlan:
     def __contains__(self, position: int) -> bool:
         return position in self.positions
 
-    def search(self, core, budgets: dict[int, int]) -> dict[int, list]:
+    def search(self, egraph, budgets: dict[int, int]) -> dict[int, list]:
         """Match every rule whose position is in ``budgets`` (-> match limit).
 
         Returns rule position -> ``[(class_id, env), ...]`` for each searched
-        rule (present even when empty, so schedulers can record a zero).
-        The core must be clean (just rebuilt).
+        rule (present even when empty, so schedulers can record a zero),
+        holding only matches that pass the rule's search-time guards.  The
+        graph must be clean (just rebuilt).
         """
         results: dict[int, list] = {}
+        core = egraph.core
         op_ids = core.op_ids
         op_nodes = core.op_nodes
         for op, entries in self.groups.items():
@@ -439,9 +465,15 @@ class QueryPlan:
                 continue
             op_id = op_ids.get(op)
             cands = list(op_nodes[op_id]) if op_id is not None else []
-            for position, matcher in wanted:
+            for position, matcher, guards in wanted:
                 out: list = []
                 if cands:
-                    matcher(core, cands, budgets[position], out)
+                    keep = _keep(egraph, guards) if guards else None
+                    matcher(core, cands, budgets[position], out, keep)
                 results[position] = out
         return results
+
+
+def _keep(egraph, guards: tuple) -> Callable[[dict], bool]:
+    """A guarded matcher's ``keep``: every search-time guard holds."""
+    return lambda env: all(guard(egraph, env) for guard in guards)

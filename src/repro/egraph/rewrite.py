@@ -7,9 +7,15 @@ A :class:`Rewrite` couples a *searcher* with an *applier*:
   class (constructive application — the left-hand side stays in the graph,
   as Section II of the paper emphasizes).
 
+A declarative rule's side conditions run at one of two times: *guards*
+on each match in the search phase, before the backoff budget cuts the
+match list (range-guarded rules like ``trunc-elim``), and *conditions* at
+apply time, after earlier applications of the same iteration.
+
 Dynamic rules bypass the pattern language entirely: a callable inspects the
-e-graph and returns the unions it wants.  The ASSUME machinery of Table I and
-the analysis-driven rules ("x is provably constant here") are dynamic.
+e-graph and returns the unions it wants.  What the language cannot express
+stays dynamic: the variadic ASSUME machinery of Table I, rules that
+quantify over a set of operators, and rules with two outcomes.
 """
 
 from __future__ import annotations
@@ -45,6 +51,9 @@ class Rewrite:
     #: Rules marked ``once`` stop firing after their first successful
     #: application (used for case-split introduction, Section V).
     once: bool = False
+    #: Search-time guards: a match failing one does not count against the
+    #: rule's match budget.
+    guards: tuple[Condition, ...] = ()
 
     def search(self, egraph: EGraph, index: dict, limit: int) -> list[tuple[int, dict]]:
         """All match candidates of a callable searcher, capped at ``limit``.
@@ -62,7 +71,8 @@ class Rewrite:
         return found
 
     def apply(self, egraph: EGraph, class_id: int, env: dict) -> bool:
-        """Apply to one match; returns True when the graph changed."""
+        """Apply to one match (found by a search, so its guards held);
+        returns True when the graph changed."""
         builder = None if callable(self.applier) else compile_builder(self.applier)
         return self.bind(egraph, builder)(class_id, env)
 
@@ -116,33 +126,22 @@ class Rewrite:
 def rewrite(
     name: str,
     lhs: "Pattern | str",
-    rhs: "Pattern | str | Applier",
+    rhs: "Pattern | str",
     *conditions: Condition,
     once: bool = False,
+    guards: tuple[Condition, ...] = (),
 ) -> Rewrite:
-    """Build a rule from s-expression strings (or a dynamic applier).
+    """Build a declarative rule from s-expression strings.
 
     >>> rewrite("mul-two", "(* ?a 2)", "(<< ?a 1)")
     Rewrite(mul-two)
     """
     lhs_pat = as_pattern(lhs)
-    if callable(rhs):
-        return Rewrite(name, lhs_pat, rhs, tuple(conditions), once)
     rhs_pat = as_pattern(rhs)
     missing = pattern_vars(rhs_pat) - pattern_vars(lhs_pat)
     if missing:
         raise ValueError(f"rule {name}: unbound RHS variables {sorted(missing)}")
-    return Rewrite(name, lhs_pat, rhs_pat, tuple(conditions), once)
-
-
-def birewrite(
-    name: str, lhs: "Pattern | str", rhs: "Pattern | str", *conditions: Condition
-) -> list[Rewrite]:
-    """A rule applied in both directions (two :class:`Rewrite` objects)."""
-    return [
-        rewrite(f"{name}", lhs, rhs, *conditions),
-        rewrite(f"{name}-rev", rhs, lhs, *conditions),
-    ]
+    return Rewrite(name, lhs_pat, rhs_pat, tuple(conditions), once, tuple(guards))
 
 
 def dynamic(name: str, searcher: Searcher, applier: Applier, once: bool = False) -> Rewrite:

@@ -327,7 +327,7 @@ class Runner:
                     and self.scheduler.enabled(rule, iteration)
                 }
                 if budgets:
-                    plan_results = self._plan.search(self.egraph.core, budgets)
+                    plan_results = self._plan.search(self.egraph, budgets)
             for position, rule in enumerate(self.rules):
                 if clock() > deadline:
                     stop = StopReason.TIME_LIMIT

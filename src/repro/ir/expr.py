@@ -27,19 +27,13 @@ class Expr:
     op: Op
     attrs: tuple = ()
     children: tuple["Expr", ...] = ()
-    #: Cached structural hash (computed lazily; -1 = not yet computed).  The
-    #: tree analyses memoize on Expr keys, and without the cache every dict
-    #: probe rehashes the whole subtree — O(n^2) on deep designs.
+    #: Structural hash, computed at construction from the children's cached
+    #: hashes: the tree analyses memoize on Expr keys, and a lazily filled
+    #: hash recursed once per level on a deep tree's first probe.
     _hash: int = field(init=False, repr=False, compare=False, default=-1)
 
     def __hash__(self) -> int:
-        cached = self._hash
-        if cached == -1:
-            cached = hash((self.op, self.attrs, self.children))
-            if cached == -1:
-                cached = -2
-            object.__setattr__(self, "_hash", cached)
-        return cached
+        return self._hash
 
     def __getstate__(self):
         # The cached hash must NOT cross process boundaries: str hashing is
@@ -52,7 +46,7 @@ class Expr:
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "attrs", attrs)
         object.__setattr__(self, "children", children)
-        object.__setattr__(self, "_hash", -1)
+        object.__setattr__(self, "_hash", hash((op, attrs, children)))
 
     def __post_init__(self) -> None:
         if self.op.arity is not None and len(self.children) != self.op.arity:
@@ -67,6 +61,7 @@ class Expr:
                 f"{self.op.name} expects attrs {self.op.attr_names}, "
                 f"got {self.attrs!r}"
             )
+        object.__setattr__(self, "_hash", hash((self.op, self.attrs, self.children)))
 
     # ----------------------------------------------------------- leaf helpers
     @property
@@ -100,15 +95,8 @@ class Expr:
 
     # -------------------------------------------------------------- traversal
     def walk(self) -> Iterator["Expr"]:
-        """Yield every node of the tree, parents before children."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.children)
-
-    def count_nodes(self) -> int:
-        """Number of *distinct* subterms (DAG size)."""
+        """Yield every distinct subterm once, parents before children (a
+        tree walk is exponential on a chain that reuses each wire)."""
         seen: set[Expr] = set()
         stack = [self]
         while stack:
@@ -116,8 +104,12 @@ class Expr:
             if node in seen:
                 continue
             seen.add(node)
+            yield node
             stack.extend(node.children)
-        return len(seen)
+
+    def count_nodes(self) -> int:
+        """Number of *distinct* subterms (DAG size)."""
+        return sum(1 for _ in self.walk())
 
     def depth(self) -> int:
         """Height of the tree (leaf = 1)."""

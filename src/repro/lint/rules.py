@@ -11,14 +11,15 @@ Four layers of audit, mirroring how a rule can go wrong:
   a non-strict position (a mux branch) is structurally exempt, exactly
   ``drule``'s ``unguarded=`` contract — and the semantic layer still
   checks the exemption was justified;
-* **guard purity** (``RU-IMPURE``): conditions are *observers*; one that
-  unions, adds or mutates analysis data would corrupt the e-graph
-  mid-search.  Each condition runs against a mutation-trapping proxy;
+* **guard purity** (``RU-IMPURE``): conditions and search-time guards are
+  *observers*; one that unions, adds or mutates analysis data would
+  corrupt the e-graph mid-search.  Each runs against a mutation-trapping
+  proxy;
 * **semantics** (``RU-UNSOUND``): each declarative rule is evaluated
   exhaustively over a small slice of ``Z ∪ {*}`` under its concretized
-  guards (per :mod:`repro.ir.evaluate` semantics), falling back to seeded
-  randomized trials above :data:`EXHAUSTIVE_CAP`.  Equality is pointwise
-  *including* ``*`` — the congruence eq. (2) actually demands.
+  conditions and guards (per :mod:`repro.ir.evaluate` semantics), falling
+  back to seeded randomized trials above :data:`EXHAUSTIVE_CAP`.  Equality
+  is pointwise *including* ``*`` — the congruence eq. (2) actually demands.
 
 Dynamic rules bypass the pattern language, so they get a declared-metadata
 contract instead (:data:`DYNAMIC_CONTRACTS`): a ``sound_by`` tag naming
@@ -30,13 +31,15 @@ forces writing down why it is sound.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import zlib
 from typing import Callable
 
 from repro.analysis import DatapathAnalysis
 from repro.egraph.egraph import EGraph
-from repro.egraph.pattern import AttrVar, Pattern, PatternNode, PatternVar
+from repro.egraph.pattern import AttrVar, Pattern, PatternVar
+from repro.egraph.pattern import class_vars, eval_attr, pattern_vars
 from repro.egraph.rewrite import Rewrite
 from repro.intervals import IntervalSet
 from repro.ir import ops
@@ -51,6 +54,9 @@ CLASS_DOMAIN: tuple = (BOT, -2, -1, 0, 1, 2, 3)
 #: Attribute variables are widths; small ones exercise every wrap case.
 ATTR_DOMAIN: tuple[int, ...] = (1, 2, 3)
 
+#: A ``(const ?s)`` class evaluates to ``s`` everywhere: any non-``*`` value.
+CONST_DOMAIN: tuple[int, ...] = tuple(v for v in CLASS_DOMAIN if v is not BOT)
+
 #: Above this many environments the audit switches to seeded trials.
 EXHAUSTIVE_CAP = 200_000
 
@@ -61,19 +67,18 @@ TRIALS = 4_000
 # ------------------------------------------------------------- pattern shapes
 def classify_vars(pattern: Pattern) -> tuple[set[str], set[str]]:
     """``(class_vars, attr_vars)`` of a pattern (disjoint by construction)."""
-    class_vars: set[str] = set()
-    attr_vars: set[str] = set()
-    stack = [pattern]
-    while stack:
-        p = stack.pop()
-        if isinstance(p, PatternVar):
-            class_vars.add(p.name)
-        else:
-            for a in p.attrs:
-                if isinstance(a, AttrVar):
-                    attr_vars.add(a.name)
-            stack.extend(p.children)
-    return class_vars, attr_vars
+    classes = class_vars(pattern)
+    return classes, pattern_vars(pattern) - classes
+
+
+def const_vars(pattern: Pattern) -> set[str]:
+    """Attribute variables bound by a ``(const ?s)`` leaf."""
+    if isinstance(pattern, PatternVar):
+        return set()
+    out = set().union(*map(const_vars, pattern.children))
+    if pattern.op is ops.CONST and isinstance(pattern.attrs[0], AttrVar):
+        out.add(pattern.attrs[0].name)
+    return out
 
 
 def strictly_evaluated_vars(pattern: Pattern) -> set[str]:
@@ -101,16 +106,17 @@ def strictly_evaluated_vars(pattern: Pattern) -> set[str]:
 # ------------------------------------------------------------------- guards
 #: Recognized guard factories (all in ``repro.rewrites.soundness``).
 _GUARD_FACTORIES = frozenset(
-    {"_all_total", "total", "nonneg", "boolean", "in_range", "range_le"}
+    {"_all_total", "total", "bounded", "boolean", "range_le", "fits", "attr_lt"}
 )
 
 
 def guard_spec(condition: Callable) -> tuple[str, tuple] | None:
     """``(kind, payload)`` for a recognized guard factory closure, else None.
 
-    Conditions are closures produced by the ``soundness`` factories; the
-    factory is identified by ``__qualname__`` and its arguments recovered
-    from the closure cells — no cooperation from the rule author needed.
+    Conditions and guards are closures produced by the ``soundness``
+    factories; the factory is identified by ``__qualname__`` and its
+    arguments recovered from the closure cells — no cooperation from the
+    rule author needed.
     """
     qualname = getattr(condition, "__qualname__", "")
     if not qualname.endswith(".check") or ".<locals>." not in qualname:
@@ -128,43 +134,52 @@ def guard_spec(condition: Callable) -> tuple[str, tuple] | None:
             strict=True,
         )
     )
-    if factory in ("_all_total", "total", "nonneg", "boolean"):
+    if factory in ("_all_total", "total", "boolean"):
         kind = "total" if factory in ("_all_total", "total") else factory
         return (kind, tuple(cells["names"]))
-    if factory == "in_range":
-        box: IntervalSet = cells["box"]
-        return ("in_range", (cells["name"], box.min(), box.max()))
+    if factory == "bounded":
+        return ("bounded", (tuple(cells["names"]), cells["lo"], cells["hi"]))
     if factory == "range_le":
         return ("range_le", (cells["small"], cells["large"]))
+    if factory == "fits":
+        return ("fits", (cells["name"], cells["width_attr"]))
+    if factory == "attr_lt":
+        return ("attr_lt", (cells["low"], cells["high"]))
     return None
 
 
 def _guard_holds(spec: tuple[str, tuple], env: dict) -> bool:
     """Concretize a guard over one ``Z ∪ {*}`` valuation.
 
-    Range-based guards (``nonneg``/``boolean``/``in_range``/``range_le``)
+    Range-based guards (``bounded``/``boolean``/``range_le``/``fits``)
     over-approximate the *non-*``*`` evaluations of a class, so they admit
     ``*`` itself — only the totality guards exclude it.  Getting this wrong
     either direction breaks the audit: excluding ``*`` from ``nonneg``
     would have hidden the very unsoundness the totality guards exist for.
+    (``attr_lt`` compares attributes, which are never ``*``.)
     """
     kind, payload = spec
     if kind == "total":
         return all(env[n] is not BOT for n in payload if n in env)
-    if kind == "nonneg":
-        return all(env[n] is BOT or env[n] >= 0 for n in payload)
+    if kind == "bounded":
+        names, lo, hi = payload
+        return all(
+            env[n] is BOT or ((lo is None or lo <= env[n]) and (hi is None or env[n] <= hi))
+            for n in names
+        )
     if kind == "boolean":
         return all(env[n] is BOT or env[n] in (0, 1) for n in payload)
-    if kind == "in_range":
-        name, lo, hi = payload
-        v = env[name]
-        if v is BOT:
-            return True
-        return (lo is None or lo <= v) and (hi is None or v <= hi)
     if kind == "range_le":
         small, large = payload
         a, b = env[small], env[large]
         return a is BOT or b is BOT or a <= b
+    if kind == "fits":
+        name, width = payload
+        v = env[name]
+        return v is BOT or 0 <= v < (1 << eval_attr(width, env))
+    if kind == "attr_lt":
+        low, high = payload
+        return eval_attr(low, env) < eval_attr(high, env)
     raise ValueError(f"unknown guard kind {kind}")  # pragma: no cover
 
 
@@ -233,9 +248,7 @@ def eval_pattern(pattern: Pattern, env: dict):
     if isinstance(pattern, PatternVar):
         return env[pattern.name]
     kids = [eval_pattern(c, env) for c in pattern.children]
-    attrs = tuple(
-        env[a.name] if isinstance(a, AttrVar) else a for a in pattern.attrs
-    )
+    attrs = tuple(eval_attr(a, env) for a in pattern.attrs)
     return _apply(_Shim(pattern.op, attrs), kids, {})
 
 
@@ -255,21 +268,6 @@ def _spot_mul_pow2() -> str | None:
     shl = egraph.add_node(ops.SHL, (), (a, egraph.add_const(3)))
     if egraph.find(shl) != egraph.find(product):
         return "a * 8 did not union with a << 3"
-    return None
-
-
-def _spot_trunc_trunc() -> str | None:
-    from repro.rewrites.shift import trunc_trunc_rule
-
-    egraph = EGraph([DatapathAnalysis()])
-    a = egraph.add_node(ops.VAR, ("a", 6), ())
-    inner = egraph.add_node(ops.TRUNC, (3,), (a,))
-    outer = egraph.add_node(ops.TRUNC, (2,), (inner,))
-    egraph.rebuild()
-    _run_rule(egraph, trunc_trunc_rule())
-    narrow = egraph.add_node(ops.TRUNC, (2,), (a,))
-    if egraph.find(narrow) != egraph.find(outer):
-        return "trunc_2(trunc_3(a)) did not union with trunc_2(a)"
     return None
 
 
@@ -329,11 +327,6 @@ DYNAMIC_CONTRACTS: dict[str, dict] = {
         "with a constant truthiness, so exactly one branch is ever selected",
         "spot_check": _spot_mux_cond_const,
     },
-    "trunc-trunc": {
-        "sound_by": "x mod 2^v mod 2^w == x mod 2^min(v,w); widths come from "
-        "node attributes, not valuations",
-        "spot_check": _spot_trunc_trunc,
-    },
     "mux-branch-assume": {
         "sound_by": "Table I row 1: each branch is only reachable when its "
         "condition holds, so wrapping it in ASSUME(branch, cond) changes no "
@@ -362,31 +355,10 @@ DYNAMIC_CONTRACTS: dict[str, dict] = {
         "fails, so the ASSUME is the identity",
         "spot_check": _spot_assume_true_elim,
     },
-    "abs-identity": {
-        "sound_by": "range proves x >= 0 on every non-* valuation, where "
-        "abs(x) == x; on * valuations both sides are *",
-        "spot_check": None,
-    },
-    "abs-negate": {
-        "sound_by": "range proves x <= 0 on every non-* valuation, where "
-        "abs(x) == -x; on * valuations both sides are *",
-        "spot_check": None,
-    },
-    "trunc-elim": {
-        "sound_by": "range proves 0 <= x < 2^w, where x mod 2^w == x; "
-        "* propagates through TRUNC unchanged",
-        "spot_check": None,
-    },
     "lzc-narrow": {
         "sound_by": "range lower bound caps the leading-zero count at k, so "
         "only the top k+1 bits can influence LZC_w (Figure 1); pinned by "
         "tests/rewrites/test_rule_soundness.py",
-        "spot_check": None,
-    },
-    "lzc-shl": {
-        "sound_by": "for 0 < s < w and 0 < a < 2^(w-s), "
-        "lzc_w(a << s) == (w-s) - bitlen(a) == lzc_{w-s}(a); the zero and "
-        "overflow cases are excluded by the range premise",
         "spot_check": None,
     },
     "lzc-width-reduce": {
@@ -488,10 +460,11 @@ def _audit_declarative(rule: Rewrite, anchor: str, record: dict):
         )
         return findings, record
 
-    # --- guard introspection --------------------------------------------
+    # --- guard introspection (conditions and guards alike) ---------------
+    premises = (*rule.conditions, *rule.guards)
     specs = []
     opaque = False
-    for condition in rule.conditions:
+    for condition in premises:
         spec = guard_spec(condition)
         if spec is None:
             opaque = True
@@ -536,7 +509,7 @@ def _audit_declarative(rule: Rewrite, anchor: str, record: dict):
     # --- guard purity -----------------------------------------------------
     trap, probe_env = _probe_graph(lhs_class)
     probe_env.update({name: 2 for name in lhs_attr})
-    for condition in rule.conditions:
+    for condition in premises:
         try:
             condition(trap, probe_env)
         except MutationAttempt as attempt:
@@ -564,35 +537,33 @@ def _audit_declarative(rule: Rewrite, anchor: str, record: dict):
     return findings, record
 
 
-def _semantic_audit(rule, anchor, specs, class_vars, attr_vars, record):
+def _semantic_audit(rule, anchor, specs, lhs_class, lhs_attr, record):
     lhs, rhs = rule.searcher, rule.applier
-    names = sorted(class_vars)
-    attrs = sorted(attr_vars)
-    total_envs = (len(CLASS_DOMAIN) ** len(names)) * (
-        len(ATTR_DOMAIN) ** len(attrs)
+    consts = const_vars(lhs)
+    domains = {name: CLASS_DOMAIN for name in lhs_class}
+    domains.update(
+        {name: CONST_DOMAIN if name in consts else ATTR_DOMAIN for name in lhs_attr}
     )
+    names = sorted(domains)
+    total_envs = math.prod(len(domains[name]) for name in names)
 
     def envs():
         if total_envs <= EXHAUSTIVE_CAP:
-            for values in itertools.product(
-                *([CLASS_DOMAIN] * len(names) + [ATTR_DOMAIN] * len(attrs))
-            ):
-                yield dict(zip(names + attrs, values, strict=True))
+            for values in itertools.product(*(domains[name] for name in names)):
+                yield dict(zip(names, values, strict=True))
         else:
             rng = random.Random(zlib.crc32(rule.name.encode()))
             for _ in range(TRIALS):
-                env = {n: rng.choice(CLASS_DOMAIN) for n in names}
-                env.update({a: rng.choice(ATTR_DOMAIN) for a in attrs})
-                yield env
+                yield {name: rng.choice(domains[name]) for name in names}
 
     exhaustive = total_envs <= EXHAUSTIVE_CAP
     record["mode"] = "exhaustive" if exhaustive else "trials"
     record["envs"] = total_envs if exhaustive else TRIALS
     checked = skipped = 0
     for env in envs():
-        if not all(_guard_holds(spec, env) for spec in specs):
-            continue
         try:
+            if not all(_guard_holds(spec, env) for spec in specs):
+                continue
             lhs_value = eval_pattern(lhs, env)
             rhs_value = eval_pattern(rhs, env)
         except Exception as error:

@@ -1,20 +1,22 @@
-"""Dynamic rules justified by the interval analysis (Section IV-B).
+"""Rules justified by the interval analysis (Section IV-B).
 
 These are the "chain of branch specific rewrites and bitwidth reductions"
 the paper describes: once ASSUME refinement tightens a class's range, these
 rules exploit it structurally.  (Pure constant folding — a class whose range
 is a singleton — happens in the analysis ``modify`` hook, both for total
-classes and, wrapped in the same constraints, for ASSUME classes.)
+classes and, wrapped in the same constraints, for ASSUME classes.)  A
+pattern plus a range guard is a declarative rule with search-time guards;
+rules that compute their right-hand side from a range stay dynamic:
 
 * ``abs-identity`` / ``abs-negate`` — the paper's ``fabs(ASSUME(x, x>0)) ->
   ASSUME(x, x>0)`` example (Section IV-B);
 * ``trunc-elim`` — truncation whose operand provably fits is a wire (this is
   how bitwidth reduction reaches the extracted netlist);
-* ``lzc-narrow`` — Figure 1: when the range proves at most ``k`` leading
-  zeros, a ``w``-bit LZC shrinks to a ``k+1``-bit LZC of the top bits;
+* ``lzc-narrow`` (dynamic) — Figure 1: when the range proves at most ``k``
+  leading zeros, a ``w``-bit LZC shrinks to a ``k+1``-bit LZC of the top bits;
 * ``lzc-shl`` — an LZC of a left-shifted value counts on the unshifted value
   at reduced width;
-* ``min-resolve`` / ``max-resolve`` — order proven by disjoint ranges.
+* ``min-resolve`` / ``max-resolve`` (dynamic) — order proven by disjoint ranges.
 """
 
 from __future__ import annotations
@@ -22,70 +24,32 @@ from __future__ import annotations
 from repro.analysis import range_of, total_of
 from repro.egraph.egraph import EGraph
 from repro.egraph.rewrite import Rewrite, dynamic
-from repro.intervals import IntervalSet
 from repro.ir import ops
+from repro.rewrites.soundness import attr_lt, bounded, drule, fits, nonneg
 
 
 def range_rules() -> list[Rewrite]:
     """All analysis-driven structural rules."""
     return [
-        abs_identity_rule(),
-        abs_negate_rule(),
-        trunc_elim_rule(),
+        drule("abs-identity", "(abs ?x)", "?x", guards=(nonneg("x"),)),
+        drule("abs-negate", "(abs ?x)", "(neg ?x)", guards=(bounded("x", hi=0),)),
+        drule("trunc-elim", "(trunc ?w ?x)", "?x", guards=(fits("x", "?w"),)),
         lzc_narrow_rule(),
-        lzc_shl_rule(),
+        # a == 0 breaks the identity (lzc_w(0) = w != w-s), so the range
+        # must exclude zero as well as fit the narrow width.
+        drule(
+            "lzc-shl",
+            "(lzc ?w (<< ?a (const ?s)))",
+            "(lzc (- ?w ?s) ?a)",
+            guards=(
+                attr_lt("0", "?s"), attr_lt("?s", "?w"),
+                bounded("a", lo=1), fits("a", "(- ?w ?s)"),
+            ),
+        ),
         lzc_width_reduce_rule(),
         lzc_norm_invariant_rule(),
         minmax_resolve_rule(),
     ]
-
-
-def abs_identity_rule() -> Rewrite:
-    """``ABS(x) -> x`` when the range proves ``x >= 0``."""
-
-    def search(egraph: EGraph, index: dict):
-        for class_id, enode in index.get(ops.ABS, ()):
-            child = egraph.find(enode.children[0])
-            low = range_of(egraph, child).min()
-            if low is not None and low >= 0:
-                yield egraph.find(class_id), {"x": child}
-
-    def apply(egraph: EGraph, env: dict, class_id: int):
-        return egraph.find(env["x"])
-
-    return dynamic("abs-identity", search, apply)
-
-
-def abs_negate_rule() -> Rewrite:
-    """``ABS(x) -> NEG(x)`` when the range proves ``x <= 0``."""
-
-    def search(egraph: EGraph, index: dict):
-        for class_id, enode in index.get(ops.ABS, ()):
-            child = egraph.find(enode.children[0])
-            high = range_of(egraph, child).max()
-            if high is not None and high <= 0:
-                yield egraph.find(class_id), {"x": child}
-
-    def apply(egraph: EGraph, env: dict, class_id: int):
-        return egraph.add_node(ops.NEG, (), (egraph.find(env["x"]),))
-
-    return dynamic("abs-negate", search, apply)
-
-
-def trunc_elim_rule() -> Rewrite:
-    """``TRUNC_w(x) -> x`` when the range proves ``x`` fits in ``w`` bits."""
-
-    def search(egraph: EGraph, index: dict):
-        for class_id, enode in index.get(ops.TRUNC, ()):
-            (width,) = enode.attrs
-            child = egraph.find(enode.children[0])
-            if range_of(egraph, child).issubset(IntervalSet.unsigned(width)):
-                yield egraph.find(class_id), {"x": child}
-
-    def apply(egraph: EGraph, env: dict, class_id: int):
-        return egraph.find(env["x"])
-
-    return dynamic("trunc-elim", search, apply)
 
 
 def lzc_narrow_rule() -> Rewrite:
@@ -116,33 +80,6 @@ def lzc_narrow_rule() -> Rewrite:
         return egraph.add_node(ops.LZC, (k + 1,), (shifted,))
 
     return dynamic("lzc-narrow", search, apply)
-
-
-def lzc_shl_rule() -> Rewrite:
-    """``LZC_w(a << s) -> LZC_{w-s}(a)`` when ``a`` fits in ``w - s`` bits."""
-
-    def search(egraph: EGraph, index: dict):
-        for class_id, enode in index.get(ops.LZC, ()):
-            (width,) = enode.attrs
-            child = egraph.find(enode.children[0])
-            for inner in egraph.members(child, ops.SHL):
-                shift = egraph.class_const(inner.children[1])
-                if shift is None or not 0 < shift < width:
-                    continue
-                base = egraph.find(inner.children[0])
-                # a == 0 breaks the identity (lzc_w(0) = w != w-s), so the
-                # range must exclude zero as well as fit the narrow width.
-                base_range = range_of(egraph, base)
-                lo = base_range.min()
-                if lo is None or lo < 1:
-                    continue
-                if base_range.issubset(IntervalSet.unsigned(width - shift)):
-                    yield egraph.find(class_id), {"a": base, "w2": width - shift}
-
-    def apply(egraph: EGraph, env: dict, class_id: int):
-        return egraph.add_node(ops.LZC, (env["w2"],), (egraph.find(env["a"]),))
-
-    return dynamic("lzc-shl", search, apply)
 
 
 def lzc_width_reduce_rule() -> Rewrite:

@@ -3,14 +3,13 @@
 Shift-combination rules require non-negative shift amounts (a negative shift
 is ``*`` concretely, and e.g. ``(a << -1) >> 1`` is not ``a``); the analysis
 provides the proof through the :func:`~repro.rewrites.soundness.nonneg`
-guard.
+guard.  Every rule here is declarative; ``trunc-trunc`` computes its width
+in the right-hand side, ``(trunc (min ?v ?w) ?a)``.
 """
 
 from __future__ import annotations
 
-from repro.egraph.rewrite import Rewrite, dynamic
-from repro.egraph.egraph import EGraph
-from repro.ir import ops
+from repro.egraph.rewrite import Rewrite
 from repro.rewrites.soundness import drule, nonneg, range_le
 
 
@@ -61,28 +60,8 @@ def shift_rules() -> list[Rewrite]:
         drule("shl-sub", "(<< (- ?a ?b) ?c)", "(- (<< ?a ?c) (<< ?b ?c))", nonneg("c")),
         drule("shl-sub-rev", "(- (<< ?a ?c) (<< ?b ?c))", "(<< (- ?a ?b) ?c)", nonneg("c")),
         # Truncation of a truncation keeps the narrower width.
-        trunc_trunc_rule(),
+        drule("trunc-trunc", "(trunc ?v (trunc ?w ?a))", "(trunc (min ?v ?w) ?a)"),
         # trunc distributes over | and & (bit-masking view).
         drule("trunc-or", "(trunc ?w (| ?a ?b))", "(| (trunc ?w ?a) (trunc ?w ?b))", nonneg("a", "b")),
         drule("trunc-and", "(trunc ?w (& ?a ?b))", "(& (trunc ?w ?a) (trunc ?w ?b))", nonneg("a", "b")),
     ]
-
-
-def trunc_trunc_rule() -> Rewrite:
-    """``TRUNC_v(TRUNC_w(a)) -> TRUNC_min(v,w)(a)``."""
-
-    def search(egraph: EGraph, index: dict):
-        for class_id, enode in index.get(ops.TRUNC, ()):
-            (outer_w,) = enode.attrs
-            child = egraph.find(enode.children[0])
-            for inner in egraph.members(child, ops.TRUNC):
-                (inner_w,) = inner.attrs
-                yield egraph.find(class_id), {
-                    "a": egraph.find(inner.children[0]),
-                    "w": min(outer_w, inner_w),
-                }
-
-    def apply(egraph: EGraph, env: dict, class_id: int):
-        return egraph.add_node(ops.TRUNC, (env["w"],), (egraph.find(env["a"]),))
-
-    return dynamic("trunc-trunc", search, apply)

@@ -7,6 +7,10 @@ left side is ``*`` wherever ``a`` is, the right side never.  The fix is a
 *totality guard*: the rule may fire only when every variable the RHS drops is
 provably total.  :func:`drule` derives those guards automatically from the
 pattern variables, so individual rules cannot forget them.
+
+The condition factories below are what the rule auditor
+(:mod:`repro.lint.rules`) can concretize.  Attribute arguments are
+attribute slots in pattern syntax: ``"0"``, ``"?w"``, ``"(- ?w ?s)"``.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Callable
 
 from repro.analysis import range_of, total_of
 from repro.egraph.egraph import EGraph
-from repro.egraph.pattern import as_pattern, pattern_vars
+from repro.egraph.pattern import as_pattern, class_vars, eval_attr, parse_pattern
 from repro.egraph.rewrite import Rewrite, rewrite
 from repro.intervals import IntervalSet
 
@@ -27,19 +31,20 @@ def drule(
     *conditions,
     once: bool = False,
     unguarded: tuple[str, ...] = (),
+    guards: tuple = (),
 ) -> Rewrite:
     """A declarative datapath rule with automatic totality guards.
 
     ``unguarded`` exempts variables that are dropped from a *non-strict*
     position (a mux branch is never evaluated when not selected, so dropping
-    it needs no totality proof).
+    it needs no totality proof).  ``guards`` are checked at search time,
+    ``conditions`` at apply time (see :class:`~repro.egraph.rewrite.Rewrite`).
     """
     lhs_pat, rhs_pat = as_pattern(lhs), as_pattern(rhs)
-    dropped = sorted(pattern_vars(lhs_pat) - pattern_vars(rhs_pat) - set(unguarded))
-    guards = tuple(conditions)
+    dropped = sorted(class_vars(lhs_pat) - class_vars(rhs_pat) - set(unguarded))
     if dropped:
-        guards = (_all_total(dropped),) + guards
-    return rewrite(name, lhs_pat, rhs_pat, *guards, once=once)
+        conditions = (_all_total(dropped), *conditions)
+    return rewrite(name, lhs_pat, rhs_pat, *conditions, once=once, guards=guards)
 
 
 def _all_total(names: list[str]) -> Callable[[EGraph, dict], bool]:
@@ -50,15 +55,46 @@ def _all_total(names: list[str]) -> Callable[[EGraph, dict], bool]:
 
 
 # ------------------------------------------------------------------ conditions
-def nonneg(*names: str) -> Callable[[EGraph, dict], bool]:
-    """Condition: each named class has a provably non-negative range."""
+def bounded(
+    *names: str, lo: int | None = None, hi: int | None = None
+) -> Callable[[EGraph, dict], bool]:
+    """Condition: each named class's range has a lower bound ``>= lo`` and
+    an upper bound ``<= hi`` (an unbounded or empty range has neither)."""
 
     def check(egraph: EGraph, env: dict) -> bool:
         for name in names:
-            low = range_of(egraph, env[name]).min()
-            if low is None or low < 0:
+            iset = range_of(egraph, env[name])
+            if lo is not None and (iset.min() is None or iset.min() < lo):
+                return False
+            if hi is not None and (iset.max() is None or iset.max() > hi):
                 return False
         return True
+
+    return check
+
+
+def nonneg(*names: str) -> Callable[[EGraph, dict], bool]:
+    """Condition: each named class has a provably non-negative range."""
+    return bounded(*names, lo=0)
+
+
+def fits(name: str, width: str) -> Callable[[EGraph, dict], bool]:
+    """Condition: the named class's range lies in ``[0, 2^width)``."""
+    width_attr = parse_pattern(width, attr=True)
+
+    def check(egraph: EGraph, env: dict) -> bool:
+        box = IntervalSet.unsigned(eval_attr(width_attr, env))
+        return range_of(egraph, env[name]).issubset(box)
+
+    return check
+
+
+def attr_lt(small: str, large: str) -> Callable[[EGraph, dict], bool]:
+    """Condition: attribute ``small`` is below attribute ``large``."""
+    low, high = parse_pattern(small, attr=True), parse_pattern(large, attr=True)
+
+    def check(egraph: EGraph, env: dict) -> bool:
+        return eval_attr(low, env) < eval_attr(high, env)
 
     return check
 
@@ -78,16 +114,6 @@ def total(*names: str) -> Callable[[EGraph, dict], bool]:
 
     def check(egraph: EGraph, env: dict) -> bool:
         return all(total_of(egraph, env[n]) for n in names)
-
-    return check
-
-
-def in_range(name: str, lo: int | None, hi: int | None) -> Callable[[EGraph, dict], bool]:
-    """Condition: the named class's range is within ``[lo, hi]``."""
-    box = IntervalSet.of(lo, hi)
-
-    def check(egraph: EGraph, env: dict) -> bool:
-        return range_of(egraph, env[name]).issubset(box)
 
     return check
 

@@ -2,7 +2,7 @@
 
 Two identical flat-core graphs carrying the datapath analysis build the same
 random right-hand side under the same environment — one through the
-interpreted :func:`~repro.egraph.pattern.instantiate`, the other through
+interpreted :func:`~oracles.ematch.instantiate`, the other through
 :func:`~repro.egraph.query.compile_builder`.  The patterns mix attribute
 variables, CONST leaves, repeated variables, ASSUME heads and children whose
 analysis ``modify`` constant-folds and unions classes mid-build (``(* ?x 0)``
@@ -18,10 +18,12 @@ from hypothesis import strategies as st
 
 from repro.analysis import DatapathAnalysis
 from repro.egraph import EGraph
-from repro.egraph.pattern import AttrVar, PatternNode, PatternVar, instantiate
+from repro.egraph.pattern import AttrExpr, AttrVar, PatternNode, PatternVar
 from repro.egraph.query import compile_builder
 from repro.intervals import IntervalSet
 from repro.ir import ops
+
+from oracles.ematch import instantiate
 
 CLASS_VARS = ("a", "b", "z", "k")
 BINARY = (ops.ADD, ops.SUB, ops.MUL, ops.AND, ops.SHL, ops.LT, ops.EQ, ops.MAX)
@@ -44,7 +46,11 @@ def _extend(children):
     folding = children.map(lambda c: PatternNode(ops.MUL, (), (c, _const(0))))
     width_op = st.tuples(
         st.sampled_from((ops.LZC, ops.TRUNC, ops.NOT)),
-        st.sampled_from((AttrVar("w"), 4, 8)),
+        st.sampled_from((
+            AttrVar("w"), 4, 8,
+            AttrExpr("min", (AttrVar("w"), 6)),
+            AttrExpr("-", (AttrVar("w"), AttrVar("lo"))),
+        )),
         children,
     ).map(lambda t: PatternNode(t[0], (t[1],), (t[2],)))
     sliced = st.tuples(st.sampled_from((AttrVar("w"), 5)), children).map(

@@ -4,15 +4,17 @@ import pytest
 
 from repro.egraph import EGraph
 from repro.egraph.pattern import (
+    AttrExpr,
     AttrVar,
     PatternNode,
     PatternVar,
-    ematch,
-    instantiate,
     parse_pattern,
     pattern_vars,
 )
+from repro.egraph.query import compile_pattern
 from repro.ir import ops, var
+
+from oracles.ematch import ematch, instantiate
 
 
 class TestParser:
@@ -48,6 +50,22 @@ class TestParser:
     def test_pattern_vars(self):
         p = parse_pattern("(mux ?c (lzc ?w ?a) ?a)")
         assert pattern_vars(p) == {"c", "w", "a"}
+
+    def test_computed_attr_and_const_leaf(self):
+        rhs = parse_pattern("(trunc (min ?v (- ?w 1)) ?a)")
+        assert rhs.attrs == (AttrExpr("min", (AttrVar("v"), AttrExpr("-", (AttrVar("w"), 1)))),)
+        assert pattern_vars(rhs) == {"v", "w", "a"}
+        lhs = parse_pattern("(<< ?a (const ?s))")
+        assert lhs.children[1] == PatternNode(ops.CONST, (AttrVar("s"),), ())
+        assert parse_pattern("(- ?w ?s)", attr=True) == AttrExpr("-", (AttrVar("w"), AttrVar("s")))
+
+    def test_unknown_attr_function(self):
+        with pytest.raises(ValueError):
+            parse_pattern("(trunc (max ?v ?w) ?a)")
+
+    def test_computed_attr_is_rhs_only(self):
+        with pytest.raises(ValueError):
+            compile_pattern(parse_pattern("(trunc (min ?v ?w) ?a)"))
 
 
 class TestMatching:

@@ -1,5 +1,8 @@
 """Expression tree construction, sugar, traversal."""
 
+import os
+import sys
+
 import pytest
 
 from repro.ir import (
@@ -66,15 +69,36 @@ class TestHashing:
 
     def test_pickle_resets_cached_hash(self):
         """The cached hash is process-local (str hashing is randomized):
-        unpickled trees must recompute it, not trust the pickled value."""
+        it is never pickled, and unpickling recomputes it.  The tree below
+        is pickled by a process with another hash seed."""
         import pickle
+        import subprocess
+        import sys
 
+        script = (
+            "import pickle, sys\n"
+            "from repro.ir import const, gt, mux, var\n"
+            "tree = mux(gt(var('x', 8), 3), var('x', 8) + 1, const(0))\n"
+            "sys.stdout.write(pickle.dumps(tree).hex())\n"
+        )
+        payload = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONHASHSEED": "123"},
+        ).stdout
+        clone = pickle.loads(bytes.fromhex(payload))
         original = mux(gt(var("x", 8), 3), var("x", 8) + 1, const(0))
-        hash(original)  # populate the cache before pickling
-        clone = pickle.loads(pickle.dumps(original))
-        assert clone._hash == -1  # comes back uncached
+        assert len(original.__getstate__()) == 3  # op, attrs, children only
         assert clone == original and hash(clone) == hash(original)
         assert {original: 1}[clone] == 1  # dict lookup across the pair works
+
+    def test_deep_chain_hashes_without_recursion(self):
+        """The hash is computed at construction from the children's cached
+        hashes, so a chain far deeper than the recursion limit hashes and
+        keys dicts."""
+        node = var("x", 8)
+        for _ in range(5 * sys.getrecursionlimit()):
+            node = node + 1
+        assert {node: 1}[node] == 1
 
 
 class TestTraversal:
@@ -83,6 +107,18 @@ class TestTraversal:
         e = mux(gt(x, y), x - y, y - x)
         names = {n.var_name for n in e.walk() if n.is_var}
         assert names == {"x", "y"}
+
+    def test_walk_visits_each_subterm_once_in_preorder(self):
+        x, y = var("x", 4), var("y", 4)
+        shared = mux(gt(x, y), x - y, y - x)
+        e = mux(gt(shared, 1), shared + x, shared)
+
+        def tree_walk(node):  # every path, children right to left
+            yield node
+            for child in reversed(node.children):
+                yield from tree_walk(child)
+
+        assert list(e.walk()) == list(dict.fromkeys(tree_walk(e)))
 
     def test_count_nodes_is_dag_size(self):
         x = var("x", 4)

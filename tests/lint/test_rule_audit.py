@@ -4,7 +4,9 @@ Two halves, per the subsystem's acceptance bar:
 
 * a corpus of deliberately broken rules — dropped variable without a
   guard, impure condition, semantically unsound identity, RHS using an
-  unbound variable — each of which the auditor must flag;
+  unbound variable, and mutants of the range-guarded ``trunc-elim`` with
+  its search-time guard dropped, off by one, opaque or impure — each of
+  which the auditor must flag;
 * the shipped rulesets, every one of which the auditor must pass, with
   every declarative rule carrying an exhaustive proof (or a recorded
   trial budget) and every dynamic rule a contract.
@@ -26,7 +28,7 @@ from repro.lint.rules import (
     strictly_evaluated_vars,
 )
 from repro.rewrites.rulesets import RULESETS, ruleset
-from repro.rewrites.soundness import drule, total
+from repro.rewrites.soundness import attr_lt, drule, fits, total
 from repro.ir.evaluate import BOT
 
 
@@ -122,11 +124,73 @@ class TestMutationCorpus:
         assert findings and all(f.anchor.startswith("corpus/") for f in findings)
 
 
+class TestSearchTimeGuardMutants:
+    """``trunc-elim`` is ``(trunc ?w ?x) -> ?x`` under the search-time guard
+    ``fits("x", "?w")``; each mutant below must be reported."""
+
+    def test_shipped_form_is_proved(self):
+        rule = drule("trunc-elim", "(trunc ?w ?x)", "?x", guards=(fits("x", "?w"),))
+        findings, record = audit_rule(rule, "corpus")
+        assert findings == []
+        assert record["status"] == "proved"
+
+    def test_dropped_guard_is_unsound(self):
+        rule = drule("trunc-elim", "(trunc ?w ?x)", "?x")
+        findings, _ = audit_rule(rule, "corpus")
+        assert rule_ids(findings) == {"RU-UNSOUND"}
+
+    def test_width_off_by_one_is_unsound(self):
+        rule = drule("trunc-elim", "(trunc ?w ?x)", "?x", guards=(fits("x", "(+ ?w 1)"),))
+        findings, _ = audit_rule(rule, "corpus")
+        assert rule_ids(findings) == {"RU-UNSOUND"}
+
+    def test_hand_rolled_guard_is_opaque(self):
+        rule = drule(
+            "trunc-elim", "(trunc ?w ?x)", "?x", guards=(lambda egraph, env: True,)
+        )
+        findings, record = audit_rule(rule, "corpus")
+        assert rule_ids(findings) == {"RU-OPAQUE-GUARD"}
+        assert record["status"] == "opaque-guard"
+
+    def test_mutating_guard_is_impure(self):
+        def mutating_guard(egraph, env):
+            egraph.add_const(0)
+            return True
+
+        rule = drule("trunc-elim", "(trunc ?w ?x)", "?x", guards=(mutating_guard,))
+        findings, _ = audit_rule(rule, "corpus")
+        assert "RU-IMPURE" in rule_ids(findings)
+
+    def test_const_leaf_ranges_over_nonpositive_shifts(self):
+        # Without `0 < s`, lzc-shl is wrong for s <= 0: the auditor binds a
+        # `(const ?s)` to every non-* class value, not only to widths.
+        rule = drule(
+            "lzc-shl",
+            "(lzc ?w (<< ?a (const ?s)))",
+            "(lzc (- ?w ?s) ?a)",
+            guards=(attr_lt("?s", "?w"), fits("a", "(- ?w ?s)")),
+        )
+        findings, _ = audit_rule(rule, "corpus")
+        assert rule_ids(findings) == {"RU-UNSOUND"}
+
+
 # ------------------------------------------------------- auditor internals
 class TestAuditorInternals:
     def test_guard_spec_recovers_factory_arguments(self):
         kind, names = guard_spec(total("a", "b"))
         assert (kind, names) == ("total", ("a", "b"))
+
+    def test_guard_spec_recovers_attribute_arguments(self):
+        kind, (name, width) = guard_spec(fits("a", "(- ?w ?s)"))
+        assert (kind, name, repr(width)) == ("fits", "a", "(- ?w ?s)")
+        kind, (low, high) = guard_spec(attr_lt("0", "?s"))
+        assert (kind, low, repr(high)) == ("attr_lt", 0, "?s")
+
+    def test_eval_pattern_computes_attributes(self):
+        rhs = parse_pattern("(trunc (min ?v ?w) ?a)")
+        assert eval_pattern(rhs, {"v": 3, "w": 2, "a": 7}) == 3
+        lhs = parse_pattern("(<< ?a (const ?s))")
+        assert eval_pattern(lhs, {"a": 3, "s": 2}) == 12
 
     def test_guard_spec_rejects_hand_rolled_conditions(self):
         assert guard_spec(lambda egraph, env: True) is None
@@ -166,6 +230,13 @@ class TestShippedRulesets:
             assert record["status"] in ("proved", "trials-passed"), record
             # The audited budget is recorded either way.
             assert record["envs"] > 0 and record["checked"] > 0, record
+
+    def test_range_guarded_rules_are_proved(self, shipped):
+        _, records = shipped
+        by_name = {r["rule"]: r for r in records}
+        for name in ("abs-identity", "abs-negate", "trunc-elim", "trunc-trunc", "lzc-shl"):
+            assert by_name[name]["status"] == "proved", by_name[name]
+            assert name not in DYNAMIC_CONTRACTS
 
     def test_every_dynamic_rule_has_a_contract(self, shipped):
         _, records = shipped

@@ -20,6 +20,14 @@ endmodule
 """
 
 
+def _chain(length: int, step) -> str:
+    """A module whose wire ``w_i`` is ``step("w_{i-1}")``, ``length`` deep."""
+    lines = ["module chain (input [7:0] x, output [7:0] y);", "  wire [7:0] w0 = x;"]
+    lines += [f"  wire [7:0] w{i} = {step(f'w{i - 1}')};" for i in range(1, length + 1)]
+    lines += [f"  assign y = w{length};", "endmodule"]
+    return "\n".join(lines) + "\n"
+
+
 class TestCli:
     def test_parse_range(self):
         name, iset = parse_range("x=128:255")
@@ -145,6 +153,44 @@ class TestCli:
         )
         assert proc.returncode == 1
         assert proc.stderr == f"error: {reason}\n"
+
+    @pytest.mark.parametrize("command", [["optimize"], []], ids=["optimize", "alias"])
+    def test_deep_mux_chain_is_optimized(self, tmp_path, command):
+        """Each wire of this chain is read three times, so the tree is
+        exponential in its 100 wires: hashing and input collection must
+        stay linear in the DAG, and nothing may recurse per level."""
+        import subprocess
+        import sys
+
+        src = tmp_path / "mux_chain.v"
+        src.write_text(_chain(100, lambda w: f"({w} > 8'd3) ? {w} - 8'd1 : {w}"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *command, str(src), "--no-verify",
+             "--iters", "1", "-o", str(tmp_path / "out.v")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.startswith("y: delay 900.0 -> ")
+
+    @pytest.mark.parametrize("command", [["optimize"], []], ids=["optimize", "alias"])
+    def test_too_deep_design_exits_cleanly(self, tmp_path, command):
+        """A 200-wire chain still exceeds the recursion limit of
+        extraction's tree rebuild; the CLI says so instead of printing a
+        traceback."""
+        import subprocess
+        import sys
+
+        src = tmp_path / "chain.v"
+        src.write_text(_chain(200, lambda w: f"{w} + 8'd1"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *command, str(src), "--no-verify"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: design too deep to optimize "
+            "(maximum recursion depth exceeded)\n"
+        )
 
     def test_parser_flags(self):
         parser = build_parser()

@@ -9,8 +9,8 @@ through both representations and diff the results
 
 Every public method keeps the object engine protocol (``add_enode`` /
 ``union`` / ``rebuild`` / ``nodes_by_op`` / ``classes`` / …), which is what
-the interpreted :func:`~repro.egraph.pattern.ematch` and
-:func:`~repro.egraph.pattern.instantiate` and the reference loops in
+the interpreted :func:`~oracles.ematch.ematch` and
+:func:`~oracles.ematch.instantiate` and the reference loops in
 :mod:`oracles.reference` need.  The production runner and extractor serve
 the flat core only.
 """
@@ -206,7 +206,7 @@ class LegacyEGraph:
         This is a cheap per-op snapshot of :attr:`_op_index` rather than a
         full rescan of every class's node set.  Directly after ``rebuild``
         all entries are canonical; between rebuilds class ids may be stale
-        (resolve through :meth:`find`, as :func:`~repro.egraph.pattern.ematch`
+        (resolve through :meth:`find`, as :func:`~oracles.ematch.ematch`
         does).
         """
         return {

@@ -1,8 +1,9 @@
 """Plain reference versions of saturation, extraction and tree costing.
 
 :func:`saturate` is equality saturation in its plainest form — match every
-rule with :func:`~repro.egraph.pattern.ematch`, build every right-hand side
-with :func:`~repro.egraph.pattern.instantiate`, rebuild, repeat until the
+rule with :func:`~oracles.ematch.ematch` (keeping the matches its
+search-time guards accept), build every right-hand side
+with :func:`~oracles.ematch.instantiate`, rebuild, repeat until the
 graph stops changing — and :func:`ast_size_costs` is egg's ``AstSize``
 bottom-up fixpoint over ``EClass.nodes``.  Both run on any graph with the
 object protocol, in particular :class:`oracles.legacy.LegacyEGraph`.
@@ -17,11 +18,12 @@ from typing import Mapping
 
 from repro.analysis import DatapathAnalysis
 from repro.egraph import EGraph, Extractor
-from repro.egraph.pattern import ematch, instantiate
 from repro.intervals import IntervalSet
 from repro.ir import ops
 from repro.ir.expr import Expr
 from repro.synth.cost import DelayArea, DelayAreaCost
+
+from oracles.ematch import ematch, instantiate
 
 
 def saturate(egraph, rules, max_iters: int = 100) -> int:
@@ -31,7 +33,14 @@ def saturate(egraph, rules, max_iters: int = 100) -> int:
     for iteration in range(max_iters):
         before = egraph.version
         index = egraph.nodes_by_op()
-        found = [(rule, ematch(egraph, rule.searcher, index)) for rule in rules]
+        found = [
+            (rule, [
+                (class_id, env)
+                for class_id, env in ematch(egraph, rule.searcher, index)
+                if all(guard(egraph, env) for guard in rule.guards)
+            ])
+            for rule in rules
+        ]
         for rule, matches in found:
             for class_id, env in matches:
                 if all(cond(egraph, env) for cond in rule.conditions):

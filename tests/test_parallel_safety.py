@@ -92,9 +92,11 @@ def test_egraph_pickles_through_compact_core_state():
 
 
 def test_expr_hash_cache_does_not_cross_processes():
-    """Str hashing is per-process randomized; a pickled Expr must rehash."""
+    """Str hashing is per-process randomized; a pickled Expr must rehash:
+    its pickled state carries no hash, and loading recomputes it."""
     expr = var("x", 8) + 1
-    hash(expr)  # populate the cache
+    assert expr.__getstate__() == (expr.op, expr.attrs, expr.children)
     clone = pickle.loads(pickle.dumps(expr))
-    assert object.__getattribute__(clone, "_hash") == -1
+    rehashed = hash((clone.op, clone.attrs, clone.children))
+    assert object.__getattribute__(clone, "_hash") == rehashed
     assert clone == expr and hash(clone) == hash(expr)
