@@ -71,9 +71,13 @@ def decode_constr(
     interpretable ``Constr`` about the target class.
     """
     find = egraph.find
+    parent = egraph.uf_parent
     class_data = egraph.class_data
-    target = find(target_id)
-    constraint = find(constraint_id)
+    target = target_id if parent[target_id] == target_id else find(target_id)
+    constraint = (
+        constraint_id if parent[constraint_id] == constraint_id
+        else find(constraint_id)
+    )
     implied: IntervalSet | None = None
 
     def tighten(extra: IntervalSet) -> None:
@@ -84,16 +88,20 @@ def decode_constr(
         # The constraint *is* the guarded expression: it must be nonzero.
         tighten(IntervalSet.top().remove_point(0))
 
+    # Cached candidates may hold children absorbed since the scan.
     for enode in constr_candidates(egraph, constraint, cache):
         op = enode.op
-        if op is ops.LNOT and find(enode.children[0]) == target:
-            tighten(IntervalSet.point(0))
-            continue
-        if op not in (ops.LT, ops.LE, ops.GT, ops.GE, ops.EQ, ops.NE):
-            continue
         children = enode.children
-        left = find(children[0])
-        right = find(children[1])
+        left = children[0]
+        if parent[left] != left:
+            left = find(left)
+        if op is ops.LNOT:
+            if left == target:
+                tighten(IntervalSet.point(0))
+            continue
+        right = children[1]
+        if parent[right] != right:
+            right = find(right)
         if left == target:
             # The singleton value of the other side's abstraction, if any.
             k = class_data[right][analysis_name].iset.as_point()
@@ -136,9 +144,12 @@ def constraint_refinement(
     """
     implied = IntervalSet.top()
     find = egraph.find
+    parent = egraph.uf_parent
     class_data = egraph.class_data
     for cid in constraint_ids:
-        cond_range = class_data[find(cid)][analysis_name].iset
+        cond_range = class_data[
+            cid if parent[cid] == cid else find(cid)
+        ][analysis_name].iset
         if cond_range.as_point() == 0 or cond_range.is_empty:
             return IntervalSet.empty()
         decoded = decode_constr(egraph, analysis_name, cid, target_id, cache)

@@ -22,12 +22,16 @@ ANALYSIS_NAME = "datapath"
 
 def range_of(egraph: EGraph, class_id: int) -> IntervalSet:
     """The interval abstraction of a class."""
-    return egraph.class_data[egraph.find(class_id)][ANALYSIS_NAME].iset
+    if egraph.uf_parent[class_id] != class_id:
+        class_id = egraph.find(class_id)
+    return egraph.class_data[class_id][ANALYSIS_NAME].iset
 
 
 def total_of(egraph: EGraph, class_id: int) -> bool:
     """Whether the class provably never evaluates to ``*``."""
-    return egraph.class_data[egraph.find(class_id)][ANALYSIS_NAME].total
+    if egraph.uf_parent[class_id] != class_id:
+        class_id = egraph.find(class_id)
+    return egraph.class_data[class_id][ANALYSIS_NAME].total
 
 
 def range_width(iset: IntervalSet, default: int = 64) -> int:
@@ -145,7 +149,8 @@ class DatapathAnalysis(Analysis):
 
     # ----------------------------------------------------------------- modify
     def modify(self, egraph: EGraph, class_id: int) -> None:
-        class_id = egraph.find(class_id)
+        if egraph.uf_parent[class_id] != class_id:
+            class_id = egraph.find(class_id)
         data: AbsVal = egraph.class_data[class_id][self.name]
         value = data.iset.as_point()
         if value is None:
@@ -165,7 +170,10 @@ class DatapathAnalysis(Analysis):
         # erase.  (Nested-ASSUME chains first collapse via Table I row 3,
         # after which the guarded child is a total expression.)
         for enode in egraph.members(class_id, ops.ASSUME):
-            if not egraph.data(enode.children[0], self.name).total:
+            guarded = enode.children[0]
+            if egraph.uf_parent[guarded] != guarded:
+                guarded = egraph.find(guarded)
+            if not egraph.class_data[guarded][self.name].total:
                 continue
             const_id = egraph.add_const(value)
             folded = ENode(

@@ -376,12 +376,19 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         # rebuild) can follow: a clean error, not a traceback.
         raise SystemExit(f"error: design too deep to optimize ({err})") from None
 
+    from repro.synth import dag_cost
+
     for name, result in module.outputs.items():
         before, after = result.original_cost, result.optimized_cost
+        # The hardware area prices each shared subterm once; the tree area
+        # prices it once per reader, so it grows exponentially with reuse.
+        dag_before = dag_cost(result.original, result.input_ranges).area
+        dag_after = dag_cost(result.optimized, result.input_ranges).area
         verdict = result.equivalence if result.equivalence else "not checked"
         print(
             f"{name}: delay {before.delay:.1f} -> {after.delay:.1f}, "
-            f"area {before.area:.1f} -> {after.area:.1f}  [{verdict}]",
+            f"dag area {dag_before:.1f} -> {dag_after:.1f}, "
+            f"tree area {before.area:.6g} -> {after.area:.6g}  [{verdict}]",
             file=sys.stderr,
         )
 

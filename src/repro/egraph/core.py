@@ -5,8 +5,9 @@ and e-classes live in parallel int arrays instead of per-object
 ``ENode``/``EClass`` instances.  A node id (*nid*) indexes:
 
 * ``node_op`` / ``node_attr`` — interned operator and attribute-tuple ids,
-* ``node_first`` / ``node_nkids`` — the node's child span inside one flat
-  ``kids`` buffer of e-class ids,
+* ``_kid_tups`` — the node's child class ids, one tuple per node: the only
+  record of its children, read by insert, re-keying, the compiled matchers
+  and extraction alike,
 * ``node_class`` — the **canonical** owning class id (kept canonical at all
   times for alive nodes; absorbing a class rewrites its members' entries),
 * ``node_alive`` — 0 once a node is merged away by congruence.
@@ -15,14 +16,18 @@ Class ids index ``class_nodes`` (member nid sets), ``class_parents``
 (nids referencing the class as a child), ``class_data`` (analysis slots)
 and ``class_rev`` (membership revision).  ``class_assume_parents`` maps a
 class id to the ``ASSUME`` entries of its ``class_parents``, in the same
-order; only classes that have one get an entry.  ``class_ops`` is a
+order, and ``class_assume_members`` to the ``ASSUME`` entries of its
+``class_nodes``, in the same order; only classes that have one get an
+entry.  The member index answers ``members(c, ASSUME)`` (the analysis's
+constant fold under constraints, two ASSUME rules) without walking a class
+that holds hundreds of members to find its few ASSUMEs.  ``class_ops`` is a
 per-class bitmask of member op ids, OR-ed on union, so an op probe
 (:meth:`~repro.egraph.egraph.EGraph.members`, :meth:`class_const`) skips a
 class that cannot hold the op without walking it.  The hashcons ``memo`` maps
 signature tuples ``(op_id, attr_id, child_ids)`` to nids; the nested
-``child_ids`` tuple is stored once per node (``_kid_tups``) and shared by
-the memo key and the node's :class:`ENode` view, so one canonicalization
-epoch allocates one tuple, not three copies of the same children.
+``child_ids`` tuple is the node's ``_kid_tups`` entry, shared by the memo
+key and the node's :class:`ENode` view, so one canonicalization epoch
+allocates one tuple, not three copies of the same children.
 
 The congruence discipline differs from the object engine in one important
 way: unions re-key the absorbed class's parents **eagerly**.  The moment two
@@ -44,15 +49,17 @@ classes carry thousands of parents, of which a few percent are ASSUMEs.
 
 The core pickles through a compact :meth:`__reduce__`: only the arrays, the
 intern tables, the union-find, the analysis data and the member/parent
-orders ship; the hashcons, per-op index, ASSUME-parent index and op masks
-are derived on load.
+orders ship, with the children as flat columns (a first-child offset and a
+count per node over one buffer of class ids) derived from ``_kid_tups``;
+the hashcons, per-op index, ASSUME indices and op masks are derived on
+load.
 """
 
 from __future__ import annotations
 
 import weakref
 from array import array
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Any, Callable, Iterable
 
 from repro.egraph.enode import ENode
@@ -120,11 +127,8 @@ class CoreGraph:
         "uf",
         "node_op",
         "node_attr",
-        "node_first",
-        "node_nkids",
         "node_class",
         "node_alive",
-        "kids",
         "ops",
         "op_ids",
         "attrs",
@@ -133,6 +137,7 @@ class CoreGraph:
         "class_nodes",
         "class_parents",
         "class_assume_parents",
+        "class_assume_members",
         "class_ops",
         "class_data",
         "class_rev",
@@ -155,11 +160,8 @@ class CoreGraph:
         self.uf = UnionFind()
         self.node_op = array("q")
         self.node_attr = array("q")
-        self.node_first = array("q")
-        self.node_nkids = array("q")
         self.node_class = array("q")
         self.node_alive = bytearray()
-        self.kids = array("q")
         self.ops: list[Op] = []
         self.op_ids: dict[Op, int] = {}
         self.attrs: list[tuple] = []
@@ -172,6 +174,10 @@ class CoreGraph:
         #: Class id -> the ASSUME nids of its ``class_parents``, in that
         #: order; a class gets an entry with its first ASSUME parent.
         self.class_assume_parents: dict[int, dict[int, None]] = {}
+        #: Class id -> its alive ASSUME member nids, in ``class_nodes``
+        #: order; a class gets an entry with its first ASSUME member and
+        #: loses it with its last.
+        self.class_assume_members: dict[int, dict[int, None]] = {}
         #: Class id -> bitmask of the op ids its members have carried
         #: (``1 << op_id``); a superset once a member is killed, 0 for an
         #: absorbed class.  Lets an op probe skip a class that cannot hold it.
@@ -200,8 +206,8 @@ class CoreGraph:
             self.owner = owner
         #: Lazily materialized ``ENode`` views, one slot per nid.
         self._views: list[ENode | None] = []
-        #: Canonical children tuple per nid (current epoch) — the single
-        #: allocation shared by the hashcons key and the ENode view.
+        #: Canonical children tuple per nid (current epoch): the node's only
+        #: child record, shared by the hashcons key and the ENode view.
         self._kid_tups: list[tuple] = []
         self._assume_id = self.intern_op(ops.ASSUME)
         self._const_id = self.intern_op(ops.CONST)
@@ -348,9 +354,6 @@ class CoreGraph:
         nid = len(self.node_op)
         self.node_op.append(op_id)
         self.node_attr.append(attr_id)
-        self.node_first.append(len(self.kids))
-        self.node_nkids.append(len(canon_kids))
-        self.kids.extend(canon_kids)
         self.node_alive.append(1)
         self._views.append(None)
         self._kid_tups.append(canon_kids)
@@ -366,10 +369,12 @@ class CoreGraph:
         self.n_nodes += 1
         self.n_classes += 1
         self.op_nodes[op_id][nid] = None
+        is_assume = op_id == self._assume_id
+        if is_assume:
+            self.class_assume_members[class_id] = {nid: None}
         if canon_kids:
             class_parents = self.class_parents
             assume_parents = self.class_assume_parents
-            is_assume = op_id == self._assume_id
             for child in set(canon_kids):
                 class_parents[child][nid] = None
                 if is_assume:
@@ -392,24 +397,27 @@ class CoreGraph:
         if attr_id is None:
             return None
         find = self.uf.find
+        parent = self.uf._parent
         if children:
             if op_id == self._assume_id:
                 head = find(children[0])
                 tail = sorted({find(c) for c in children[1:]})
                 children = (head, *tail)
             else:
-                children = tuple(find(c) for c in children)
+                children = tuple(c if parent[c] == c else find(c) for c in children)
         nid = self.memo.get((op_id, attr_id, children))
         if nid is None:
             return None
-        return find(self.node_class[nid])
+        cls = self.node_class[nid]
+        return cls if parent[cls] == cls else find(cls)
 
     # ------------------------------------------------------------------ union
     def union(self, a: int, b: int) -> int:
         """Merge two classes; parents are re-keyed *now*, congruence unions
         and analysis propagation are deferred to :meth:`rebuild`."""
-        find = self.uf.find
-        ra, rb = find(a), find(b)
+        parent = self.uf._parent
+        ra = a if parent[a] == a else self.uf.find(a)
+        rb = b if parent[b] == b else self.uf.find(b)
         if ra == rb:
             return ra
         self.version += 1
@@ -445,6 +453,16 @@ class CoreGraph:
             if node_alive[nid]:
                 node_class[nid] = keep
                 knodes[nid] = None
+        # The ASSUME members follow, in the same order; a member the re-key
+        # killed has already left its index (see :meth:`_kill`).
+        assume_members = self.class_assume_members
+        gmembers = assume_members.pop(gone, None)
+        if gmembers is not None:
+            kmembers = assume_members.get(keep)
+            if kmembers is None:
+                assume_members[keep] = gmembers
+            else:
+                kmembers.update(gmembers)
         self.class_rev[keep] += 1
         self.n_classes -= 1
 
@@ -502,8 +520,6 @@ class CoreGraph:
         duplicate on the spot.
         """
         find = self.uf.find
-        first = self.node_first[nid]
-        kids = self.kids
         old_kids = self._kid_tups[nid]
         op_id = self.node_op[nid]
         if op_id == self._assume_id:
@@ -511,7 +527,7 @@ class CoreGraph:
             tail = sorted({find(c) for c in old_kids[1:]})
             new_kids = (head, *tail)
         else:
-            new_kids = tuple(find(c) for c in old_kids)
+            new_kids = tuple(map(find, old_kids))
         if new_kids == old_kids:
             return
         attr_id = self.node_attr[nid]
@@ -519,9 +535,6 @@ class CoreGraph:
         memo = self.memo
         if memo.get(old_sig) == nid:
             del memo[old_sig]
-        for offset, child in enumerate(new_kids):
-            kids[first + offset] = child
-        self.node_nkids[nid] = len(new_kids)
         self._views[nid] = None
         self._kid_tups[nid] = new_kids
         new_sig = (op_id, attr_id, new_kids)
@@ -544,8 +557,21 @@ class CoreGraph:
         nodes = self.class_nodes[root]
         if nodes is not None:
             nodes.pop(nid, None)
+        op_id = self.node_op[nid]
+        if op_id == self._assume_id:
+            # The node left ``class_nodes[root]`` above or, when a union's
+            # re-key kills a member of the class it is absorbing, is still
+            # filed under that class's index (popped by the union next).
+            assume_members = self.class_assume_members
+            for cid in (root, self.node_class[nid]):
+                members = assume_members.get(cid)
+                if members is not None and nid in members:
+                    del members[nid]
+                    if not members:
+                        del assume_members[cid]
+                    break
         self.class_rev[root] += 1
-        self.op_nodes[self.node_op[nid]].pop(nid, None)
+        self.op_nodes[op_id].pop(nid, None)
         self._views[nid] = None
         self.n_nodes -= 1
 
@@ -605,12 +631,15 @@ class CoreGraph:
             if pend and self.analyses:
                 owner = self.owner
                 node_class = self.node_class
+                parent = self.uf._parent
                 while pend and budget:
                     budget -= 1
                     nid, _ = pend.popitem()
                     if not self.node_alive[nid]:
                         continue
-                    root = find(node_class[nid])
+                    root = node_class[nid]
+                    if parent[root] != root:
+                        root = find(root)
                     data = self.class_data[root]
                     enode = self.node_enode(nid)
                     for analysis in self.analyses:
@@ -641,12 +670,7 @@ class CoreGraph:
         ]
         swept_sigs: dict[tuple, int] = {}
         for nid in alive_nids:
-            first = self.node_first[nid]
-            span = tuple(self.kids[first : first + self.node_nkids[nid]])
-            assert self._kid_tups[nid] == span, (
-                f"node {nid}: kid tuple {self._kid_tups[nid]} out of sync "
-                f"with flat buffer span {span}"
-            )
+            span = self._kid_tups[nid]
             owner = self.node_class[nid]
             assert find(owner) == owner, f"node {nid}: stale node_class {owner}"
             assert self.class_nodes[owner] is not None, (
@@ -686,6 +710,9 @@ class CoreGraph:
                 assert cid not in self.class_assume_parents, (
                     f"absorbed class {cid} keeps an ASSUME-parent index"
                 )
+                assert cid not in self.class_assume_members, (
+                    f"absorbed class {cid} keeps an ASSUME-member index"
+                )
                 assert not self.class_ops[cid], (
                     f"absorbed class {cid} keeps an op mask"
                 )
@@ -706,6 +733,17 @@ class CoreGraph:
             )
             assert indexed_assumes is None or indexed_assumes, (
                 f"class {cid}: empty ASSUME-parent index allocated"
+            )
+            assume_members = [
+                nid for nid in nodes if self.node_op[nid] == self._assume_id
+            ]
+            indexed_members = self.class_assume_members.get(cid)
+            assert list(indexed_members or ()) == assume_members, (
+                f"class {cid}: ASSUME-member index {list(indexed_members or ())} "
+                f"!= ASSUME-filtered member set {assume_members}"
+            )
+            assert indexed_members is None or indexed_members, (
+                f"class {cid}: empty ASSUME-member index kept"
             )
             assert self.class_data[cid] is not None
             for nid in nodes:
@@ -748,11 +786,8 @@ class CoreGraph:
         clone.uf._size = list(self.uf._size)
         clone.node_op = array("q", self.node_op)
         clone.node_attr = array("q", self.node_attr)
-        clone.node_first = array("q", self.node_first)
-        clone.node_nkids = array("q", self.node_nkids)
         clone.node_class = array("q", self.node_class)
         clone.node_alive = bytearray(self.node_alive)
-        clone.kids = array("q", self.kids)
         clone.ops = list(self.ops)
         clone.op_ids = dict(self.op_ids)
         clone.attrs = list(self.attrs)
@@ -768,6 +803,9 @@ class CoreGraph:
         ]
         clone.class_assume_parents = {
             cid: dict(parents) for cid, parents in self.class_assume_parents.items()
+        }
+        clone.class_assume_members = {
+            cid: dict(members) for cid, members in self.class_assume_members.items()
         }
         clone.class_ops = array("Q", self.class_ops)
         clone.class_data = [
@@ -799,8 +837,11 @@ class CoreGraph:
     def __reduce__(self):
         """Compact pickling: arrays, intern tables, analysis data and orders.
 
-        The hashcons, per-op index, ASSUME-parent index and view cache are
-        derived on load.  The member and parent sets ship as flat nid
+        The hashcons, per-op index, ASSUME indices and view cache are
+        derived on load.  Children ship as the flat columns artifact
+        format 2 has always carried (first-child offset and count per node
+        over one class-id buffer), derived here from ``_kid_tups``.  The
+        member and parent sets ship as flat nid
         columns in their iteration order, so the revived graph walks its
         classes exactly as this one does: an order-sensitive pass (the
         extraction fixpoint's tie-breaks and worklist) computes the same
@@ -817,6 +858,10 @@ class CoreGraph:
         parent_sets = [
             parents for parents in core.class_parents if parents is not None
         ]
+        kid_tups = core._kid_tups
+        nkids = array("q", map(len, kid_tups))
+        firsts = array("q", accumulate(nkids, initial=0))
+        firsts.pop()
         state = (
             core.analyses,
             list(core.uf._parent),
@@ -825,11 +870,11 @@ class CoreGraph:
             core.attrs,
             core.node_op,
             core.node_attr,
-            core.node_first,
-            core.node_nkids,
+            firsts,
+            nkids,
             core.node_class,
             bytes(core.node_alive),
-            core.kids,
+            array("q", chain.from_iterable(kid_tups)),
             core.class_data,
             core.class_rev,
             core.n_nodes,
@@ -879,11 +924,8 @@ def _core_from_state(state) -> CoreGraph:
     core._const_id = core.op_ids[ops.CONST]
     core.node_op = node_op
     core.node_attr = node_attr
-    core.node_first = node_first
-    core.node_nkids = node_nkids
     core.node_class = node_class
     core.node_alive = bytearray(alive_bytes)
-    core.kids = kids
     core.class_data = list(class_data)
     core.class_rev = list(class_rev)
     core.n_nodes = n_nodes
@@ -895,6 +937,7 @@ def _core_from_state(state) -> CoreGraph:
     core.class_parents = [None] * len(core.class_data)
     core.class_ops = array("Q", bytes(8 * len(core.class_data)))
     canonical = [cid for cid, data in enumerate(core.class_data) if data is not None]
+    assume_id = core._assume_id
     start = 0
     for cid, count in zip(canonical, member_counts):
         shipped = members[start : start + count]
@@ -903,9 +946,12 @@ def _core_from_state(state) -> CoreGraph:
         for nid in shipped:
             mask |= 1 << node_op[nid]
         core.class_ops[cid] = mask
+        if mask >> assume_id & 1:
+            core.class_assume_members[cid] = dict.fromkeys(
+                nid for nid in shipped if node_op[nid] == assume_id
+            )
         start += count
     start = 0
-    assume_id = core._assume_id
     for cid, count in zip(canonical, parent_counts):
         shipped = parents[start : start + count]
         core.class_parents[cid] = dict.fromkeys(shipped)

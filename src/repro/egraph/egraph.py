@@ -100,7 +100,9 @@ class EClass:
 class EGraph:
     """A hashconsed, analysis-carrying e-graph (façade over the flat core)."""
 
-    __slots__ = ("core", "_class_views", "find", "class_data", "__weakref__")
+    __slots__ = (
+        "core", "_class_views", "find", "uf_parent", "class_data", "__weakref__"
+    )
 
     def __init__(self, analyses: Iterable[Analysis] = ()) -> None:
         #: The flat storage + congruence engine.  Hot paths consume this
@@ -113,7 +115,10 @@ class EGraph:
         """Expose the core's own union-find and data column without a hop.
 
         ``find(class_id)`` is the union-find's bound method: the canonical id
-        of the class containing ``class_id``.  ``class_data[class_id]`` is
+        of the class containing ``class_id``.  ``uf_parent`` is its parent
+        column: ``uf_parent[c] == c`` exactly when ``c`` is canonical, so a
+        hot caller tests that before paying for a ``find`` call (most ids
+        it holds are canonical).  ``class_data[class_id]`` is
         the analysis-slot dict of a class id that is canonical *now* (an
         absorbed id holds ``None``) — what analysis hooks, rule conditions
         and cost models read in their inner loops, e.g. ``make`` over an
@@ -121,6 +126,7 @@ class EGraph:
         Both objects live as long as the core, so binding them once is safe.
         """
         self.find = self.core.uf.find
+        self.uf_parent = self.core.uf._parent
         self.class_data = self.core.class_data
 
     @property
@@ -225,10 +231,14 @@ class EGraph:
         built, so probing a wide class for one operator costs one int
         compare per member instead of one :class:`ENode` each — and nothing
         at all when the class's op mask says no member has the operator.
+        ``ASSUME`` members come straight from the core's per-class
+        ASSUME-member index, with no walk at all.
         """
         core = self.core
         op_ids = core.op_ids
-        root = self.find(class_id)
+        root = class_id if self.uf_parent[class_id] == class_id else self.find(class_id)
+        if op is ops.ASSUME:
+            return list(map(core.node_enode, core.class_assume_members.get(root, ())))
         mask = core.class_ops[root]
         if isinstance(op, Op):
             op_id = op_ids.get(op)

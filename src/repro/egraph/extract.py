@@ -295,12 +295,10 @@ class Extractor:
         #: and most child ids of a rebuilt graph are, so the fixpoint tests
         #: that before paying for a ``find`` call.
         uf_parent = core.uf._parent
-        node_first = core.node_first
-        node_nkids = core.node_nkids
         node_alive = core.node_alive
         node_class = core.node_class
         node_op = core.node_op
-        kids_buf = core.kids
+        kid_tups = core._kid_tups
         class_nodes = core.class_nodes
         class_parents = core.class_parents
         node_enode = core.node_enode
@@ -330,9 +328,8 @@ class Extractor:
             current = best.get(root)
             improved = False
             for nid in class_nodes[root]:
-                first = node_first[nid]
                 if node_op[nid] == assume_id:
-                    child = kids_buf[first]
+                    child = kid_tups[nid][0]
                     entry = best.get(
                         child if uf_parent[child] == child else find(child)
                     )
@@ -342,8 +339,7 @@ class Extractor:
                 else:
                     delay = 0.0
                     area = 0.0
-                    for i in range(first, first + node_nkids[nid]):
-                        child = kids_buf[i]
+                    for child in kid_tups[nid]:
                         entry = best.get(
                             child if uf_parent[child] == child else find(child)
                         )
@@ -384,15 +380,14 @@ class Extractor:
         (delay, area) in class ``root``, or None while a child is uncosted."""
         core = self.egraph.core
         find = core.uf.find
-        kids = core.kids
-        first = core.node_first[nid]
+        kids = core._kid_tups[nid]
         if core.ops[core.node_op[nid]] is ops.ASSUME:
-            entry = self._best.get(find(kids[first]))
+            entry = self._best.get(find(kids[0]))
             return None if entry is None else (entry[1], entry[2])
         delay = 0.0
         area = 0.0
-        for i in range(first, first + core.node_nkids[nid]):
-            entry = self._best.get(find(kids[i]))
+        for child in kids:
+            entry = self._best.get(find(child))
             if entry is None:
                 return None
             if entry[1] > delay:
@@ -457,16 +452,10 @@ class Extractor:
         wires): when the best e-node would revisit a class already on the
         current path, the next-cheapest e-node is used instead.
         """
-        return self._build(self.egraph.find(class_id), frozenset())
+        return self._build(self.egraph.find(class_id))
 
-    def _build(self, class_id: int, path: frozenset[int]) -> Expr:
-        class_id = self.egraph.find(class_id)
-        if class_id in self._memo:
-            return self._memo[class_id]
-        if class_id in path:
-            raise _CycleError(class_id)
-        path = path | {class_id}
-
+    def _ranked(self, class_id: int) -> list[ENode]:
+        """The class's costed e-nodes, cheapest first (ties by ``repr``)."""
         node_enode = self.egraph.core.node_enode
         from_parts = self.cost_fn.cost_from_parts
         ranked = []
@@ -478,29 +467,85 @@ class Extractor:
         ranked.sort(key=lambda t: (t[0], t[1]))
         if not ranked:
             raise KeyError(f"class {class_id} has no extractable expression")
+        return [enode for _cost, _tag, enode in ranked]
 
-        last_error: _CycleError | None = None
-        for _cost, _tag, enode in ranked:
-            try:
-                expr = self._build_enode(enode, path)
-            except _CycleError as err:
-                last_error = err
+    def _build(self, root: int) -> Expr:
+        """Top-down rebuild from ``root``, on an explicit stack, so deep
+        designs extract without Python recursion.
+
+        One frame per class on the current path: its ranked e-nodes, the
+        one being tried, and the children built for it so far.  A child
+        class already on the path fails that e-node with a
+        :class:`_CycleError` and the frame moves on to its next-cheapest
+        e-node; a frame out of e-nodes fails its parent's e-node the same
+        way, and the root's failure is raised.  Every class that builds is
+        memoized, also under an e-node that later fails.
+        """
+        find = self.egraph.find
+        memo = self._memo
+        if root in memo:
+            return memo[root]
+        strip = self.strip_assumes
+        #: Frames: [class id, ranked e-nodes, index of the e-node tried,
+        #: its child class ids, the child exprs built so far].
+        stack: list[list] = []
+        on_path: set[int] = set()
+
+        def push(class_id: int) -> None:
+            frame = [class_id, self._ranked(class_id), 0, (), []]
+            stack.append(frame)
+            on_path.add(class_id)
+            start(frame)
+
+        def start(frame: list) -> None:
+            enode = frame[1][frame[2]]
+            kids = enode.children
+            if enode.op is ops.ASSUME and strip:
+                kids = kids[:1]
+            frame[3] = kids
+            frame[4] = []
+
+        push(root)
+        while True:
+            frame = stack[-1]
+            kids, built = frame[3], frame[4]
+            if len(built) < len(kids):
+                child = find(kids[len(built)])
+                expr = memo.get(child)
+                if expr is not None:
+                    built.append(expr)
+                    continue
+                if child not in on_path:
+                    push(child)
+                    continue
+                error = _CycleError(child)
+            else:
+                enode = frame[1][frame[2]]
+                if enode.op is not ops.ASSUME:
+                    expr = Expr(enode.op, enode.attrs, tuple(built))
+                elif strip:
+                    expr = built[0]
+                else:
+                    expr = Expr(ops.ASSUME, (), tuple(built))
+                memo[frame[0]] = expr
+                stack.pop()
+                on_path.discard(frame[0])
+                if not stack:
+                    return expr
+                stack[-1][4].append(expr)
                 continue
-            self._memo[class_id] = expr
-            return expr
-        raise last_error if last_error else KeyError(class_id)
-
-    def _build_enode(self, enode: ENode, path: frozenset[int]) -> Expr:
-        if enode.op is ops.ASSUME:
-            guarded = self._build(enode.children[0], path)
-            if self.strip_assumes:
-                return guarded
-            constraints = tuple(
-                self._build(c, path) for c in enode.children[1:]
-            )
-            return Expr(ops.ASSUME, (), (guarded,) + constraints)
-        kids = tuple(self._build(c, path) for c in enode.children)
-        return Expr(enode.op, enode.attrs, kids)
+            # The tried e-node closes a cycle: move on to the frame's next
+            # e-node, or fail the parent's e-node when there is none.
+            while True:
+                frame = stack[-1]
+                frame[2] += 1
+                if frame[2] < len(frame[1]):
+                    start(frame)
+                    break
+                stack.pop()
+                on_path.discard(frame[0])
+                if not stack:
+                    raise error
 
 
 class _CycleError(Exception):

@@ -4,11 +4,20 @@ An interpreted matcher walks a pattern tree per candidate e-node,
 materializing :class:`ENode` views and recursive generator frames as it
 goes.  This module removes both costs: each
 :class:`PatternNode` is *compiled once* into a specialized Python function
-of nested ``for`` loops over the core's int arrays (op ids compared as
-ints, child classes read straight out of the flat ``kids`` buffer, literal
-leaf sub-patterns folded into one hashcons lookup), and a
-:class:`QueryPlan` groups every active rule by root operator so one
-snapshot of the per-op node index serves all of them.
+of nested ``for`` loops over the core's int arrays (child classes read
+straight out of each node's child tuple, literal leaf sub-patterns folded
+into one hashcons lookup), and a :class:`QueryPlan` groups every active
+rule by root operator so one snapshot of the per-op node index serves all
+of them.
+
+A nested pattern node (and a ``(const ?s)`` leaf) needs the members of one
+class that have one operator.  One :meth:`QueryPlan.search` keeps a memo
+from ``(op, class)`` to those member nids (:class:`_OpMembers`), filled on
+the first probe of a class and read back by every later probe of any
+matcher in the same search, so a wide class is walked once per search and
+operator, not once per candidate that reaches it.  The memo needs no
+upkeep: the graph does not change during a search, and the memo is dropped
+when the search ends.
 
 Compiled matchers require a *clean* graph (directly after ``rebuild``):
 ``node_class`` entries and child ids are then canonical, so no ``find``
@@ -20,23 +29,28 @@ A rule's search-time guards run on each full match before it counts
 against the limit, and a ``(const ?s)`` leaf binds the value of the
 class's first ``CONST`` member, as :meth:`CoreGraph.class_const` reads it.
 
-Generated code for ``(* ?a 2)`` looks like::
+Generated code for ``(* (+ ?a ?b) 2)`` looks like::
 
-    def _matcher(core, cands, limit, out, keep=None):
-        ... array locals ...
-        _op0 = op_ids.get(_OP0)        # MUL — resolved per call
-        if _op0 is None: return
-        _lf0 = memo.get((_op1, _at1, ()))  # the Const(2) leaf, one dict hit
-        if _lf0 is None: return
-        _lc0 = node_class[_lf0]
-        for n0 in cands:
-            _f0 = node_first[n0]
-            v0 = kids[_f0]
-            if kids[_f0 + 1] != _lc0: continue
-            _env = {"a": v0}
-            # a guarded rule's matcher adds: if not keep(_env): continue
-            out.append((node_class[n0], _env))
-            if len(out) >= limit: return
+    def _matcher(core, cands, limit, out, keep=None, probe=None):
+        ... array locals; probe = {} when the caller passes none ...
+        _op4 = op_ids.get(_K5)           # ADD — resolved per call
+        if _op4 is None: return
+        _pm6 = probe.get(_op4)           # the search's ADD-member memo
+        if _pm6 is None: _pm6 = probe[_op4] = _OpMembers(core, _op4)
+        _lf14 = memo.get((_op10, _at12, ()))  # the Const(2) leaf, one hit
+        if _lf14 is None: return
+        _lc15 = node_class[_lf14]
+        for _n1 in cands:                # the MUL nodes
+            _t2 = kid_tups[_n1]
+            for _n3 in _pm6[_t2[0]]:     # ADD members of the left class
+                _t7 = kid_tups[_n3]
+                _v8 = _t7[0]
+                _v9 = _t7[1]
+                if _t2[1] != _lc15: continue
+                _env = {'a': _v8, 'b': _v9}
+                # a guarded rule's matcher adds: if not keep(_env): continue
+                out_append((node_class[_n1], _env))
+                if len(out) >= limit: return
 
 The apply side is lowered the same way: :func:`compile_builder` turns a
 right-hand side into one straight-line function per pattern that builds it
@@ -76,9 +90,10 @@ from repro.egraph.pattern import AttrExpr, AttrVar, Pattern, PatternNode, Patter
 from repro.ir import ops
 from repro.ir.ops import Op
 
-#: Compiled matcher: ``matcher(core, candidate_nids, limit, out, keep)``
-#: appends ``(root_class_id, env)`` pairs to ``out``, stopping at ``limit``.
-Matcher = Callable[[object, list, int, list, Callable | None], None]
+#: Compiled matcher: ``matcher(core, candidate_nids, limit, out, keep,
+#: probe)`` appends ``(root_class_id, env)`` pairs to ``out``, stopping at
+#: ``limit``; ``probe`` is the search's member memo (a fresh one if omitted).
+Matcher = Callable[[object, list, int, list, Callable | None, dict | None], None]
 
 #: Compiled right-hand side: ``build(core, env)`` instantiates the pattern in
 #: the core and returns its canonical class id.
@@ -126,6 +141,8 @@ class _Emitter(_Codegen):
         self.guarded = guarded
         #: var name -> local holding its binding (class id or attr value).
         self.bound: dict[str, str] = {}
+        #: op -> prelude local holding its :class:`_OpMembers` memo.
+        self.probes: dict[Op, str] = {}
 
     def op_id(self, op: Op) -> str:
         """Prelude local holding the op's interned id (guarded)."""
@@ -183,21 +200,37 @@ class _Emitter(_Codegen):
                     f"{ind}if {tup}[{i}] != {self.lit(pat_a)}: continue"
                 )
 
+    def members(self, op: Op) -> str:
+        """Prelude local holding the search's ``class -> members with op``
+        memo for one operator (see :class:`_OpMembers`)."""
+        local = self.probes.get(op)
+        if local is None:
+            op_local = self.op_id(op)
+            local = self.fresh("_pm")
+            self.prelude.append(f"    {local} = probe.get({op_local})")
+            self.prelude.append(
+                f"    if {local} is None: "
+                f"{local} = probe[{op_local}] = _OpMembers(core, {op_local})"
+            )
+            self.globals["_OpMembers"] = _OpMembers
+            self.probes[op] = local
+        return local
+
     def emit_node(self, nid: str, pat: PatternNode, depth: int, then) -> None:
         """Match ``pat``'s attrs and children against the node in local
         ``nid``; call ``then(depth)`` at every full assignment.  The caller
         has already ensured the node's op matches."""
         ind = "    " * depth
         self.emit_attrs(nid, pat, ind)
-        if pat.op.arity is None:
-            self.body.append(
-                f"{ind}if node_nkids[{nid}] != {len(pat.children)}: continue"
-            )
-        if not pat.children:
+        if not pat.children and pat.op.arity is not None:
             then(depth)
             return
-        first = self.fresh("_f")
-        self.body.append(f"{ind}{first} = node_first[{nid}]")
+        kids = self.fresh("_t")
+        self.body.append(f"{ind}{kids} = kid_tups[{nid}]")
+        if pat.op.arity is None:
+            self.body.append(
+                f"{ind}if len({kids}) != {len(pat.children)}: continue"
+            )
 
         def step(i: int, depth: int) -> None:
             if i == len(pat.children):
@@ -205,7 +238,7 @@ class _Emitter(_Codegen):
                 return
             ind = "    " * depth
             child = pat.children[i]
-            cell = f"kids[{first} + {i}]" if i else f"kids[{first}]"
+            cell = f"{kids}[{i}]"
             if isinstance(child, PatternVar):
                 bound = self.bound.get(child.name)
                 if bound is None:
@@ -227,21 +260,19 @@ class _Emitter(_Codegen):
                 step(i + 1, depth)
             elif child.op is ops.CONST:
                 # ``(const ?s)``: the class's first CONST member only.
+                found = self.fresh("_m")
                 inner = self.fresh("_n")
                 self.body += [
-                    f"{ind}for {inner} in class_nodes[{cell}]:",
-                    f"{ind}    if node_op[{inner}] == {self.op_id(ops.CONST)}: break",
-                    f"{ind}else:",
-                    f"{ind}    continue",
+                    f"{ind}{found} = {self.members(ops.CONST)}[{cell}]",
+                    f"{ind}if not {found}: continue",
+                    f"{ind}{inner} = {found}[0]",
                 ]
                 self.emit_attrs(inner, child, ind)
                 step(i + 1, depth)
             else:
                 inner = self.fresh("_n")
-                self.body.append(f"{ind}for {inner} in class_nodes[{cell}]:")
                 self.body.append(
-                    f"{ind}    if node_op[{inner}] != {self.op_id(child.op)}: "
-                    "continue"
+                    f"{ind}for {inner} in {self.members(child.op)}[{cell}]:"
                 )
                 self.emit_node(
                     inner, child, depth + 1, lambda d: step(i + 1, d)
@@ -268,24 +299,51 @@ class _Emitter(_Codegen):
 
         src = "\n".join(
             [
-                "def _matcher(core, cands, limit, out, keep=None):",
+                "def _matcher(core, cands, limit, out, keep=None, probe=None):",
                 "    op_ids = core.op_ids",
                 "    attr_ids = core.attr_ids",
                 "    memo = core.memo",
-                "    node_op = core.node_op",
                 "    node_attr = core.node_attr",
-                "    node_first = core.node_first",
-                "    node_nkids = core.node_nkids",
                 "    node_class = core.node_class",
-                "    kids = core.kids",
-                "    class_nodes = core.class_nodes",
+                "    kid_tups = core._kid_tups",
                 "    attr_list = core.attrs",
                 "    out_append = out.append",
+                "    if probe is None: probe = {}",
                 *self.prelude,
                 *self.body,
             ]
         )
         return self.define(src, "_matcher")
+
+
+class _OpMembers(dict):
+    """One search's memo of a class's members with one operator.
+
+    ``members[class_id]`` is the class's nids whose op is ``op_id``, in
+    member order: filled on the first probe of the class (none at all when
+    the class's op mask rules the op out) and read back on every later
+    probe of the same class and op, by any matcher of the same search.
+    The memo is only valid while the graph does not change, so each
+    :meth:`QueryPlan.search` starts a fresh one and drops it at the end.
+    """
+
+    __slots__ = ("core", "op_id")
+
+    def __init__(self, core, op_id: int) -> None:
+        super().__init__()
+        self.core = core
+        self.op_id = op_id
+
+    def __missing__(self, class_id: int) -> list[int] | tuple:
+        core = self.core
+        op_id = self.op_id
+        if core.class_ops[class_id] >> op_id & 1:
+            node_op = core.node_op
+            found = [nid for nid in core.class_nodes[class_id] if node_op[nid] == op_id]
+        else:
+            found = ()
+        self[class_id] = found
+        return found
 
 
 def compile_pattern(pattern: PatternNode, guarded: bool = False) -> Matcher:
@@ -459,6 +517,9 @@ class QueryPlan:
         core = egraph.core
         op_ids = core.op_ids
         op_nodes = core.op_nodes
+        #: op id -> :class:`_OpMembers`, shared by every matcher of this
+        #: search and dropped with it (the apply phase changes members).
+        probe: dict[int, _OpMembers] = {}
         for op, entries in self.groups.items():
             wanted = [entry for entry in entries if entry[0] in budgets]
             if not wanted:
@@ -469,7 +530,7 @@ class QueryPlan:
                 out: list = []
                 if cands:
                     keep = _keep(egraph, guards) if guards else None
-                    matcher(core, cands, budgets[position], out, keep)
+                    matcher(core, cands, budgets[position], out, keep, probe)
                 results[position] = out
         return results
 

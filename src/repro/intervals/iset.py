@@ -89,10 +89,15 @@ class IntervalSet:
 
     #: ``_storage`` memoizes :meth:`storage_width` (``-1`` until first
     #: asked): extraction prices every e-node from its classes' widths, and
-    #: interning makes one set serve every class with that range.  Pickling
-    #: ships only ``parts`` (see :meth:`__reduce__`), so the memo never
-    #: crosses a process boundary.
-    __slots__ = ("parts", "_hash", "_storage")
+    #: interning makes one set serve every class with that range.
+    #: ``_point``, ``_top`` and ``_truth`` hold :meth:`as_point`,
+    #: :attr:`is_top` and :meth:`truthiness`, computed once when the set is
+    #: first interned: the saturation hot path asks them of the same few
+    #: sets millions of times.  ``_abs`` is where the e-class analysis
+    #: interns its values over this set (:class:`repro.analysis.AbsVal`),
+    #: ``None`` until it first does.  Pickling ships only ``parts`` (see
+    #: :meth:`__reduce__`), so no memo crosses a process boundary.
+    __slots__ = ("parts", "_hash", "_storage", "_point", "_top", "_truth", "_abs")
 
     parts: tuple[Interval, ...]
 
@@ -105,6 +110,22 @@ class IntervalSet:
         self.parts = parts
         self._hash = hash(parts)
         self._storage = -1
+        point = None
+        top = False
+        if len(parts) == 1:
+            lo, hi = parts[0].lo, parts[0].hi
+            if lo is not None and lo == hi:
+                point = lo
+            top = lo is None and hi is None
+        self._point = point
+        self._top = top
+        if point == 0:
+            self._truth = False
+        elif parts and not any(p.contains(0) for p in parts):
+            self._truth = True
+        else:
+            self._truth = None
+        self._abs = None
         if len(_INTERN) >= _INTERN_CAP:
             _INTERN.clear()
         _INTERN[parts] = self
@@ -181,7 +202,7 @@ class IntervalSet:
 
     @property
     def is_top(self) -> bool:
-        return len(self.parts) == 1 and self.parts[0] == Interval(None, None)
+        return self._top
 
     @property
     def bounded(self) -> bool:
@@ -189,9 +210,7 @@ class IntervalSet:
 
     def as_point(self) -> int | None:
         """The single contained value, or ``None`` if not a singleton."""
-        if len(self.parts) == 1 and self.parts[0].is_point:
-            return self.parts[0].lo
-        return None
+        return self._point
 
     def min(self) -> int | None:
         """Least element (``None`` when empty or unbounded below)."""
@@ -244,9 +263,9 @@ class IntervalSet:
         # the rebuild hot loop intersects with TOP and with itself constantly.
         if self is other:
             return self
-        if self.is_top or other.is_empty:
+        if self._top or not other.parts:
             return other
-        if other.is_top or self.is_empty:
+        if other._top or not self.parts:
             return self
         pieces = []
         for p in self.parts:
@@ -556,11 +575,7 @@ class IntervalSet:
 
     def truthiness(self) -> bool | None:
         """True / False when the set is definitely nonzero / zero, else None."""
-        if self.as_point() == 0:
-            return False
-        if not self.is_empty and not self.contains(0):
-            return True
-        return None
+        return self._truth
 
     # ------------------------------------------------------------------ widths
     def unsigned_width(self) -> int | None:

@@ -91,11 +91,28 @@ class _Emitter:
         return "\n".join(lines)
 
     def emit(self, node: Expr) -> str:
-        if node in self.names:
-            return self.names[node]
-        name = self._emit_node(node)
-        self.names[node] = name
-        return name
+        """The name (or literal) of ``node``'s value, emitting its wires.
+
+        Subterms are emitted in the post-order a recursive walk would take
+        (an ``ASSUME`` emits only its guarded child), on an explicit stack:
+        when :meth:`_emit_node` asks for a child's name it is already
+        there, so deep designs emit without Python recursion.
+        """
+        names = self.names
+        stack = [(node, False)]
+        while stack:
+            current, ready = stack.pop()
+            if current in names:
+                continue
+            if ready:
+                names[current] = self._emit_node(current)
+                continue
+            stack.append((current, True))
+            kids = current.children
+            if current.op is ops.ASSUME:
+                kids = kids[:1]
+            stack.extend((kid, False) for kid in reversed(kids) if kid not in names)
+        return names[node]
 
     def _emit_node(self, node: Expr) -> str:
         op = node.op

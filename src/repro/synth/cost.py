@@ -166,6 +166,7 @@ class DelayAreaCost(CostFunction):
         """
         class_data = egraph.class_data
         find = egraph.find
+        uf_parent = egraph.uf_parent
         core = egraph.core
         node_class = core.node_class
         const_classes = {
@@ -175,7 +176,7 @@ class DelayAreaCost(CostFunction):
         widths: dict[int, int] = {}
 
         def width(class_id: int) -> int:
-            root = find(class_id)
+            root = class_id if uf_parent[class_id] == class_id else find(class_id)
             found = widths.get(root)
             if found is None:
                 found = widths[root] = range_width(

@@ -1,5 +1,5 @@
-"""The ASSUME-parent index, the per-class op masks and the op-filtered
-member probes.
+"""The ASSUME-parent index, the ASSUME-member index, the per-class op masks
+and the op-filtered member probes.
 
 A union requeues the ``ASSUME`` parents of both classes for analysis even
 when their data did not change; the core finds them through
@@ -60,14 +60,27 @@ def _assume_scan(core, class_id: int) -> list[int]:
 
 def _assert_index(core) -> None:
     egraph = core.owner
+    assume_id = core.op_ids[ops.ASSUME]
     for class_id, members in enumerate(core.class_nodes):
         indexed = core.class_assume_parents.get(class_id)
+        indexed_members = core.class_assume_members.get(class_id)
         mask = core.class_ops[class_id]
         if members is None:
             assert indexed is None, f"absorbed class {class_id} kept an index"
+            assert indexed_members is None, (
+                f"absorbed class {class_id} kept an ASSUME-member index"
+            )
             assert mask == 0, f"absorbed class {class_id} kept an op mask"
             continue
         assert list(indexed or ()) == _assume_scan(core, class_id)
+        # The ASSUME-member index: the member set's ASSUMEs, in order, and
+        # no entry for a class that has none.
+        member_scan = [nid for nid in members if core.node_op[nid] == assume_id]
+        assert list(indexed_members or ()) == member_scan
+        assert indexed_members is None or indexed_members
+        assert egraph.members(class_id, ops.ASSUME) == list(
+            map(core.node_enode, member_scan)
+        )
         for nid in members:
             assert mask >> core.node_op[nid] & 1, (
                 f"class {class_id}: mask {mask:b} misses member {nid}"
@@ -160,6 +173,48 @@ def test_check_invariants_rejects_a_wrong_index():
     core.class_assume_parents[x] = dict.fromkeys(reversed(core.class_assume_parents[x]))
     with pytest.raises(AssertionError, match="ASSUME-parent index"):
         core.check_invariants()
+
+
+def test_check_invariants_rejects_a_wrong_member_index():
+    egraph = EGraph([LowAnalysis()])
+    x = egraph.add_node(ops.VAR, ("v0", 4))
+    y = egraph.add_node(ops.VAR, ("v1", 4))
+    first = egraph.add_node(ops.ASSUME, (), (x, y))
+    second = egraph.add_node(ops.ASSUME, (), (x,))
+    egraph.union(first, second)
+    egraph.rebuild()
+    egraph.check_invariants()
+    core = egraph.core
+    root = egraph.find(first)
+    assert len(core.class_assume_members[root]) == 2
+    core.class_assume_members[root] = dict.fromkeys(
+        reversed(core.class_assume_members[root])
+    )
+    with pytest.raises(AssertionError, match="ASSUME-member index"):
+        core.check_invariants()
+
+
+def test_killed_assume_members_leave_the_member_index():
+    """Congruence kills an ASSUME that collides with one in its own class;
+    the class's member index drops it, and an emptied entry goes away."""
+    egraph = EGraph([LowAnalysis()])
+    x = egraph.add_node(ops.VAR, ("v0", 4))
+    b = egraph.add_node(ops.VAR, ("v1", 4))
+    c = egraph.add_node(ops.VAR, ("v2", 4))
+    first = egraph.add_node(ops.ASSUME, (), (x, b))
+    second = egraph.add_node(ops.ASSUME, (), (x, c))
+    egraph.union(first, second)
+    egraph.union(b, c)
+    egraph.rebuild()
+    egraph.check_invariants()
+    core = egraph.core
+    root = egraph.find(first)
+    assert len(egraph.members(root, ops.ASSUME)) == 1
+    assert list(core.class_assume_members[root]) == [
+        nid for nid in core.class_nodes[root] if core.node_alive[nid]
+        and core.node_op[nid] == core.op_ids[ops.ASSUME]
+    ]
+    _assert_index(core)
 
 
 def test_check_invariants_rejects_a_mask_missing_a_member_op():

@@ -158,3 +158,30 @@ def test_repeated_variables_must_agree():
     found = plan.search(g, {0: 100})[0]
     assert found == ematch(g, lhs)
     assert [env for _, env in found] == [{"w": 4, "a": x}, {"w": 8, "a": x}]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    graphs(),
+    st.lists(st.tuples(lhs_patterns, st.sampled_from(LIMITS)), min_size=1, max_size=4),
+    st.lists(st.tuples(st.booleans(), st.integers(0, 99), st.integers(0, 99)),
+             min_size=1, max_size=8),
+)
+def test_a_plan_searched_again_sees_the_changed_graph(g, searches, edits):
+    """The per-search member memo is dropped when the search ends: the same
+    plan, searched again after nodes are added and classes merged, answers
+    what ``ematch`` answers on the changed graph."""
+    plan = QueryPlan([Rewrite(f"r{i}", lhs, _no_apply) for i, (lhs, _) in enumerate(searches)])
+    budgets = {i: limit for i, (_, limit) in enumerate(searches)}
+    plan.search(g, budgets)
+    ids = g.core.class_ids()
+    for merge, i, j in edits:
+        a, b = g.find(ids[i % len(ids)]), g.find(ids[j % len(ids)])
+        if merge:
+            g.union(a, b)
+        else:
+            ids.append(g.add_node(ops.ADD, (), (a, b)))
+    g.rebuild()
+    found = plan.search(g, budgets)
+    for position, (lhs, limit) in enumerate(searches):
+        assert found.get(position, []) == ematch(g, lhs, limit=limit), lhs

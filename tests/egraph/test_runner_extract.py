@@ -1,5 +1,7 @@
 """Saturation runner and extraction."""
 
+import pytest
+
 from repro.egraph import (
     AstDepthCost,
     AstSizeCost,
@@ -11,6 +13,7 @@ from repro.egraph import (
 )
 from repro.egraph.runner import BackoffScheduler
 from repro.ir import ops, var
+from repro.ir.expr import Expr
 from repro.pipeline.budget import Budget
 
 
@@ -163,6 +166,26 @@ class TestExtraction:
         g.union(x_id, plus)  # class now contains ADD(self, 0)
         g.rebuild()
         assert Extractor(g, AstSizeCost()).expr_of(x_id) == x
+
+    @pytest.mark.parametrize("strip", [True, False])
+    def test_a_cycle_two_classes_deep_falls_back_at_the_top(self, strip):
+        """The cheapest-ranked node of ``x``'s class is a wire through a
+        class whose only node leads back to ``x``: that class fails as a
+        whole, and ``x``'s class falls back to its next-ranked node."""
+        g = EGraph()
+        x = g.add_node(ops.VAR, ("x", 4))
+        c = g.add_node(ops.VAR, ("c", 1))
+        inner = g.add_node(ops.ASSUME, (), (x, c))
+        outer = g.add_node(ops.ASSUME, (), (inner, c))
+        g.union(x, outer)  # x's class: {Var(x), ASSUME(inner, c)}
+        g.rebuild()
+        ex = Extractor(g, AstSizeCost(), strip_assumes=strip)
+        ranked = ex._ranked(g.find(x))
+        assert [n.op for n in ranked] == [ops.ASSUME, ops.VAR]  # tie, by repr
+        leaf = var("x", 4)
+        assert ex.expr_of(x) == leaf
+        expected = leaf if strip else Expr(ops.ASSUME, (), (leaf, var("c", 1)))
+        assert ex.expr_of(inner) == expected
 
     def test_assume_is_free_and_stripped(self):
         from repro.ir.expr import assume, gt

@@ -82,6 +82,58 @@ def _partition(g: EGraph, ids: list[int]) -> list[frozenset[int]]:
     )
 
 
+class TestChildColumns:
+    """The live core keeps one child record per node (``_kid_tups``); the
+    pickled state still ships the flat columns of artifact format 2 — a
+    first-child offset and a count per node over one class-id buffer."""
+
+    @staticmethod
+    def _state(g: EGraph) -> tuple:
+        reviver, (state,) = g.core.__reduce__()
+        return state
+
+    @settings(max_examples=40, deadline=None)
+    @given(workload())
+    def test_pickled_state_ships_flat_child_columns(self, load):
+        g, _ = _build(load)
+        state = self._state(g)
+        firsts, counts, kids = state[7], state[8], state[11]
+        for column in (firsts, counts, kids):
+            assert column.typecode == "q"
+        assert len(firsts) == len(counts) == len(g.core.node_op)
+        assert [
+            tuple(kids[first : first + count])
+            for first, count in zip(firsts, counts)
+        ] == g.core._kid_tups
+        loaded = pickle.loads(pickle.dumps(g))
+        assert loaded.core._kid_tups == g.core._kid_tups
+
+    def test_a_buffer_with_gaps_still_loads(self):
+        """Older saves left unused cells where a re-keyed ``ASSUME`` lost
+        duplicate constraints; spans are read by offset and count."""
+        from array import array
+
+        from repro.egraph.core import _core_from_state
+
+        g = EGraph()
+        x = g.add_node(ops.VAR, ("x", 4))
+        b = g.add_node(ops.VAR, ("b", 4))
+        c = g.add_node(ops.VAR, ("c", 4))
+        g.add_node(ops.ASSUME, (), (x, b, c))
+        g.union(b, c)
+        g.rebuild()
+        state = list(self._state(g))
+        tups = g.core._kid_tups
+        firsts, kids = array("q"), array("q")
+        for tup in tups:
+            firsts.append(len(kids))
+            kids.extend(tup + (-1,))  # one unused cell after every span
+        state[7], state[11] = firsts, kids
+        revived = _core_from_state(tuple(state))
+        assert revived._kid_tups == tups
+        revived.check_invariants()
+
+
 class TestPicklingPurity:
     """``__reduce__`` must never mutate the graph being pickled."""
 

@@ -173,24 +173,60 @@ class TestCli:
         assert proc.stderr.startswith("y: delay 900.0 -> ")
 
     @pytest.mark.parametrize("command", [["optimize"], []], ids=["optimize", "alias"])
-    def test_too_deep_design_exits_cleanly(self, tmp_path, command):
-        """A 200-wire chain still exceeds the recursion limit of
-        extraction's tree rebuild; the CLI says so instead of printing a
-        traceback."""
+    @pytest.mark.parametrize(
+        "step",
+        [lambda w: f"{w} + 8'd1", lambda w: f"({w} > 8'd3) ? {w} - 8'd1 : {w}"],
+        ids=["add", "mux"],
+    )
+    def test_deep_chains_are_optimized(self, tmp_path, command, step):
+        """200-wire chains pass every stage: extraction's tree rebuild and
+        the Verilog emitter run on explicit stacks, not one Python frame
+        per level."""
         import subprocess
         import sys
 
         src = tmp_path / "chain.v"
-        src.write_text(_chain(200, lambda w: f"{w} + 8'd1"))
+        src.write_text(_chain(200, step))
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", *command, str(src), "--no-verify"],
+            [sys.executable, "-m", "repro", *command, str(src), "--no-verify",
+             "--iters", "1"],
             capture_output=True, text=True, timeout=120,
         )
-        assert proc.returncode == 1
-        assert proc.stderr == (
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.startswith("y: delay ")
+        assert proc.stdout.startswith("module optimized (")
+
+    def test_too_deep_design_exits_cleanly(self, tmp_path, monkeypatch):
+        """A ``RecursionError`` from any pass ends in a one-line error, not
+        a traceback."""
+        from repro.opt.optimizer import DatapathOptimizer
+
+        def too_deep(self, source):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(DatapathOptimizer, "optimize_verilog", too_deep)
+        src = tmp_path / "toy.v"
+        src.write_text(SOURCE)
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", str(src), "--no-verify"])
+        assert str(exc.value) == (
             "error: design too deep to optimize "
-            "(maximum recursion depth exceeded)\n"
+            "(maximum recursion depth exceeded)"
         )
+
+    def test_summary_prints_the_dag_area(self, tmp_path, capsys):
+        """Each wire of the mux chain is read three times, so its tree area
+        is exponential in the chain's length; the summary leads with the
+        area of the shared hardware and labels the tree figure."""
+        src = tmp_path / "mux_chain.v"
+        src.write_text(_chain(100, lambda w: f"({w} > 8'd3) ? {w} - 8'd1 : {w}"))
+        assert main(["optimize", str(src), "--no-verify", "--iters", "1",
+                     "-o", str(tmp_path / "out.v")]) == 0
+        summary = capsys.readouterr().err
+        assert summary.startswith(
+            "y: delay 900.0 -> 900.0, dag area 6870.0 -> 6570.0, tree area "
+        ), summary
+        assert "e+49" in summary
 
     def test_parser_flags(self):
         parser = build_parser()
