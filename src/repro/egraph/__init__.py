@@ -11,12 +11,12 @@ POPL 2021).  This package reimplements the same machinery in Python:
 * :mod:`~repro.egraph.egraph` — the object-shaped ``EGraph``/``EClass`` API,
   a thin façade over the core,
 * :mod:`~repro.egraph.pattern` — pattern language (class and attribute
-  variables, ``(const ?s)`` leaves, computed attributes),
+  variables, constraint tails, ``(const ?s)`` leaves, computed attributes),
 * :mod:`~repro.egraph.query` — compiled multi-pattern e-matching (all active
-  patterns lowered into one per-op query plan over the core arrays),
-* :mod:`~repro.egraph.rewrite` — declarative rules (search-time guards,
-  apply-time conditions, compiled right-hand-side builders) and dynamic
-  ones (callable searchers and appliers),
+  rules' arms lowered into one query plan over the core arrays),
+* :mod:`~repro.egraph.rewrite` — declarative rules (ordered arms with
+  search-time guards and apply-time conditions, compiled right-hand-side
+  builders) and dynamic ones (callable searchers and appliers),
 * :mod:`~repro.egraph.runner` — saturation runner with a backoff scheduler,
 * :mod:`~repro.egraph.extract` — cost-directed extraction (one bottom-up
   fixpoint over the core, one decomposable cost protocol),

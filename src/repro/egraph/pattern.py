@@ -8,14 +8,17 @@ Patterns are written as s-expressions, egg-style::
     (<< ?a (const ?s))    ?s binds the value of the class's first CONST member
     (trunc (min ?v ?w) ?a)  a right-hand side computes an attribute
     (mux ?c ?t ?f)        ternary
-    (assume ?x ?c)        ASSUME with exactly one constraint
+    (assume ?x ?cs...)    ?cs... binds an ASSUME's constraint tail
 
 ``?name`` in a child position is a :class:`PatternVar` (binds an e-class id);
 in an attribute position it is an :class:`AttrVar` (binds the attribute
-value).  An :class:`AttrExpr` computes an attribute from bound ones; only
-right-hand sides and guards use them.  Patterns are searched by the
-compiled matchers and built by the compiled builders of
-:mod:`repro.egraph.query`.
+value).  ``?name...``, the last child of an ``ASSUME`` left-hand side,
+binds the tuple of its constraint classes; a right-hand ``ASSUME`` splices
+the tails it names into its constraint set.  An :class:`AttrExpr` computes
+an attribute from bound ones; only right-hand sides and guards use them,
+and only guards read a class's range (``(lo ?x)``, ``(hi ?x)``).  Patterns
+are searched by the compiled matchers and built by the compiled builders
+of :mod:`repro.egraph.query`.
 """
 
 from __future__ import annotations
@@ -32,12 +35,13 @@ from repro.ir.ops import Op
 
 @dataclass(frozen=True, slots=True)
 class PatternVar:
-    """Binds an e-class id."""
+    """Binds an e-class id, or with ``tail`` a tuple of them."""
 
     name: str
+    tail: bool = False
 
     def __repr__(self) -> str:
-        return f"?{self.name}"
+        return f"?{self.name}..." if self.tail else f"?{self.name}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,7 +55,11 @@ class AttrVar:
 
 
 #: Functions an :class:`AttrExpr` may apply, by their pattern symbol.
-ATTR_FUNCTIONS = MappingProxyType({"min": min, "+": operator.add, "-": operator.sub})
+ATTR_FUNCTIONS = MappingProxyType({
+    "min": min, "+": operator.add, "-": operator.sub, "bitlen": int.bit_length,
+    "log2": lambda value: value.bit_length() - 1,
+    "lo": None, "hi": None,  # a class's range bounds (see ``eval_attr``)
+})
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,12 +73,17 @@ class AttrExpr:
         return "(" + " ".join([self.fn, *map(repr, self.args)]) + ")"
 
 
-def eval_attr(attr, env: dict):
-    """The value of an attribute slot (literal, variable or expression)."""
+def eval_attr(attr, env: dict, bounds=None):
+    """The value of an attribute slot (literal, variable or expression);
+    ``bounds(name)`` is ``(lo, hi)`` of the range of the class ``name``
+    binds, and an expression over a missing bound is ``None``."""
     if isinstance(attr, AttrVar):
         return env[attr.name]
     if isinstance(attr, AttrExpr):
-        return ATTR_FUNCTIONS[attr.fn](*(eval_attr(a, env) for a in attr.args))
+        if attr.fn in ("lo", "hi"):
+            return bounds(attr.args[0].name)[attr.fn == "hi"]
+        args = [eval_attr(a, env, bounds) for a in attr.args]
+        return None if None in args else ATTR_FUNCTIONS[attr.fn](*args)
     return attr
 
 
@@ -165,6 +178,8 @@ def parse_pattern(text: str, attr: bool = False) -> Pattern:
                 raise ValueError(f"unknown operator {head!r} in {text!r}")
             attrs = tuple(parse_attr() for _ in op.attr_names)
             children = until_close(parse)
+            if op is not ops.ASSUME and class_vars(PatternNode(op, (), children), tails=True):
+                raise ValueError(f"only an ASSUME has a constraint tail: {text!r}")
             if op.arity is not None and len(children) != op.arity:
                 raise ValueError(
                     f"{op.name} wants {op.arity} children, got "
@@ -174,7 +189,8 @@ def parse_pattern(text: str, attr: bool = False) -> Pattern:
         if tok == ")":
             raise ValueError(f"unbalanced ')' in {text!r}")
         if tok.startswith("?"):
-            return PatternVar(tok[1:])
+            name = tok[1:].removesuffix("...")
+            return PatternVar(name, name != tok[1:])
         return PatternNode(ops.CONST, (int(tok),), ())
 
     result = parse_attr() if attr else parse()
@@ -206,8 +222,9 @@ def pattern_vars(pattern: Pattern) -> set[str]:
     return out
 
 
-def class_vars(pattern: Pattern) -> set[str]:
-    """The ?names in child positions (they bind e-classes, not attributes)."""
+def class_vars(pattern: Pattern, tails: bool = False) -> set[str]:
+    """The ?names in child positions (they bind e-classes, not attributes);
+    with ``tails``, only those of constraint tails."""
     if isinstance(pattern, PatternVar):
-        return {pattern.name}
-    return set().union(*map(class_vars, pattern.children))
+        return {pattern.name} if pattern.tail or not tails else set()
+    return set().union(*(class_vars(c, tails) for c in pattern.children))

@@ -6,9 +6,10 @@ goes.  This module removes both costs: each
 :class:`PatternNode` is *compiled once* into a specialized Python function
 of nested ``for`` loops over the core's int arrays (child classes read
 straight out of each node's child tuple, literal leaf sub-patterns folded
-into one hashcons lookup), and a :class:`QueryPlan` groups every active
-rule by root operator so one snapshot of the per-op node index serves all
-of them.
+into one hashcons lookup), and a :class:`QueryPlan` snapshots the per-op
+node index once per root operator for all the rules it serves.  A rule
+with several arms gets one matcher per root operator that tries its arms
+in order on each candidate node.
 
 A nested pattern node (and a ``(const ?s)`` leaf) needs the members of one
 class that have one operator.  One :meth:`QueryPlan.search` keeps a memo
@@ -26,20 +27,20 @@ only caller — searches exactly there.  Environments, match order and limit
 truncation are those of a plain recursive matcher (the test-suite keeps
 one, ``tests/oracles/ematch.py``, and diffs the compiled code against it).
 A rule's search-time guards run on each full match before it counts
-against the limit, and a ``(const ?s)`` leaf binds the value of the
-class's first ``CONST`` member, as :meth:`CoreGraph.class_const` reads it.
+against the limit, a ``(const ?s)`` leaf binds the value of the class's
+first ``CONST`` member, as :meth:`CoreGraph.class_const` reads it, and a
+constraint tail ``?cs...`` binds the tuple of an ``ASSUME``'s remaining
+children.
 
 Generated code for ``(* (+ ?a ?b) 2)`` looks like::
 
-    def _matcher(core, cands, limit, out, keep=None, probe=None):
+    def _matcher(core, cands, limit, out, keeps=(), probe=None):
         ... array locals; probe = {} when the caller passes none ...
-        _op4 = op_ids.get(_K5)           # ADD — resolved per call
-        if _op4 is None: return
-        _pm6 = probe.get(_op4)           # the search's ADD-member memo
-        if _pm6 is None: _pm6 = probe[_op4] = _OpMembers(core, _op4)
-        _lf14 = memo.get((_op10, _at12, ()))  # the Const(2) leaf, one hit
-        if _lf14 is None: return
-        _lc15 = node_class[_lf14]
+        _id4 = op_ids.get(_K5)           # ADD — resolved per call
+        _pm6 = probe.get(_id4)           # the search's ADD-member memo
+        if _pm6 is None: _pm6 = probe[_id4] = _OpMembers(core, _id4)
+        _lf14 = memo.get((_id10, _id12, ()))  # the Const(2) leaf, one hit
+        _lc15 = -1 if _lf14 is None else node_class[_lf14]
         for _n1 in cands:                # the MUL nodes
             _t2 = kid_tups[_n1]
             for _n3 in _pm6[_t2[0]]:     # ADD members of the left class
@@ -48,7 +49,7 @@ Generated code for ``(* (+ ?a ?b) 2)`` looks like::
                 _v9 = _t7[1]
                 if _t2[1] != _lc15: continue
                 _env = {'a': _v8, 'b': _v9}
-                # a guarded rule's matcher adds: if not keep(_env): continue
+                # a guarded arm adds: if not _keep0(_env): continue
                 out_append((node_class[_n1], _env))
                 if len(out) >= limit: return
 
@@ -90,17 +91,22 @@ from repro.egraph.pattern import AttrExpr, AttrVar, Pattern, PatternNode, Patter
 from repro.ir import ops
 from repro.ir.ops import Op
 
-#: Compiled matcher: ``matcher(core, candidate_nids, limit, out, keep,
+#: The env key naming the arm of a match of a rule with several arms.
+ARM = "#arm"
+
+#: Compiled matcher: ``matcher(core, candidate_nids, limit, out, keeps,
 #: probe)`` appends ``(root_class_id, env)`` pairs to ``out``, stopping at
-#: ``limit``; ``probe`` is the search's member memo (a fresh one if omitted).
-Matcher = Callable[[object, list, int, list, Callable | None, dict | None], None]
+#: ``limit``; ``keeps`` holds each guarded arm's filter and ``probe`` is
+#: the search's member memo (a fresh one if omitted).
+Matcher = Callable[[object, list, int, list, tuple, dict | None], None]
 
 #: Compiled right-hand side: ``build(core, env)`` instantiates the pattern in
 #: the core and returns its canonical class id.
 Builder = Callable[[object, dict], int]
 
-#: Generated code per ``("match", lhs)`` / ``("build", rhs)`` pattern.
-_COMPILED: dict[tuple[str, Pattern], Callable] = {}
+#: Generated code per ``("match", arms)`` / ``("build", rhs)`` pattern, and
+#: the compiled code object per ``("source", text)``.
+_COMPILED: dict[tuple[str, object], object] = {}
 
 
 class _Codegen:
@@ -125,51 +131,50 @@ class _Codegen:
         return name
 
     def define(self, src: str, name: str) -> Callable:
-        """Execute the generated source; returns the function ``name``."""
+        """Execute the generated source; returns the function ``name``.
+        Patterns of one shape (``mux-pull``'s arms over 16 binary operators)
+        differ only in their constants, so each distinct source is compiled
+        once and run over each pattern's own constants."""
+        code = _COMPILED.get(("source", src))
+        if code is None:
+            code = _COMPILED[("source", src)] = compile(src, "<generated>", "exec")
         namespace = dict(self.globals)
-        exec(src, namespace)  # noqa: S102 - internal codegen, no user input
+        exec(code, namespace)  # noqa: S102 - internal codegen, no user input
         fn = namespace[name]
         fn.__source__ = src  # debugging aid (inspect the emitted code)
         return fn
 
 
 class _Emitter(_Codegen):
-    """Builds the source of one compiled matcher."""
+    """Builds the source of one compiled matcher: the arms of one rule
+    with one root operator, tried in order on each candidate.  Each arm of
+    several runs in a one-shot ``for _ in _ONCE:`` (a ``continue`` moves on
+    to the next arm), and a constant the graph lacks leaves a prelude value
+    no node matches, so it only stops the arms that need it."""
 
-    def __init__(self, pattern: PatternNode, guarded: bool) -> None:
-        super().__init__(pattern)
-        self.guarded = guarded
+    def __init__(self, arms: tuple) -> None:
+        super().__init__(arms)
+        self.arms = arms
         #: var name -> local holding its binding (class id or attr value).
         self.bound: dict[str, str] = {}
         #: op -> prelude local holding its :class:`_OpMembers` memo.
         self.probes: dict[Op, str] = {}
 
-    def op_id(self, op: Op) -> str:
-        """Prelude local holding the op's interned id (guarded)."""
-        local = self.fresh("_op")
-        self.prelude.append(f"    {local} = op_ids.get({self.lit(op)})")
-        self.prelude.append(f"    if {local} is None: return")
-        return local
-
-    def attr_id(self, attrs: tuple) -> str:
-        """Prelude local holding the attr tuple's interned id (guarded)."""
-        local = self.fresh("_at")
-        self.prelude.append(f"    {local} = attr_ids.get({self.lit(attrs)})")
-        self.prelude.append(f"    if {local} is None: return")
+    def interned(self, table: str, value: object) -> str:
+        """Prelude local holding the interned id of an op (``op_ids``) or
+        attr tuple (``attr_ids``); ``None`` when the graph has none."""
+        local = self.fresh("_id")
+        self.prelude.append(f"    {local} = {table}.get({self.lit(value)})")
         return local
 
     def leaf_class(self, op: Op, attrs: tuple) -> str:
         """Prelude local holding the class id of a concrete leaf e-node
-        (e.g. a ``Const(2)`` literal) — one hashcons hit per search call."""
-        op_local = self.op_id(op)
-        attr_local = self.attr_id(attrs)
-        nid = self.fresh("_lf")
-        local = self.fresh("_lc")
-        self.prelude.append(
-            f"    {nid} = memo.get(({op_local}, {attr_local}, ()))"
-        )
-        self.prelude.append(f"    if {nid} is None: return")
-        self.prelude.append(f"    {local} = node_class[{nid}]")
+        (e.g. a ``Const(2)`` literal) — one hashcons hit per search call —
+        or -1 when the graph has none."""
+        key = f"({self.interned('op_ids', op)}, {self.interned('attr_ids', attrs)}, ())"
+        nid, local = self.fresh("_lf"), self.fresh("_lc")
+        self.prelude.append(f"    {nid} = memo.get({key})")
+        self.prelude.append(f"    {local} = -1 if {nid} is None else node_class[{nid}]")
         return local
 
     # ------------------------------------------------------------- emission
@@ -181,31 +186,36 @@ class _Emitter(_Codegen):
             raise ValueError(f"computed attributes are right-hand-side only: {pat}")
         if not any(isinstance(a, AttrVar) for a in pat.attrs):
             self.body.append(
-                f"{ind}if node_attr[{nid}] != {self.attr_id(pat.attrs)}: continue"
+                f"{ind}if node_attr[{nid}] != {self.interned('attr_ids', pat.attrs)}: continue"
             )
             return
         tup = self.fresh("_av")
         self.body.append(f"{ind}{tup} = attr_list[node_attr[{nid}]]")
         for i, pat_a in enumerate(pat.attrs):
             if isinstance(pat_a, AttrVar):
-                bound = self.bound.get(pat_a.name)
-                if bound is None:
-                    local = self.fresh("_w")
-                    self.bound[pat_a.name] = local
-                    self.body.append(f"{ind}{local} = {tup}[{i}]")
-                else:
-                    self.body.append(f"{ind}if {tup}[{i}] != {bound}: continue")
+                self.bind(pat_a.name, f"{tup}[{i}]", ind)
             else:
                 self.body.append(
                     f"{ind}if {tup}[{i}] != {self.lit(pat_a)}: continue"
                 )
+
+    def bind(self, name: str, value: str, ind: str) -> None:
+        """Bind ``name`` to ``value`` (a local expression), or check it
+        against the earlier binding of a repeated variable."""
+        bound = self.bound.get(name)
+        if bound is None:
+            local = self.fresh("_v")
+            self.bound[name] = local
+            self.body.append(f"{ind}{local} = {value}")
+        else:
+            self.body.append(f"{ind}if {value} != {bound}: continue")
 
     def members(self, op: Op) -> str:
         """Prelude local holding the search's ``class -> members with op``
         memo for one operator (see :class:`_OpMembers`)."""
         local = self.probes.get(op)
         if local is None:
-            op_local = self.op_id(op)
+            op_local = self.interned("op_ids", op)
             local = self.fresh("_pm")
             self.prelude.append(f"    {local} = probe.get({op_local})")
             self.prelude.append(
@@ -227,9 +237,13 @@ class _Emitter(_Codegen):
             return
         kids = self.fresh("_t")
         self.body.append(f"{ind}{kids} = kid_tups[{nid}]")
+        tails = [getattr(c, "tail", False) for c in pat.children]
+        if any(tails[:-1]):
+            raise ValueError(f"a constraint tail must be the last child: {pat}")
         if pat.op.arity is None:
+            fixed = len(pat.children) - sum(tails)
             self.body.append(
-                f"{ind}if len({kids}) != {len(pat.children)}: continue"
+                f"{ind}if len({kids}) {'<' if any(tails) else '!='} {fixed}: continue"
             )
 
         def step(i: int, depth: int) -> None:
@@ -240,13 +254,7 @@ class _Emitter(_Codegen):
             child = pat.children[i]
             cell = f"{kids}[{i}]"
             if isinstance(child, PatternVar):
-                bound = self.bound.get(child.name)
-                if bound is None:
-                    local = self.fresh("_v")
-                    self.bound[child.name] = local
-                    self.body.append(f"{ind}{local} = {cell}")
-                else:
-                    self.body.append(f"{ind}if {cell} != {bound}: continue")
+                self.bind(child.name, f"{kids}[{i}:]" if child.tail else cell, ind)
                 step(i + 1, depth)
             elif not child.children and not any(
                 isinstance(a, AttrVar) for a in child.attrs
@@ -282,24 +290,32 @@ class _Emitter(_Codegen):
 
     def compile(self) -> Matcher:
         root = self.fresh("_n")
+        several = len(self.arms) > 1
+        bodies: list[str] = []
+        for index, (pattern, guarded, tag) in enumerate(self.arms):
+            self.body, self.bound = [], {}
+            keep = f"_keep{index}"
+            if guarded:
+                self.prelude.append(f"    {keep} = keeps[{index}]")
 
-        def finish(depth: int) -> None:
-            ind = "    " * depth
-            env = ", ".join(
-                f"{name!r}: {local}" for name, local in self.bound.items()
-            )
-            self.body.append(f"{ind}_env = {{{env}}}")
-            if self.guarded:
-                self.body.append(f"{ind}if not keep(_env): continue")
-            self.body.append(f"{ind}out_append((node_class[{root}], _env))")
-            self.body.append(f"{ind}if len(out) >= limit: return")
+            def finish(depth: int, tag=tag, guarded=guarded, keep=keep) -> None:
+                ind = "    " * depth
+                env = [f"{name!r}: {local}" for name, local in self.bound.items()]
+                if tag is not None:
+                    env.append(f"{ARM!r}: {self.lit(tag)}")
+                self.body.append(f"{ind}_env = {{{', '.join(env)}}}")
+                if guarded:
+                    self.body.append(f"{ind}if not {keep}(_env): continue")
+                self.body.append(f"{ind}out_append((node_class[{root}], _env))")
+                self.body.append(f"{ind}if len(out) >= limit: return")
 
-        self.body.append(f"    for {root} in cands:")
-        self.emit_node(root, self.pattern, 2, finish)
+            self.emit_node(root, pattern, 2 + several, finish)
+            bodies += ["        for _ in _ONCE:"] * several + self.body
+        self.globals["_ONCE"] = (None,)
 
         src = "\n".join(
             [
-                "def _matcher(core, cands, limit, out, keep=None, probe=None):",
+                "def _matcher(core, cands, limit, out, keeps=(), probe=None):",
                 "    op_ids = core.op_ids",
                 "    attr_ids = core.attr_ids",
                 "    memo = core.memo",
@@ -310,7 +326,8 @@ class _Emitter(_Codegen):
                 "    out_append = out.append",
                 "    if probe is None: probe = {}",
                 *self.prelude,
-                *self.body,
+                f"    for {root} in cands:",
+                *bodies,
             ]
         )
         return self.define(src, "_matcher")
@@ -320,8 +337,8 @@ class _OpMembers(dict):
     """One search's memo of a class's members with one operator.
 
     ``members[class_id]`` is the class's nids whose op is ``op_id``, in
-    member order: filled on the first probe of the class (none at all when
-    the class's op mask rules the op out) and read back on every later
+    member order: filled on the first probe of the class (none when the op
+    is not interned or the class's op mask rules it out), read on every later
     probe of the same class and op, by any matcher of the same search.
     The memo is only valid while the graph does not change, so each
     :meth:`QueryPlan.search` starts a fresh one and drops it at the end.
@@ -337,7 +354,7 @@ class _OpMembers(dict):
     def __missing__(self, class_id: int) -> list[int] | tuple:
         core = self.core
         op_id = self.op_id
-        if core.class_ops[class_id] >> op_id & 1:
+        if op_id is not None and core.class_ops[class_id] >> op_id & 1:
             node_op = core.node_op
             found = [nid for nid in core.class_nodes[class_id] if node_op[nid] == op_id]
         else:
@@ -346,13 +363,15 @@ class _OpMembers(dict):
         return found
 
 
-def compile_pattern(pattern: PatternNode, guarded: bool = False) -> Matcher:
-    """Compile (with caching) a pattern into a flat-core matcher; a
-    ``guarded`` one appends only the envs its ``keep(env)`` accepts."""
-    key = ("match", pattern, guarded)
+def compile_arms(arms: tuple) -> Matcher:
+    """Compile (with caching) ``(pattern, guarded, tag)`` arms over one root
+    operator into one matcher that tries them in order on each candidate.
+    Arm ``i``'s guard is ``keeps[i]``; a ``tag`` other than ``None`` is
+    stored in its envs under :data:`ARM`."""
+    key = ("match", arms)
     matcher = _COMPILED.get(key)
     if matcher is None:
-        matcher = _Emitter(pattern, guarded).compile()
+        matcher = _Emitter(arms).compile()
         _COMPILED[key] = matcher
     return matcher
 
@@ -392,18 +411,22 @@ class _BuilderEmitter(_Codegen):
             self.body.append(f"    {local} = env[{pat.name!r}]")
             self.body.append(f"    if parent[{local}] != {local}: {local} = core.uf.find({local})")
             return local
-        kids = [self.emit(child) for child in pat.children]
+        tails = [c.name for c in pat.children if getattr(c, "tail", False)]
+        kids = [self.emit(child) for child in pat.children if not getattr(child, "tail", False)]
         op_local, op_const = self.interned("op_ids", pat.op)
         self.body.append(f"    if {op_local} is None: {op_local} = core.intern_op({op_const})")
         for kid in kids:
             self.body.append(f"    if parent[{kid}] != {kid}: {kid} = core.uf.find({kid})")
         serial = self.fresh("")
         tup = f"t{serial}"
-        if pat.op is ops.ASSUME and kids:
-            tail = ", ".join(kids[1:])
+        if pat.op is ops.ASSUME and pat.children:
+            # The constraint set: the single constraints and every spliced
+            # tail, canonical and sorted as :meth:`CoreGraph.add` files it.
+            tail = [f"{k}, " for k in kids[1:]]
+            tail += [f"*map(core.uf.find, env[{name!r}]), " for name in tails]
             self.body.append(
-                f"    {tup} = ({kids[0]}, *sorted({{{tail}}}))"
-                if kids[1:] else f"    {tup} = ({kids[0]},)"
+                f"    {tup} = ({kids[0]}, *sorted({{{''.join(tail)}}}))"
+                if tail else f"    {tup} = ({kids[0]},)"
             )
         else:
             self.body.append(f"    {tup} = ({''.join(f'{k}, ' for k in kids)})")
@@ -474,36 +497,46 @@ def compile_builder(pattern: Pattern) -> Builder:
 
 
 class QueryPlan:
-    """All rules of a runner, lowered once: compiled matchers grouped by root
-    op for batched search, and compiled right-hand-side builders.
+    """All rules of a runner, lowered once: compiled matchers and compiled
+    right-hand-side builders.
 
     One ``search`` call snapshots the per-op candidate list once per root
-    operator and runs every rule's compiled matcher over it — the shared
-    scan that replaces pattern-at-a-time ``ematch``.  Rules are keyed by
-    their *position* in the runner's rule list, never by name: two rules may
-    share a name, and each must get its own matcher, matches and builder.
-    Rules with callable (dynamic) searchers are not part of the search plan;
-    the runner keeps dispatching those through :meth:`Rewrite.search`.
+    operator and runs every rule's compiled matchers over it — the shared
+    scan that replaces pattern-at-a-time ``ematch``.  A rule's arms are
+    compiled into one matcher per root operator, and a rule with several
+    root operators returns its matches in its own op order (the order of
+    its arms), all cut by its one budget.  Rules are keyed by their
+    *position* in the runner's rule list, never by name: two rules may
+    share a name, and each must get its own matchers, matches and builders.
+    Dynamic rules are not part of the plan; the runner keeps dispatching
+    those through :meth:`Rewrite.search`.
     """
 
     def __init__(self, rules) -> None:
-        #: root op -> [(rule position, compiled matcher, search-time guards)]
-        self.groups: dict[Op, list[tuple[int, Matcher, tuple]]] = {}
-        self.positions: set[int] = set()
-        #: rule position -> compiled builder of its declarative RHS.
-        self.builders: dict[int, Builder] = {}
+        #: rule position -> [(root op, compiled matcher, its arms' guards)]
+        #: in the rule's own op order.
+        self.matchers: dict[int, list[tuple[Op, Matcher, tuple]]] = {}
+        #: rule position -> the compiled builder of each arm's RHS.
+        self.builders: dict[int, tuple[Builder, ...]] = {}
         for position, rule in enumerate(rules):
-            searcher = rule.searcher
-            if isinstance(searcher, PatternNode):
-                self.groups.setdefault(searcher.op, []).append(
-                    (position, compile_pattern(searcher, bool(rule.guards)), rule.guards)
+            if not rule.arms:
+                continue
+            several = len(rule.arms) > 1
+            by_op: dict[Op, list[int]] = {}
+            for index, arm in enumerate(rule.arms):
+                by_op.setdefault(arm.lhs.op, []).append(index)
+            self.matchers[position] = [
+                (
+                    op,
+                    compile_arms(tuple(
+                        (rule.arms[i].lhs, bool(rule.arms[i].guards), i if several else None)
+                        for i in indices
+                    )),
+                    tuple(rule.arms[i].guards for i in indices),
                 )
-                self.positions.add(position)
-            if not callable(rule.applier):
-                self.builders[position] = compile_builder(rule.applier)
-
-    def __contains__(self, position: int) -> bool:
-        return position in self.positions
+                for op, indices in by_op.items()
+            ]
+            self.builders[position] = tuple(compile_builder(arm.rhs) for arm in rule.arms)
 
     def search(self, egraph, budgets: dict[int, int]) -> dict[int, list]:
         """Match every rule whose position is in ``budgets`` (-> match limit).
@@ -517,24 +550,34 @@ class QueryPlan:
         core = egraph.core
         op_ids = core.op_ids
         op_nodes = core.op_nodes
+        #: root op -> its candidate nids, snapshotted once per search.
+        cands_of: dict[Op, list] = {}
         #: op id -> :class:`_OpMembers`, shared by every matcher of this
         #: search and dropped with it (the apply phase changes members).
         probe: dict[int, _OpMembers] = {}
-        for op, entries in self.groups.items():
-            wanted = [entry for entry in entries if entry[0] in budgets]
-            if not wanted:
-                continue
-            op_id = op_ids.get(op)
-            cands = list(op_nodes[op_id]) if op_id is not None else []
-            for position, matcher, guards in wanted:
-                out: list = []
+        for position, limit in budgets.items():
+            out: list = []
+            for op, matcher, guards in self.matchers[position]:
+                cands = cands_of.get(op)
+                if cands is None:
+                    op_id = op_ids.get(op)
+                    cands = cands_of[op] = list(op_nodes[op_id]) if op_id is not None else []
                 if cands:
-                    keep = _keep(egraph, guards) if guards else None
-                    matcher(core, cands, budgets[position], out, keep, probe)
-                results[position] = out
+                    keeps = tuple(_keep(egraph, g) if g else None for g in guards)
+                    matcher(core, cands, limit, out, keeps, probe)
+                    if len(out) >= limit:
+                        break
+            results[position] = out
         return results
 
 
 def _keep(egraph, guards: tuple) -> Callable[[dict], bool]:
-    """A guarded matcher's ``keep``: every search-time guard holds."""
-    return lambda env: all(guard(egraph, env) for guard in guards)
+    """A guarded arm's ``keep``: every search-time guard holds, in order."""
+
+    def keep(env: dict) -> bool:
+        for guard in guards:
+            if not guard(egraph, env):
+                return False
+        return True
+
+    return keep

@@ -1,21 +1,21 @@
 """Rewrite rules: declarative (pattern -> pattern) and dynamic (Python).
 
-A :class:`Rewrite` couples a *searcher* with an *applier*:
+A declarative :class:`Rewrite` is a name, one backoff budget and an ordered
+list of arms (:class:`Arm`): a left-hand side, side conditions and a
+right-hand side each.  The runner's :class:`~repro.egraph.query.QueryPlan`
+tries the arms in order on each candidate node; applying a match builds
+its arm's right-hand side and unions it with the matched class
+(constructive application — the left-hand side stays in the graph, as
+Section II of the paper emphasizes).  Side conditions run at one of two
+times: *guards* on each match in the search phase, before the backoff
+budget cuts the match list, and *conditions* at apply time, after earlier
+applications of the same iteration.
 
-* the searcher produces ``(class_id, env)`` match candidates;
-* the applier builds the right-hand side and unions it with the matched
-  class (constructive application — the left-hand side stays in the graph,
-  as Section II of the paper emphasizes).
-
-A declarative rule's side conditions run at one of two times: *guards*
-on each match in the search phase, before the backoff budget cuts the
-match list (range-guarded rules like ``trunc-elim``), and *conditions* at
-apply time, after earlier applications of the same iteration.
-
-Dynamic rules bypass the pattern language entirely: a callable inspects the
-e-graph and returns the unions it wants.  What the language cannot express
-stays dynamic: the variadic ASSUME machinery of Table I, rules that
-quantify over a set of operators, and rules with two outcomes.
+Dynamic rules bypass the pattern language: a searcher inspects the e-graph
+and an applier returns the class to union.  What the language cannot
+express stays dynamic (negative guards, right-hand sides that rebuild
+whichever operator was found, or that are built in another order than
+bottom-up).
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.egraph.egraph import EGraph
-from repro.egraph.pattern import Pattern, as_pattern, pattern_vars
-from repro.egraph.query import Builder, compile_builder
+from repro.egraph.pattern import Pattern, PatternNode, as_pattern, pattern_vars
+from repro.egraph.query import ARM, Builder
 
 #: A condition receives (egraph, env) and vetoes the application when False.
 Condition = Callable[[EGraph, dict], bool]
@@ -40,29 +40,35 @@ Searcher = Callable[[EGraph, dict], Iterable[tuple[int, dict]]]
 Applier = Callable[[EGraph, dict, int], "int | None"]
 
 
+@dataclass(frozen=True)
+class Arm:
+    """One alternative of a declarative rule."""
+
+    lhs: PatternNode
+    rhs: Pattern
+    conditions: tuple[Condition, ...] = ()  #: checked at apply time
+    guards: tuple[Condition, ...] = ()  #: checked at search time, before the budget
+
+
 @dataclass
 class Rewrite:
-    """A named rewrite rule."""
+    """A named rewrite rule: declarative ``arms``, or a dynamic
+    ``searcher`` and ``applier``."""
 
     name: str
-    searcher: "Pattern | Searcher"
-    applier: "Pattern | Applier"
-    conditions: tuple[Condition, ...] = ()
+    arms: tuple[Arm, ...] = ()
     #: Rules marked ``once`` stop firing after their first successful
     #: application (used for case-split introduction, Section V).
     once: bool = False
-    #: Search-time guards: a match failing one does not count against the
-    #: rule's match budget.
-    guards: tuple[Condition, ...] = ()
+    searcher: Searcher | None = None
+    applier: Applier | None = None
 
     def search(self, egraph: EGraph, index: dict, limit: int) -> list[tuple[int, dict]]:
-        """All match candidates of a callable searcher, capped at ``limit``.
+        """All match candidates of a dynamic rule, capped at ``limit``.
 
-        Declarative left-hand sides are searched by the runner's compiled
+        Declarative rules are searched by the runner's compiled
         :class:`~repro.egraph.query.QueryPlan`, not here.
         """
-        if not callable(self.searcher):
-            raise TypeError(f"rule {self.name}: declarative rules search through a QueryPlan")
         found = []
         for item in self.searcher(egraph, index):
             found.append(item)
@@ -70,47 +76,41 @@ class Rewrite:
                 break
         return found
 
-    def apply(self, egraph: EGraph, class_id: int, env: dict) -> bool:
-        """Apply to one match (found by a search, so its guards held);
-        returns True when the graph changed."""
-        builder = None if callable(self.applier) else compile_builder(self.applier)
-        return self.bind(egraph, builder)(class_id, env)
-
     def bind(
-        self, egraph: EGraph, builder: "Builder | None" = None
+        self, egraph: EGraph, builders: "tuple[Builder, ...]" = ()
     ) -> Callable[[int, dict], bool]:
         """The per-match apply step on ``egraph``: ``step(class_id, env)``
         checks the conditions, builds the right-hand side, unions it with
         the matched class and returns True when the graph changed.
 
         Everything that does not depend on the match is resolved here, once.
-        A declarative right-hand side is built by ``builder``, its
-        :func:`~repro.egraph.query.compile_builder` output (the runner's
-        :class:`~repro.egraph.query.QueryPlan` compiles them with the
-        matchers); a dynamic rule calls its applier.
+        Each arm's right-hand side is built by its ``builders`` entry (the
+        runner's :class:`~repro.egraph.query.QueryPlan` compiles them); a
+        match of a rule with several arms names its arm under
+        :data:`~repro.egraph.query.ARM`.  A dynamic rule calls its applier.
         """
-        conditions = self.conditions
-        applier = self.applier
         core = egraph.core
-        if not callable(applier):
-            if builder is None:
-                raise ValueError(f"rule {self.name}: declarative apply needs its builder")
+        if self.applier is None:
             union = core.union
+            table = [
+                (arm.conditions, build)
+                for arm, build in zip(self.arms, builders, strict=True)
+            ]
 
             def step(class_id: int, env: dict) -> bool:
+                conditions, build = table[env.get(ARM, 0)]
                 for cond in conditions:
                     if not cond(egraph, env):
                         return False
                 before = core.version
-                union(class_id, builder(core, env))
+                union(class_id, build(core, env))
                 return core.version != before
 
             return step
 
+        applier = self.applier
+
         def step(class_id: int, env: dict) -> bool:
-            for cond in conditions:
-                if not cond(egraph, env):
-                    return False
             before = egraph.version
             new_id = applier(egraph, env, egraph.find(class_id))
             if new_id is not None:
@@ -123,6 +123,17 @@ class Rewrite:
         return f"Rewrite({self.name})"
 
 
+def arm(lhs, rhs, *conditions: Condition, guards: tuple[Condition, ...] = ()) -> Arm:
+    """One arm from patterns or s-expression strings; every right-hand-side
+    variable must be bound by the left-hand side or by a ``derive`` guard."""
+    lhs, rhs = as_pattern(lhs), as_pattern(rhs)
+    derived = {getattr(g, "derives", None) for g in guards}
+    missing = pattern_vars(rhs) - pattern_vars(lhs) - derived
+    if missing:
+        raise ValueError(f"unbound RHS variables {sorted(missing)} in {rhs}")
+    return Arm(lhs, rhs, tuple(conditions), tuple(guards))
+
+
 def rewrite(
     name: str,
     lhs: "Pattern | str",
@@ -131,19 +142,14 @@ def rewrite(
     once: bool = False,
     guards: tuple[Condition, ...] = (),
 ) -> Rewrite:
-    """Build a declarative rule from s-expression strings.
+    """Build a one-arm declarative rule from s-expression strings.
 
     >>> rewrite("mul-two", "(* ?a 2)", "(<< ?a 1)")
     Rewrite(mul-two)
     """
-    lhs_pat = as_pattern(lhs)
-    rhs_pat = as_pattern(rhs)
-    missing = pattern_vars(rhs_pat) - pattern_vars(lhs_pat)
-    if missing:
-        raise ValueError(f"rule {name}: unbound RHS variables {sorted(missing)}")
-    return Rewrite(name, lhs_pat, rhs_pat, tuple(conditions), once, tuple(guards))
+    return Rewrite(name, (arm(lhs, rhs, *conditions, guards=guards),), once)
 
 
 def dynamic(name: str, searcher: Searcher, applier: Applier, once: bool = False) -> Rewrite:
     """A fully dynamic rule."""
-    return Rewrite(name, searcher, applier, (), once)
+    return Rewrite(name, once=once, searcher=searcher, applier=applier)

@@ -262,9 +262,9 @@ class Runner:
         #: check is a full sweep).
         self.check_invariants = check_invariants
         self._spent_once_rules: set[str] = set()
-        #: Every rule lowered once: pattern searchers into matchers searched
-        #: in one batched per-op scan each iteration, declarative right-hand
-        #: sides into builders (see :meth:`Rewrite.bind`).
+        #: Every declarative rule's arms lowered once: left-hand sides into
+        #: matchers searched in one batched per-op scan each iteration,
+        #: right-hand sides into builders (see :meth:`Rewrite.bind`).
         self._plan = QueryPlan(self.rules)
 
     def run(self) -> RunnerReport:
@@ -322,7 +322,7 @@ class Runner:
                 budgets = {
                     position: self.scheduler.budget(rule)
                     for position, rule in enumerate(self.rules)
-                    if position in self._plan
+                    if rule.arms
                     and not (rule.once and rule.name in self._spent_once_rules)
                     and self.scheduler.enabled(rule, iteration)
                 }
@@ -336,7 +336,7 @@ class Runner:
                     continue
                 if not self.scheduler.enabled(rule, iteration):
                     continue
-                if position in self._plan:
+                if rule.arms:
                     found = plan_results[position]
                 else:
                     # Dynamic rule: its callable searcher reads the façade.
@@ -363,10 +363,10 @@ class Runner:
                     step = steps.get(position)
                     if step is None:
                         # Bound on the rule's first match of the run: the
-                        # conditions and compiled builder stay out of the
+                        # conditions and compiled builders stay out of the
                         # per-match loop below.
                         step = steps[position] = rule.bind(
-                            egraph, self._plan.builders.get(position)
+                            egraph, self._plan.builders.get(position, ())
                         )
                     applied = 0
                     for class_id, env in found:

@@ -109,6 +109,10 @@ ALL_OPS: tuple[Op, ...] = (
 
 OPS_BY_NAME: dict[str, Op] = {op.name: op for op in ALL_OPS}
 
+#: Operators with children that are strict in ``*``, in catalogue order:
+#: ``mux-pull`` pulls a mux through them, Table I's row 2 an ASSUME.
+STRICT: tuple[Op, ...] = tuple(op for op in ALL_OPS if op.arity and op is not MUX)
+
 #: Comparison operators returning a 1-bit 0/1 result.
 COMPARISONS: frozenset[Op] = frozenset({LT, LE, GT, GE, EQ, NE})
 

@@ -15,17 +15,20 @@ Four layers of audit, mirroring how a rule can go wrong:
   *observers*; one that unions, adds or mutates analysis data would
   corrupt the e-graph mid-search.  Each runs against a mutation-trapping
   proxy;
-* **semantics** (``RU-UNSOUND``): each declarative rule is evaluated
-  exhaustively over a small slice of ``Z ∪ {*}`` under its concretized
-  conditions and guards (per :mod:`repro.ir.evaluate` semantics), falling
-  back to seeded randomized trials above :data:`EXHAUSTIVE_CAP`.  Equality
-  is pointwise *including* ``*`` — the congruence eq. (2) actually demands.
+* **semantics** (``RU-UNSOUND``): each arm of each declarative rule is
+  evaluated exhaustively over a small slice of ``Z ∪ {*}`` under its
+  concretized conditions and guards (per :mod:`repro.ir.evaluate`
+  semantics), falling back to seeded randomized trials above
+  :data:`EXHAUSTIVE_CAP`.  Equality is pointwise *including* ``*`` — the
+  congruence eq. (2) actually demands.  A constraint tail ranges over
+  tuples of one or two values; a class whose range a ``derive`` guard reads
+  ranges over every interval of :data:`INTERVALS` (the guards and the
+  derived attribute see the interval) and then over every value inside it.
 
 Dynamic rules bypass the pattern language, so they get a declared-metadata
 contract instead (:data:`DYNAMIC_CONTRACTS`): a ``sound_by`` tag naming
-the argument and, where cheap, an executable spot check.  A dynamic rule
-without a contract is a finding (``RU-NO-CONTRACT``) — adding a rule
-forces writing down why it is sound.
+the argument.  A dynamic rule without a contract is a finding
+(``RU-NO-CONTRACT``) — adding a rule forces writing down why it is sound.
 """
 
 from __future__ import annotations
@@ -34,14 +37,14 @@ import itertools
 import math
 import random
 import zlib
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from repro.analysis import DatapathAnalysis
 from repro.egraph.egraph import EGraph
 from repro.egraph.pattern import AttrVar, Pattern, PatternVar
 from repro.egraph.pattern import class_vars, eval_attr, pattern_vars
-from repro.egraph.rewrite import Rewrite
-from repro.intervals import IntervalSet
+from repro.egraph.rewrite import Arm, Rewrite
 from repro.ir import ops
 from repro.ir.evaluate import BOT, _apply
 from repro.lint.model import Finding
@@ -56,6 +59,17 @@ ATTR_DOMAIN: tuple[int, ...] = (1, 2, 3)
 
 #: A ``(const ?s)`` class evaluates to ``s`` everywhere: any non-``*`` value.
 CONST_DOMAIN: tuple[int, ...] = tuple(v for v in CLASS_DOMAIN if v is not BOT)
+
+#: A constraint tail: every tuple of one or two class values.
+TAIL_DOMAIN: tuple[tuple, ...] = (
+    *itertools.product(CLASS_DOMAIN), *itertools.product(CLASS_DOMAIN, repeat=2)
+)
+
+#: A class whose range a ``derive`` guard reads: every interval ``(lo, hi)``
+#: over ``-2 .. 7`` (every value of the widest ``ATTR_DOMAIN`` width).
+INTERVALS: tuple[tuple[int, int], ...] = tuple(
+    (lo, hi) for lo in range(-2, 8) for hi in range(lo, 8)
+)
 
 #: Above this many environments the audit switches to seeded trials.
 EXHAUSTIVE_CAP = 200_000
@@ -104,12 +118,6 @@ def strictly_evaluated_vars(pattern: Pattern) -> set[str]:
 
 
 # ------------------------------------------------------------------- guards
-#: Recognized guard factories (all in ``repro.rewrites.soundness``).
-_GUARD_FACTORIES = frozenset(
-    {"_all_total", "total", "bounded", "boolean", "range_le", "fits", "attr_lt"}
-)
-
-
 def guard_spec(condition: Callable) -> tuple[str, tuple] | None:
     """``(kind, payload)`` for a recognized guard factory closure, else None.
 
@@ -121,10 +129,8 @@ def guard_spec(condition: Callable) -> tuple[str, tuple] | None:
     qualname = getattr(condition, "__qualname__", "")
     if not qualname.endswith(".check") or ".<locals>." not in qualname:
         return None
-    factory = qualname.split(".", 1)[0]
-    if factory not in _GUARD_FACTORIES:
-        return None
-    if getattr(condition, "__module__", "") != "repro.rewrites.soundness":
+    spec = _SPECS.get(qualname.split(".", 1)[0])
+    if spec is None or getattr(condition, "__module__", "") != "repro.rewrites.soundness":
         return None
     code = condition.__code__
     cells = dict(
@@ -134,21 +140,40 @@ def guard_spec(condition: Callable) -> tuple[str, tuple] | None:
             strict=True,
         )
     )
-    if factory in ("_all_total", "total", "boolean"):
-        kind = "total" if factory in ("_all_total", "total") else factory
-        return (kind, tuple(cells["names"]))
-    if factory == "bounded":
-        return ("bounded", (tuple(cells["names"]), cells["lo"], cells["hi"]))
-    if factory == "range_le":
-        return ("range_le", (cells["small"], cells["large"]))
-    if factory == "fits":
-        return ("fits", (cells["name"], cells["width_attr"]))
-    if factory == "attr_lt":
-        return ("attr_lt", (cells["low"], cells["high"]))
-    return None
+    kind, payload = spec(cells)
+    return None if payload is None else (kind, payload)
 
 
-def _guard_holds(spec: tuple[str, tuple], env: dict) -> bool:
+#: Recognized guard factories (all in ``repro.rewrites.soundness``): the
+#: ``(kind, payload)`` of a closure from its cells.
+_SPECS: Mapping[str, Callable[[dict], tuple]] = MappingProxyType({
+    # ``total``, ``boolean``, ``truthy`` or ``falsy``: whose lambda it runs.
+    "_each": lambda c: (c["test"].__qualname__.split(".")[0], tuple(c["names"])),
+    "bounded": lambda c: ("bounded", (tuple(c["names"]), c["lo"], c["hi"])),
+    "range_le": lambda c: ("range_le", (c["small"], c["large"])),
+    "fits": lambda c: ("fits", (c["name"], c["width_attr"])),
+    "attr_lt": lambda c: ("attr_lt", (c["low"], c["high"])),
+    "pow2": lambda c: ("pow2", c["attr"]),
+    "derive": lambda c: ("derive", (c["name"], c["expr"])),
+    "unless": lambda c: ("unless", guard_spec(c["guard"])),
+})
+
+
+def _values(env: dict, names) -> list:
+    """The values bound to ``names``; a tail contributes each of its own."""
+    return [v for n in names for v in (env[n] if isinstance(env[n], tuple) else (env[n],))]
+
+
+def _spans(env: dict, ranges: dict, names) -> list:
+    """``(lo, hi)`` of each named class's range: the interval of a class a
+    ``derive`` reads, else the point of its value (``None`` for ``*``)."""
+    points = _values(env, [n for n in names if n not in ranges])
+    return [ranges[n] for n in names if n in ranges] + [
+        None if v is BOT else (v, v) for v in points
+    ]
+
+
+def _guard_holds(spec: tuple[str, tuple], env: dict, ranges: dict) -> bool:
     """Concretize a guard over one ``Z ∪ {*}`` valuation.
 
     Range-based guards (``bounded``/``boolean``/``range_le``/``fits``)
@@ -156,30 +181,48 @@ def _guard_holds(spec: tuple[str, tuple], env: dict) -> bool:
     ``*`` itself — only the totality guards exclude it.  Getting this wrong
     either direction breaks the audit: excluding ``*`` from ``nonneg``
     would have hidden the very unsoundness the totality guards exist for.
-    (``attr_lt`` compares attributes, which are never ``*``.)
+    On a class with an interval in ``ranges`` they read the interval, as
+    they read the range in the e-graph; ``truthy``/``falsy`` read the value
+    (a range excluding zero need not be an interval that does).  A negated
+    guard (``unless``) only narrows which arm fires, so it admits every
+    valuation, and a ``derive`` binds its attribute in ``env`` from the
+    intervals.  (``attr_lt``/``pow2`` compare attributes, which are never
+    ``*``.)
     """
     kind, payload = spec
     if kind == "total":
-        return all(env[n] is not BOT for n in payload if n in env)
+        return all(v is not BOT for v in _values(env, payload))
+    if kind == "truthy":
+        return all(v is BOT or v != 0 for v in _values(env, payload))
+    if kind == "falsy":
+        return all(v is BOT or v == 0 for v in _values(env, payload))
+    if kind == "boolean":
+        kind, payload = "bounded", (payload, 0, 1)
+    if kind == "fits":
+        name, width = payload
+        kind, payload = "bounded", ((name,), 0, (1 << eval_attr(width, env)) - 1)
     if kind == "bounded":
         names, lo, hi = payload
         return all(
-            env[n] is BOT or ((lo is None or lo <= env[n]) and (hi is None or env[n] <= hi))
-            for n in names
+            span is None
+            or ((lo is None or lo <= span[0]) and (hi is None or span[1] <= hi))
+            for span in _spans(env, ranges, names)
         )
-    if kind == "boolean":
-        return all(env[n] is BOT or env[n] in (0, 1) for n in payload)
     if kind == "range_le":
-        small, large = payload
-        a, b = env[small], env[large]
-        return a is BOT or b is BOT or a <= b
-    if kind == "fits":
-        name, width = payload
-        v = env[name]
-        return v is BOT or 0 <= v < (1 << eval_attr(width, env))
+        [small], [large] = (_spans(env, ranges, (name,)) for name in payload)
+        return small is None or large is None or small[1] <= large[0]
     if kind == "attr_lt":
         low, high = payload
         return eval_attr(low, env) < eval_attr(high, env)
+    if kind == "pow2":
+        value = eval_attr(payload, env)
+        return value > 0 and value & (value - 1) == 0
+    if kind == "unless":
+        return True
+    if kind == "derive":
+        name, expr = payload
+        env[name] = eval_attr(expr, env, ranges.__getitem__)
+        return env[name] is not None
     raise ValueError(f"unknown guard kind {kind}")  # pragma: no cover
 
 
@@ -212,16 +255,18 @@ class MutationTrapEGraph:
         return self._egraph[class_id]
 
 
-def _probe_graph(class_vars: set[str]) -> tuple[MutationTrapEGraph, dict]:
+def _probe_graph(class_vars: set[str], tails: set[str]) -> tuple[MutationTrapEGraph, dict]:
     """A tiny analyzed e-graph plus an env binding every rule variable.
 
     Class vars bind fresh 8-bit VAR classes (so range/totality reads
-    succeed); attr vars are bound by the caller to plain ints.
+    succeed), tails a one-class tuple; attr vars are bound by the caller to
+    plain ints.
     """
     egraph = EGraph([DatapathAnalysis()])
-    env = {}
+    env: dict = {}
     for name in sorted(class_vars):
-        env[name] = egraph.add_node(ops.VAR, (f"probe_{name}", 8), ())
+        cid = egraph.add_node(ops.VAR, (f"probe_{name}", 8), ())
+        env[name] = (cid,) if name in tails else cid
     egraph.rebuild()
     return MutationTrapEGraph(egraph), env
 
@@ -247,7 +292,12 @@ def eval_pattern(pattern: Pattern, env: dict):
     """
     if isinstance(pattern, PatternVar):
         return env[pattern.name]
-    kids = [eval_pattern(c, env) for c in pattern.children]
+    kids: list = []
+    for child in pattern.children:
+        if getattr(child, "tail", False):
+            kids += env[child.name]
+        else:
+            kids.append(eval_pattern(child, env))
     attrs = tuple(eval_attr(a, env) for a in pattern.attrs)
     return _apply(_Shim(pattern.op, attrs), kids, {})
 
@@ -257,128 +307,34 @@ def _render_env(env: dict) -> dict:
 
 
 # ------------------------------------------------------- dynamic-rule contracts
-def _spot_mul_pow2() -> str | None:
-    from repro.rewrites.arith import mul_pow2_to_shl
-
-    egraph = EGraph([DatapathAnalysis()])
-    a = egraph.add_node(ops.VAR, ("a", 4), ())
-    product = egraph.add_node(ops.MUL, (), (a, egraph.add_const(8)))
-    egraph.rebuild()
-    _run_rule(egraph, mul_pow2_to_shl())
-    shl = egraph.add_node(ops.SHL, (), (a, egraph.add_const(3)))
-    if egraph.find(shl) != egraph.find(product):
-        return "a * 8 did not union with a << 3"
-    return None
-
-
-def _spot_mux_cond_const() -> str | None:
-    from repro.rewrites.mux import mux_cond_const_rule
-
-    egraph = EGraph([DatapathAnalysis({"c": IntervalSet.of(1, 1)})])
-    c = egraph.add_node(ops.VAR, ("c", 1), ())
-    a = egraph.add_node(ops.VAR, ("a", 4), ())
-    b = egraph.add_node(ops.VAR, ("b", 4), ())
-    mux = egraph.add_node(ops.MUX, (), (c, a, b))
-    egraph.rebuild()
-    _run_rule(egraph, mux_cond_const_rule())
-    if egraph.find(mux) != egraph.find(a):
-        return "mux with provably-true condition did not collapse to its branch"
-    return None
-
-
-def _spot_assume_true_elim() -> str | None:
-    from repro.rewrites.assume import assume_true_elim_rule
-
-    egraph = EGraph([DatapathAnalysis({"c": IntervalSet.of(1, 1)})])
-    c = egraph.add_node(ops.VAR, ("c", 1), ())
-    x = egraph.add_node(ops.VAR, ("x", 4), ())
-    assume = egraph.add_node(ops.ASSUME, (), (x, c))
-    egraph.rebuild()
-    _run_rule(egraph, assume_true_elim_rule())
-    if egraph.find(assume) != egraph.find(x):
-        return "ASSUME with an always-true constraint did not discharge"
-    return None
-
-
-def _run_rule(egraph: EGraph, rule: Rewrite, limit: int = 64) -> None:
-    for class_id, env in rule.search(egraph, egraph.nodes_by_op(), limit):
-        rule.apply(egraph, class_id, env)
-    egraph.rebuild()
-
-
-#: Declared soundness contracts for every dynamic rule in ``RULESETS``.
-#: ``sound_by`` names the argument (and where the repo pins it); the
-#: optional ``spot_check`` runs a concrete instance through the rule.
+#: Declared soundness contracts for every dynamic rule in ``RULESETS``:
+#: ``sound_by`` names the argument (and where the repo pins it).
 DYNAMIC_CONTRACTS: dict[str, dict] = {
-    "mul-pow2-shl": {
-        "sound_by": "a * 2^k == a << k for k >= 0; k derived from a CONST "
-        "member, so it is exact",
-        "spot_check": _spot_mul_pow2,
-    },
-    "mux-pull": {
-        "sound_by": "strict operators evaluate identically on both branch "
-        "copies, so hoisting the condition preserves every valuation "
-        "(including the * cases: a * operand makes both sides *); pinned by "
-        "tests/rewrites/test_structural_rules.py",
-        "spot_check": None,
-    },
-    "mux-cond-const": {
-        "sound_by": "fires only when the analysis proves the condition total "
-        "with a constant truthiness, so exactly one branch is ever selected",
-        "spot_check": _spot_mux_cond_const,
-    },
     "mux-branch-assume": {
         "sound_by": "Table I row 1: each branch is only reachable when its "
         "condition holds, so wrapping it in ASSUME(branch, cond) changes no "
         "selected valuation; pinned by tests/rewrites/test_assume_rules.py",
-        "spot_check": None,
     },
     "assume-distribute": {
         "sound_by": "Table I row 2: for strict ops, ASSUME(a op b, c) and "
         "ASSUME(a, c) op ASSUME(b, c) are * under exactly the same "
         "valuations (c fails, or an operand is *); pinned by "
         "tests/rewrites/test_assume_rules.py",
-        "spot_check": None,
-    },
-    "assume-merge-nested": {
-        "sound_by": "Table I row 3: nested ASSUME constraint sets conjoin; "
-        "the union carries both failure conditions",
-        "spot_check": None,
     },
     "assume-mux-prune": {
         "sound_by": "Table I rows 4/5: under constraint c (resp. ~c) the mux "
         "selects exactly the kept branch whenever the ASSUME is not already *",
-        "spot_check": None,
-    },
-    "assume-true-elim": {
-        "sound_by": "a constraint proved total with truthiness True never "
-        "fails, so the ASSUME is the identity",
-        "spot_check": _spot_assume_true_elim,
-    },
-    "lzc-narrow": {
-        "sound_by": "range lower bound caps the leading-zero count at k, so "
-        "only the top k+1 bits can influence LZC_w (Figure 1); pinned by "
-        "tests/rewrites/test_rule_soundness.py",
-        "spot_check": None,
     },
     "lzc-width-reduce": {
         "sound_by": "x < 2^m makes every bit above m a leading zero: "
         "lzc_w(x) == (w-m) + lzc_m(x), including x == 0; negative x is * on "
         "both sides",
-        "spot_check": None,
     },
     "lzc-norm-invariant": {
         "sound_by": "pre-shifting by total c >= 0 reduces the leading-zero "
         "count by exactly c while both operands fit w bits, so the "
         "normalizing shift lands on the same value (Section V); pinned by "
         "the fp_sub differential tests",
-        "spot_check": None,
-    },
-    "minmax-resolve": {
-        "sound_by": "disjoint ranges order the operands on every non-* "
-        "valuation and the dropped side is proved total, so min/max always "
-        "selects the kept class",
-        "spot_check": None,
     },
     "case-split-shift-gt1": {
         "sound_by": "inserts cond ? x : x with both branches the matched "
@@ -386,7 +342,6 @@ DYNAMIC_CONTRACTS: dict[str, dict] = {
         "*, where the mux is * exactly when membership in an ASSUME-refined "
         "class is; the branches only diverge through later ASSUME refinement "
         "of the copies, which Table I justifies)",
-        "spot_check": None,
     },
 }
 
@@ -396,72 +351,60 @@ def audit_rule(rule: Rewrite, origin: str = "adhoc") -> tuple[list[Finding], dic
     """Audit one rule; returns ``(findings, audit_record)``."""
     anchor = f"{origin}/{rule.name}"
     record: dict = {"rule": rule.name, "ruleset": origin}
-
-    dynamic = callable(rule.searcher) or callable(rule.applier)
-    if dynamic:
+    if rule.searcher is not None:
         return _audit_dynamic(rule, anchor, record)
     return _audit_declarative(rule, anchor, record)
 
 
 def _audit_dynamic(rule: Rewrite, anchor: str, record: dict):
-    findings = []
     record["mode"] = "contract"
     contract = DYNAMIC_CONTRACTS.get(rule.name)
     if contract is None:
         record["status"] = "no-contract"
-        findings.append(
+        return [
             Finding(
                 "RU-NO-CONTRACT",
                 anchor,
                 f"dynamic rule {rule.name!r} has no soundness contract — "
                 "declare one in repro.lint.rules.DYNAMIC_CONTRACTS "
-                "(sound_by argument + optional spot check)",
+                "(its sound_by argument)",
                 module="repro.lint.rules",
             )
-        )
-        return findings, record
+        ], record
     record["sound_by"] = contract["sound_by"]
-    spot = contract.get("spot_check")
-    if spot is None:
-        record["status"] = "declared"
-        return findings, record
-    failure = spot()
-    if failure:
-        record["status"] = "spot-check-failed"
-        findings.append(
-            Finding(
-                "RU-UNSOUND",
-                anchor,
-                f"dynamic rule {rule.name!r} failed its spot check: {failure}",
-                module="repro.lint.rules",
-            )
-        )
-    else:
-        record["status"] = "spot-checked"
-    return findings, record
+    record["status"] = "declared"
+    return [], record
+
+
+#: Arm statuses, worst first: a rule's record is its worst arm's.
+_STATUS_ORDER = ("ill-formed", "opaque-guard", "failed", "trials-passed", "proved")
 
 
 def _audit_declarative(rule: Rewrite, anchor: str, record: dict):
+    findings: list[Finding] = []
+    arms = []
+    for index, arm in enumerate(rule.arms):
+        where = f" (arm {index})" if len(rule.arms) > 1 else ""
+        arm_findings, arm_record = _audit_arm(rule.name, arm, anchor, where)
+        findings += arm_findings
+        arms.append(arm_record)
+    record.update(min(arms, key=lambda r: _STATUS_ORDER.index(r["status"])))
+    if len(arms) > 1:
+        record["arms"] = len(arms)
+        for key in ("envs", "checked", "skipped"):
+            record[key] = sum(r.get(key, 0) for r in arms)
+    return findings, record
+
+
+def _audit_arm(name: str, arm: Arm, anchor: str, where: str):
     findings = []
-    lhs, rhs = rule.searcher, rule.applier
+    record: dict = {}
+    lhs, rhs = arm.lhs, arm.rhs
     lhs_class, lhs_attr = classify_vars(lhs)
     rhs_class, rhs_attr = classify_vars(rhs)
 
-    # --- binding ---------------------------------------------------------
-    unbound = (rhs_class - lhs_class) | (rhs_attr - lhs_attr)
-    if unbound:
-        record["status"] = "ill-formed"
-        findings.append(
-            Finding(
-                "RU-UNBOUND",
-                anchor,
-                f"RHS uses variables the LHS never binds: {sorted(unbound)}",
-            )
-        )
-        return findings, record
-
-    # --- guard introspection (conditions and guards alike) ---------------
-    premises = (*rule.conditions, *rule.guards)
+    # --- guard introspection (guards, then conditions) -------------------
+    premises = (*arm.guards, *arm.conditions)
     specs = []
     opaque = False
     for condition in premises:
@@ -472,7 +415,7 @@ def _audit_declarative(rule: Rewrite, anchor: str, record: dict):
                 Finding(
                     "RU-OPAQUE-GUARD",
                     anchor,
-                    f"declarative rule {rule.name!r} carries a condition "
+                    f"declarative rule {name!r}{where} carries a condition "
                     f"{getattr(condition, '__qualname__', condition)!r} that "
                     "is not a recognized soundness-factory guard — the "
                     "semantic audit cannot concretize it (build the rule "
@@ -482,6 +425,20 @@ def _audit_declarative(rule: Rewrite, anchor: str, record: dict):
             )
         else:
             specs.append(spec)
+    derived = {payload[0] for kind, payload in specs if kind == "derive"}
+
+    # --- binding ---------------------------------------------------------
+    unbound = (rhs_class - lhs_class) | (rhs_attr - lhs_attr - derived)
+    if unbound:
+        record["status"] = "ill-formed"
+        findings.append(
+            Finding(
+                "RU-UNBOUND",
+                anchor,
+                f"RHS{where} uses variables the LHS never binds: {sorted(unbound)}",
+            )
+        )
+        return findings, record
 
     # --- guard presence (re-derive drule) --------------------------------
     # Dropped *attr* vars need no totality proof: attributes are concrete
@@ -498,7 +455,7 @@ def _audit_declarative(rule: Rewrite, anchor: str, record: dict):
             Finding(
                 "RU-DROPPED",
                 anchor,
-                f"LHS variables {missing} are dropped by the RHS from a "
+                f"LHS variables {missing}{where} are dropped by the RHS from a "
                 "strict position without a totality guard — a * valuation "
                 "of them makes the sides differ (build the rule with drule, "
                 "which derives the guard automatically)",
@@ -507,8 +464,8 @@ def _audit_declarative(rule: Rewrite, anchor: str, record: dict):
         )
 
     # --- guard purity -----------------------------------------------------
-    trap, probe_env = _probe_graph(lhs_class)
-    probe_env.update({name: 2 for name in lhs_attr})
+    trap, probe_env = _probe_graph(lhs_class, class_vars(lhs, tails=True))
+    probe_env.update({attr: 2 for attr in lhs_attr | derived})
     for condition in premises:
         try:
             condition(trap, probe_env)
@@ -517,7 +474,7 @@ def _audit_declarative(rule: Rewrite, anchor: str, record: dict):
                 Finding(
                     "RU-IMPURE",
                     anchor,
-                    f"condition of {rule.name!r} mutates the e-graph during "
+                    f"condition of {name!r}{where} mutates the e-graph during "
                     f"matching ({attempt}) — conditions must be pure "
                     "observers; mutation belongs in the applier",
                 )
@@ -533,36 +490,56 @@ def _audit_declarative(rule: Rewrite, anchor: str, record: dict):
         record["mode"] = "skipped"
         record["status"] = "opaque-guard"
         return findings, record
-    findings += _semantic_audit(rule, anchor, specs, lhs_class, lhs_attr, record)
+    findings += _semantic_audit(name, arm, anchor, where, specs, lhs_class, lhs_attr, record)
     return findings, record
 
 
-def _semantic_audit(rule, anchor, specs, lhs_class, lhs_attr, record):
-    lhs, rhs = rule.searcher, rule.applier
+def _semantic_audit(name, arm, anchor, where, specs, lhs_class, lhs_attr, record):
+    lhs, rhs = arm.lhs, arm.rhs
     consts = const_vars(lhs)
-    domains = {name: CLASS_DOMAIN for name in lhs_class}
+    tails = class_vars(lhs, tails=True)
+    # The classes a ``derive`` names are those whose range it reads.
+    derives = (pattern_vars(payload[1]) for kind, payload in specs if kind == "derive")
+    interval_vars = lhs_class & set().union(*derives)
+    domains = {
+        name: INTERVALS if name in interval_vars else TAIL_DOMAIN if name in tails
+        else CLASS_DOMAIN
+        for name in lhs_class
+    }
     domains.update(
         {name: CONST_DOMAIN if name in consts else ATTR_DOMAIN for name in lhs_attr}
     )
     names = sorted(domains)
-    total_envs = math.prod(len(domains[name]) for name in names)
+    # A class read through its range takes each value of its interval, or *.
+    per_interval = sum(hi - lo + 2 for lo, hi in INTERVALS)
+    total_envs = math.prod(
+        per_interval if name in interval_vars else len(domains[name]) for name in names
+    )
+
+    def expand(base: dict):
+        ranges = {name: base[name] for name in interval_vars}
+        inner = [(BOT, *range(lo, hi + 1)) for lo, hi in ranges.values()]
+        for values in itertools.product(*inner):
+            env = dict(base)
+            env.update(zip(ranges, values, strict=True))
+            yield env, ranges
 
     def envs():
         if total_envs <= EXHAUSTIVE_CAP:
             for values in itertools.product(*(domains[name] for name in names)):
-                yield dict(zip(names, values, strict=True))
+                yield from expand(dict(zip(names, values, strict=True)))
         else:
-            rng = random.Random(zlib.crc32(rule.name.encode()))
+            rng = random.Random(zlib.crc32((name + where).encode()))
             for _ in range(TRIALS):
-                yield {name: rng.choice(domains[name]) for name in names}
+                yield from expand({name: rng.choice(domains[name]) for name in names})
 
     exhaustive = total_envs <= EXHAUSTIVE_CAP
     record["mode"] = "exhaustive" if exhaustive else "trials"
     record["envs"] = total_envs if exhaustive else TRIALS
     checked = skipped = 0
-    for env in envs():
+    for env, ranges in envs():
         try:
-            if not all(_guard_holds(spec, env) for spec in specs):
+            if not all(_guard_holds(spec, env, ranges) for spec in specs):
                 continue
             lhs_value = eval_pattern(lhs, env)
             rhs_value = eval_pattern(rhs, env)
@@ -582,15 +559,18 @@ def _semantic_audit(rule, anchor, specs, lhs_class, lhs_attr, record):
         if not agree:
             record["status"] = "failed"
             record["checked"] = checked
+            shown = _render_env(env)
+            if ranges:
+                shown["ranges"] = ranges
             return [
                 Finding(
                     "RU-UNSOUND",
                     anchor,
-                    f"rule {rule.name!r} is unsound over Z ∪ {{*}}: under "
-                    f"{_render_env(env)} the LHS evaluates to "
+                    f"rule {name!r}{where} is unsound over Z ∪ {{*}}: under "
+                    f"{shown} the LHS evaluates to "
                     f"{'*' if lhs_value is BOT else lhs_value} but the RHS "
                     f"to {'*' if rhs_value is BOT else rhs_value}",
-                    detail={"counterexample": _render_env(env)},
+                    detail={"counterexample": shown},
                 )
             ]
     record["checked"] = checked

@@ -31,7 +31,7 @@ from repro.pipeline.stages import (
     Verify,
     WarmStart,
 )
-from repro.rewrites.rulesets import casesplit_ruleset, compose_rules, ruleset
+from repro.rewrites.rulesets import casesplit_rules, compose_rules, ruleset
 from repro.synth.cost import default_key
 
 #: The stitch phase after a sharded merge: a short saturation of the
@@ -133,14 +133,16 @@ def is_sharded(knobs: Schedule) -> bool:
     """Whether a :class:`Schedule` fans out over shards.
 
     An explicit ``shards`` count always does.  The ``auto_shard_nodes``
-    threshold yields to a warm start and to the ILP objective: both need one
-    monolithic graph, and a default threshold must not force them apart.
+    threshold yields to a warm start, to saving the e-graph and to the ILP
+    objective: all three need one monolithic graph, and a default threshold
+    must not force them apart.
     """
     if knobs.shards > 0:
         return True
     return (
         knobs.auto_shard_nodes is not None
         and knobs.warm_start is None
+        and knobs.save_egraph is None
         and knobs.extract_objective == "greedy"
     )
 
@@ -162,6 +164,9 @@ COMPOSITION_RULES: tuple[tuple[Callable[[Schedule], bool], str], ...] = (
      "a custom extraction_key composes with monolithic schedules only"),
     (lambda s: s.stitch and not is_sharded(s),
      "stitch requires a sharded schedule"),
+    (lambda s: is_sharded(s) and s.save_egraph is not None and not s.stitch,
+     "save-egraph on a sharded schedule requires stitch (unstitched shards "
+     "leave no e-graph to save)"),
 )
 
 
@@ -289,7 +294,7 @@ def _phase_rules(phase: tuple[str, ...], split_threshold: int | None) -> list:
     rules: list = []
     for name in phase:
         if name == "casesplit":
-            rules += casesplit_ruleset(
+            rules += casesplit_rules(
                 split_threshold if split_threshold is not None else 1
             )
         else:

@@ -7,7 +7,7 @@ Rule groups (see ``rulesets``):
 * ``mux``        — mux algebra incl. eqs. (6)/(7) and analysis-based pruning,
 * ``assume``     — Table I: ASSUME creation, propagation and simplification,
 * ``condition``  — Table II: rewriting conditions into ``Constr`` form,
-* ``range_rules``— dynamic rules justified by the interval analysis
+* ``range_rules``— rules justified by the interval analysis
   (identity-by-range, LZC narrowing as in Fig. 1, shift elision),
 * ``casesplit``  — the case-split introduction of Section V.
 
@@ -21,14 +21,10 @@ from repro.rewrites.rulesets import (
     all_rules,
     arith_rules,
     assume_rules,
-    assume_ruleset,
     casesplit_rules,
-    casesplit_ruleset,
     compose_rules,
     condition_rules,
-    condition_ruleset,
     mux_rules,
-    narrowing_ruleset,
     range_rules,
     ruleset,
     shift_rules,
@@ -45,10 +41,6 @@ __all__ = [
     "casesplit_rules",
     "all_rules",
     "structural_ruleset",
-    "assume_ruleset",
-    "condition_ruleset",
-    "narrowing_ruleset",
-    "casesplit_ruleset",
     "RULESETS",
     "ruleset",
     "compose_rules",

@@ -2,20 +2,20 @@
 
 All identities hold over exact integer semantics (see DESIGN.md); rules whose
 right-hand side drops an operand are automatically totality-guarded by
-:func:`~repro.rewrites.soundness.drule`.
+:func:`~repro.rewrites.soundness.drule`.  Every rule here is declarative;
+``mul-pow2-shl`` builds its shift amount from the matched constant,
+``(const (log2 ?v))``, under a ``pow2`` guard.
 """
 
 from __future__ import annotations
 
-from repro.egraph.egraph import EGraph
-from repro.egraph.rewrite import Rewrite, dynamic
-from repro.ir import ops
-from repro.rewrites.soundness import boolean, drule, nonneg
+from repro.egraph.rewrite import Rewrite
+from repro.rewrites.soundness import boolean, darm, drule, nonneg, pow2
 
 
 def arith_rules() -> list[Rewrite]:
     """The base arithmetic rule set."""
-    rules = [
+    return [
         # --- commutativity / associativity --------------------------------
         drule("add-comm", "(+ ?a ?b)", "(+ ?b ?a)"),
         drule("mul-comm", "(* ?a ?b)", "(* ?b ?a)"),
@@ -70,27 +70,9 @@ def arith_rules() -> list[Rewrite]:
         drule("ne-zero-bool", "(!= ?a 0)", "?a", boolean("a")),
         drule("eq-zero-lnot", "(== ?a 0)", "(lnot ?a)"),
         drule("lnot-as-eq", "(lnot ?a)", "(== ?a 0)"),
+        # --- strength reduction: a * 2^k -> a << k, the constant either side
+        Rewrite("mul-pow2-shl", (
+            darm("(* (const ?v) ?a)", "(<< ?a (const (log2 ?v)))", guards=(pow2("?v"),)),
+            darm("(* ?a (const ?v))", "(<< ?a (const (log2 ?v)))", guards=(pow2("?v"),)),
+        )),
     ]
-    rules.append(mul_pow2_to_shl())
-    return rules
-
-
-def mul_pow2_to_shl() -> Rewrite:
-    """``a * 2^k -> a << k`` for constant powers of two (strength reduction)."""
-
-    def search(egraph: EGraph, index: dict):
-        for class_id, enode in index.get(ops.MUL, ()):
-            for position in (0, 1):
-                value = egraph.class_const(enode.children[position])
-                if value is not None and value > 0 and (value & (value - 1)) == 0:
-                    other = enode.children[1 - position]
-                    yield egraph.find(class_id), {
-                        "a": other,
-                        "k": value.bit_length() - 1,
-                    }
-
-    def apply(egraph: EGraph, env: dict, class_id: int):
-        shift = egraph.add_const(env["k"])
-        return egraph.add_node(ops.SHL, (), (egraph.find(env["a"]), shift))
-
-    return dynamic("mul-pow2-shl", search, apply)

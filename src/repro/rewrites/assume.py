@@ -10,31 +10,28 @@ Left-hand side                                  Right-hand side
 ``ASSUME((a ? b : c), ~a)``                     ``ASSUME(c, ~a)``
 ==============================================  =================================================
 
-All five are dynamic rules: ASSUME is variadic (its constraint tail is a
-set), and the second rule quantifies over *any* strict operator, neither of
-which the declarative pattern language needs to support.
+Row 3 is declarative (a constraint tail ``?cs...`` binds an ASSUME's
+constraint set).  Rows 1, 2 and 4/5 stay dynamic: row 1 needs a negative
+guard, row 2 rebuilds whichever strict operator it finds, and rows 4/5
+look up a constraint's negation in the graph.
 
 One extra rule, ``assume-true-elim``, discharges an ASSUME whose constraints
 the analysis proves always hold — the degenerate case where a sub-domain
-equivalence is a whole-domain one.
+equivalence is a whole-domain one.  It is declarative: its guards quantify
+over the constraint tail.
 """
 
 from __future__ import annotations
 
-from repro.analysis import range_of, total_of
 from repro.egraph.egraph import EGraph
 from repro.egraph.enode import ENode
 from repro.egraph.rewrite import Rewrite, dynamic
 from repro.ir import ops
+from repro.rewrites.soundness import drule, total, truthy
 
-#: Strict operators ASSUME distributes over (rule 2 of Table I).  MUX is
-#: excluded (it has dedicated rules 4/5); VAR/CONST/ASSUME are not ops.
-_DISTRIBUTES = frozenset({
-    ops.ADD, ops.SUB, ops.MUL, ops.NEG, ops.SHL, ops.SHR,
-    ops.AND, ops.OR, ops.XOR, ops.NOT, ops.LNOT,
-    ops.LT, ops.LE, ops.GT, ops.GE, ops.EQ, ops.NE,
-    ops.LZC, ops.TRUNC, ops.SLICE, ops.CONCAT, ops.ABS, ops.MIN, ops.MAX,
-})
+#: Rule 2 of Table I distributes over the strict operators; MUX has the
+#: dedicated rules 4/5.
+_DISTRIBUTES = frozenset(ops.STRICT)
 
 
 def assume_rules() -> list[Rewrite]:
@@ -105,22 +102,8 @@ def assume_distribute_rule() -> Rewrite:
 
 def assume_merge_nested_rule() -> Rewrite:
     """Row 3: collapse nested ASSUMEs, uniting their constraint sets."""
-
-    def search(egraph: EGraph, index: dict):
-        for class_id, enode in index.get(ops.ASSUME, ()):
-            guarded = egraph.find(enode.children[0])
-            outer = tuple(egraph.find(c) for c in enode.children[1:])
-            for inner in egraph.members(guarded, ops.ASSUME):
-                yield egraph.find(class_id), {"inner": inner, "outer": outer}
-
-    def apply(egraph: EGraph, env: dict, class_id: int):
-        inner: ENode = env["inner"]
-        merged = env["outer"] + tuple(inner.children[1:])
-        return egraph.add_node(
-            ops.ASSUME, (), (egraph.find(inner.children[0]),) + merged
-        )
-
-    return dynamic("assume-merge-nested", search, apply)
+    lhs = "(assume (assume ?x ?inner...) ?outer...)"
+    return drule("assume-merge-nested", lhs, "(assume ?x ?outer... ?inner...)")
 
 
 def assume_mux_prune_rule() -> Rewrite:
@@ -155,17 +138,5 @@ def assume_mux_prune_rule() -> Rewrite:
 
 def assume_true_elim_rule() -> Rewrite:
     """``ASSUME(x, C) -> x`` when every constraint provably always holds."""
-
-    def search(egraph: EGraph, index: dict):
-        for class_id, enode in index.get(ops.ASSUME, ()):
-            constraints = [egraph.find(c) for c in enode.children[1:]]
-            if all(
-                total_of(egraph, c) and range_of(egraph, c).truthiness() is True
-                for c in constraints
-            ):
-                yield egraph.find(class_id), {"x": egraph.find(enode.children[0])}
-
-    def apply(egraph: EGraph, env: dict, class_id: int):
-        return egraph.find(env["x"])
-
-    return dynamic("assume-true-elim", search, apply)
+    guards = (truthy("cs"), total("cs"))
+    return drule("assume-true-elim", "(assume ?x ?cs...)", "?x", guards=guards)

@@ -1,9 +1,10 @@
 """Mux algebra: condition splitting (eqs. (6)/(7)), propagation, pruning.
 
 ``mux-pull`` is the paper's "mux propagation" — ``a op (b ? c : d) ->
-b ? (a op c) : (a op d)`` — implemented dynamically for every strict
-operator and child position, so an introduced case split migrates to the
-output where Table I's branch-ASSUME rule can take over (Section V).
+b ? (a op c) : (a op d)`` — one rule with an arm for every strict operator
+and child position (41 arms, tried in that order on each node), so an
+introduced case split migrates to the output where Table I's
+branch-ASSUME rule can take over (Section V).
 
 ``mux-cond-const`` is the Section VI dead-code rule: ``c ? a : b -> b`` when
 the analysis proves ``A[[c]] == [0, 0]`` (and symmetrically for always-true).
@@ -11,20 +12,11 @@ the analysis proves ``A[[c]] == [0, 0]`` (and symmetrically for always-true).
 
 from __future__ import annotations
 
-from repro.analysis import range_of, total_of
-from repro.egraph.egraph import EGraph
-from repro.egraph.enode import ENode
-from repro.egraph.rewrite import Rewrite, dynamic
+from repro.egraph.pattern import AttrVar, PatternNode, PatternVar
+from repro.egraph.rewrite import Arm, Rewrite
 from repro.ir import ops
-from repro.rewrites.soundness import boolean, drule, total
-
-#: Strict operators through which a mux may be pulled upward.
-_PULLABLE = (
-    ops.ADD, ops.SUB, ops.MUL, ops.NEG, ops.SHL, ops.SHR,
-    ops.AND, ops.OR, ops.XOR, ops.NOT, ops.LNOT,
-    ops.LT, ops.LE, ops.GT, ops.GE, ops.EQ, ops.NE,
-    ops.LZC, ops.TRUNC, ops.SLICE, ops.CONCAT, ops.ABS, ops.MIN, ops.MAX,
-)
+from repro.ir.ops import Op
+from repro.rewrites.soundness import boolean, darm, drule, falsy, total, truthy
 
 
 def mux_rules() -> list[Rewrite]:
@@ -57,52 +49,30 @@ def mux_rules() -> list[Rewrite]:
 
 def mux_pull_rule() -> Rewrite:
     """Pull a mux from any operand position up through a strict operator."""
+    arms = (_pull_arm(op, position) for op in ops.STRICT for position in range(op.arity))
+    return Rewrite("mux-pull", tuple(arms))
 
-    def search(egraph: EGraph, index: dict):
-        for op in _PULLABLE:
-            for class_id, enode in index.get(op, ()):
-                for position, child in enumerate(enode.children):
-                    child_root = egraph.find(child)
-                    for inner in egraph.members(child_root, ops.MUX):
-                        yield (
-                            egraph.find(class_id),
-                            {"outer": enode, "pos": position, "mux": inner},
-                        )
 
-    def apply(egraph: EGraph, env: dict, class_id: int):
-        outer: ENode = env["outer"]
-        position: int = env["pos"]
-        inner: ENode = env["mux"]
-        cond, if_true, if_false = inner.children
-        # Pulling a mux through a strict op requires the *other* operands to
-        # stay put; the condition hoists above the op, which is sound because
-        # the op is strict and evaluates identically on both branch copies.
-        kids_t = list(outer.children)
-        kids_t[position] = if_true
-        kids_f = list(outer.children)
-        kids_f[position] = if_false
-        on_true = egraph.add_node(outer.op, outer.attrs, tuple(kids_t))
-        on_false = egraph.add_node(outer.op, outer.attrs, tuple(kids_f))
-        return egraph.add_node(ops.MUX, (), (cond, on_true, on_false))
+def _pull_arm(op: Op, position: int) -> Arm:
+    """``(op .. (mux ?c ?t ?f) ..) -> (mux ?c (op .. ?t ..) (op .. ?f ..))``
+    with the mux at ``position``; the other operands stay put (``?o<i>``)."""
+    attrs = tuple(AttrVar(name) for name in op.attr_names)
 
-    return dynamic("mux-pull", search, apply)
+    def with_operand(operand) -> PatternNode:
+        kids = [PatternVar(f"o{i}") for i in range(op.arity)]
+        kids[position] = operand
+        return PatternNode(op, attrs, tuple(kids))
+
+    c, t, f = PatternVar("c"), PatternVar("t"), PatternVar("f")
+    return darm(
+        with_operand(PatternNode(ops.MUX, (), (c, t, f))),
+        PatternNode(ops.MUX, (), (c, with_operand(t), with_operand(f))),
+    )
 
 
 def mux_cond_const_rule() -> Rewrite:
     """Prune a mux whose condition the analysis proves constant (Sec. VI)."""
-
-    def search(egraph: EGraph, index: dict):
-        for class_id, enode in index.get(ops.MUX, ()):
-            cond, if_true, if_false = enode.children
-            if not total_of(egraph, cond):
-                continue
-            verdict = range_of(egraph, cond).truthiness()
-            if verdict is True:
-                yield egraph.find(class_id), {"keep": if_true}
-            elif verdict is False:
-                yield egraph.find(class_id), {"keep": if_false}
-
-    def apply(egraph: EGraph, env: dict, class_id: int):
-        return egraph.find(env["keep"])
-
-    return dynamic("mux-cond-const", search, apply)
+    return Rewrite("mux-cond-const", (
+        darm("(mux ?c ?t ?f)", "?t", unguarded=("f",), guards=(truthy("c"), total("c"))),
+        darm("(mux ?c ?t ?f)", "?f", unguarded=("t",), guards=(falsy("c"), total("c"))),
+    ))

@@ -5,27 +5,43 @@ the paper describes: once ASSUME refinement tightens a class's range, these
 rules exploit it structurally.  (Pure constant folding — a class whose range
 is a singleton — happens in the analysis ``modify`` hook, both for total
 classes and, wrapped in the same constraints, for ASSUME classes.)  A
-pattern plus a range guard is a declarative rule with search-time guards;
-rules that compute their right-hand side from a range stay dynamic:
+pattern plus range guards is a declarative rule, and an attribute computed
+from a range is bound at search time by a ``derive`` guard; two rules stay
+dynamic:
 
 * ``abs-identity`` / ``abs-negate`` — the paper's ``fabs(ASSUME(x, x>0)) ->
   ASSUME(x, x>0)`` example (Section IV-B);
 * ``trunc-elim`` — truncation whose operand provably fits is a wire (this is
   how bitwidth reduction reaches the extracted netlist);
-* ``lzc-narrow`` (dynamic) — Figure 1: when the range proves at most ``k``
-  leading zeros, a ``w``-bit LZC shrinks to a ``k+1``-bit LZC of the top bits;
+* ``lzc-narrow`` — Figure 1: when the range proves at most ``k`` leading
+  zeros, a ``w``-bit LZC shrinks to a ``k+1``-bit LZC of the top bits;
 * ``lzc-shl`` — an LZC of a left-shifted value counts on the unshifted value
   at reduced width;
-* ``min-resolve`` / ``max-resolve`` (dynamic) — order proven by disjoint ranges.
+* ``lzc-width-reduce`` (dynamic: it builds its LZC before its constant, the
+  reverse of a bottom-up build) and ``lzc-norm-invariant`` (dynamic);
+* ``minmax-resolve`` — order proven by disjoint ranges, one arm per outcome.
 """
 
 from __future__ import annotations
+
+import math
 
 from repro.analysis import range_of, total_of
 from repro.egraph.egraph import EGraph
 from repro.egraph.rewrite import Rewrite, dynamic
 from repro.ir import ops
-from repro.rewrites.soundness import attr_lt, bounded, drule, fits, nonneg
+from repro.rewrites.soundness import (
+    attr_lt,
+    bounded,
+    darm,
+    derive,
+    drule,
+    fits,
+    nonneg,
+    range_le,
+    total,
+    unless,
+)
 
 
 def range_rules() -> list[Rewrite]:
@@ -34,7 +50,20 @@ def range_rules() -> list[Rewrite]:
         drule("abs-identity", "(abs ?x)", "?x", guards=(nonneg("x"),)),
         drule("abs-negate", "(abs ?x)", "(neg ?x)", guards=(bounded("x", hi=0),)),
         drule("trunc-elim", "(trunc ?w ?x)", "?x", guards=(fits("x", "?w"),)),
-        lzc_narrow_rule(),
+        # Figure 1: x >= 2^(w-1-k) implies at most k leading zeros, so only
+        # the top k+1 bits can matter.  A range from 2^w up (where LZC_w is
+        # * throughout) gives k < 0 and no narrower LZC.
+        drule(
+            "lzc-narrow",
+            "(lzc ?w ?x)",
+            "(lzc (+ ?k 1) (>> ?x (const (- (- ?w ?k) 1))))",
+            guards=(
+                bounded("x", lo=1),
+                derive("k", "(- ?w (bitlen (lo ?x)))"),
+                attr_lt("-1", "?k"),
+                attr_lt("(+ ?k 1)", "?w"),
+            ),
+        ),
         # a == 0 breaks the identity (lzc_w(0) = w != w-s), so the range
         # must exclude zero as well as fit the narrow width.
         drule(
@@ -50,36 +79,6 @@ def range_rules() -> list[Rewrite]:
         lzc_norm_invariant_rule(),
         minmax_resolve_rule(),
     ]
-
-
-def lzc_narrow_rule() -> Rewrite:
-    """Figure 1: ``LZC_w(x) -> LZC_{k+1}(x >> (w-k-1))`` when lzc(x) <= k.
-
-    The bound ``k`` comes from the analysis: ``x >= 2^(w-1-k)`` implies at
-    most ``k`` leading zeros, so only the top ``k+1`` bits can matter.
-    """
-
-    def search(egraph: EGraph, index: dict):
-        for class_id, enode in index.get(ops.LZC, ()):
-            (width,) = enode.attrs
-            child = egraph.find(enode.children[0])
-            low = range_of(egraph, child).min()
-            if low is None or low < 1:
-                continue
-            max_leading_zeros = width - low.bit_length()
-            if max_leading_zeros + 1 >= width:
-                continue
-            yield egraph.find(class_id), {
-                "x": child, "w": width, "k": max_leading_zeros,
-            }
-
-    def apply(egraph: EGraph, env: dict, class_id: int):
-        width, k = env["w"], env["k"]
-        shift = egraph.add_const(width - k - 1)
-        shifted = egraph.add_node(ops.SHR, (), (egraph.find(env["x"]), shift))
-        return egraph.add_node(ops.LZC, (k + 1,), (shifted,))
-
-    return dynamic("lzc-narrow", search, apply)
 
 
 def lzc_width_reduce_rule() -> Rewrite:
@@ -153,26 +152,16 @@ def lzc_norm_invariant_rule() -> Rewrite:
 
 
 def minmax_resolve_rule() -> Rewrite:
-    """Resolve MIN/MAX whose operand ranges are provably ordered."""
-
-    def search(egraph: EGraph, index: dict):
-        for op in (ops.MIN, ops.MAX):
-            for class_id, enode in index.get(op, ()):
-                left, right = (egraph.find(c) for c in enode.children)
-                lo_l, hi_l = range_of(egraph, left).min(), range_of(egraph, left).max()
-                lo_r, hi_r = range_of(egraph, right).min(), range_of(egraph, right).max()
-                if None in (lo_l, hi_l, lo_r, hi_r):
-                    continue
-                if hi_l <= lo_r:  # left <= right everywhere
-                    keep, drop = (left, right) if op is ops.MIN else (right, left)
-                elif hi_r <= lo_l:  # right <= left everywhere
-                    keep, drop = (right, left) if op is ops.MIN else (left, right)
-                else:
-                    continue
-                if total_of(egraph, drop):
-                    yield egraph.find(class_id), {"keep": keep}
-
-    def apply(egraph: EGraph, env: dict, class_id: int):
-        return egraph.find(env["keep"])
-
-    return dynamic("minmax-resolve", search, apply)
+    """Resolve MIN/MAX whose operand ranges are provably ordered: per
+    operator, the arm keeping the side proved smaller (MIN) or larger (MAX)
+    when ``a <= b``, else the other when ``b <= a``.  The second arm is an
+    ``elif``: with equal point ranges only the first is tried, even when its
+    dropped side is partial."""
+    finite = bounded("a", "b", lo=-math.inf, hi=math.inf)
+    a_le_b, b_le_a = range_le("a", "b"), range_le("b", "a")
+    return Rewrite("minmax-resolve", (
+        darm("(min ?a ?b)", "?a", guards=(finite, a_le_b, total("b"))),
+        darm("(min ?a ?b)", "?b", guards=(finite, b_le_a, unless(a_le_b), total("a"))),
+        darm("(max ?a ?b)", "?b", guards=(finite, a_le_b, total("a"))),
+        darm("(max ?a ?b)", "?a", guards=(finite, b_le_a, unless(a_le_b), total("b"))),
+    ))

@@ -28,10 +28,6 @@ __all__ = [
     "casesplit_rules",
     "all_rules",
     "structural_ruleset",
-    "assume_ruleset",
-    "condition_ruleset",
-    "narrowing_ruleset",
-    "casesplit_ruleset",
     "RULESETS",
     "ruleset",
     "compose_rules",
@@ -40,43 +36,20 @@ __all__ = [
 
 def structural_ruleset() -> list[Rewrite]:
     """Domain-free word-level identities: arithmetic, shifts, muxes."""
-    rules: list[Rewrite] = []
-    rules += arith_rules()
-    rules += shift_rules()
-    rules += mux_rules()
-    rules += [mux_pull_rule(), mux_cond_const_rule()]
-    return rules
-
-
-def assume_ruleset() -> list[Rewrite]:
-    """Table I: ASSUME introduction, distribution, merging, mux pruning."""
-    return assume_rules()
-
-
-def condition_ruleset() -> list[Rewrite]:
-    """Section IV-C condition rewriting (comparison re-association)."""
-    return condition_rules()
-
-
-def narrowing_ruleset() -> list[Rewrite]:
-    """Range-driven narrowing: truncation removal, width reduction."""
-    return range_rules()
-
-
-def casesplit_ruleset(threshold: int = 1) -> list[Rewrite]:
-    """Section V case splitting at the given threshold."""
-    return casesplit_rules(threshold)
+    return [*arith_rules(), *shift_rules(), *mux_rules(), mux_pull_rule(), mux_cond_const_rule()]
 
 
 #: Named ruleset registry for phased schedules (CLI / Session job specs
-#: reference rulesets by these names).  ``casesplit`` uses the default
-#: threshold; use :func:`casesplit_ruleset` directly to parameterize it.
+#: reference rulesets by these names): Table I's ASSUME rules, Section
+#: IV-C's condition rewriting, range-driven narrowing and Section V's case
+#: split (at the default threshold; call :func:`casesplit_rules` to
+#: parameterize it).
 RULESETS: dict[str, object] = {
     "structural": structural_ruleset,
-    "assume": assume_ruleset,
-    "condition": condition_ruleset,
-    "narrowing": narrowing_ruleset,
-    "casesplit": casesplit_ruleset,
+    "assume": assume_rules,
+    "condition": condition_rules,
+    "narrowing": range_rules,
+    "casesplit": casesplit_rules,
 }
 
 
@@ -115,12 +88,12 @@ def compose_rules(
     if cached is None:
         rules = structural_ruleset()
         if enable_assume:
-            rules += assume_ruleset()
+            rules += assume_rules()
         if enable_condition:
-            rules += condition_ruleset()
-        rules += narrowing_ruleset()
+            rules += condition_rules()
+        rules += range_rules()
         if split_threshold is not None:
-            rules += casesplit_ruleset(split_threshold)
+            rules += casesplit_rules(split_threshold)
         cached = _COMPOSE_CACHE[key] = tuple(rules)
     return list(cached)
 

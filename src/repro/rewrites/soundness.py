@@ -11,6 +11,9 @@ pattern variables, so individual rules cannot forget them.
 The condition factories below are what the rule auditor
 (:mod:`repro.lint.rules`) can concretize.  Attribute arguments are
 attribute slots in pattern syntax: ``"0"``, ``"?w"``, ``"(- ?w ?s)"``.
+A class name may name a constraint tail (``?cs...``): the condition then
+holds for each class of the tail.  :func:`derive` is the one guard that
+binds: it computes an attribute from class ranges at search time.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable
 from repro.analysis import range_of, total_of
 from repro.egraph.egraph import EGraph
 from repro.egraph.pattern import as_pattern, class_vars, eval_attr, parse_pattern
-from repro.egraph.rewrite import Rewrite, rewrite
+from repro.egraph.rewrite import Arm, Rewrite, arm
 from repro.intervals import IntervalSet
 
 
@@ -33,25 +36,31 @@ def drule(
     unguarded: tuple[str, ...] = (),
     guards: tuple = (),
 ) -> Rewrite:
-    """A declarative datapath rule with automatic totality guards.
+    """A one-arm declarative datapath rule (see :func:`darm`)."""
+    only = darm(lhs, rhs, *conditions, unguarded=unguarded, guards=guards)
+    return Rewrite(name, (only,), once)
+
+
+def darm(
+    lhs: str,
+    rhs: str,
+    *conditions,
+    unguarded: tuple[str, ...] = (),
+    guards: tuple = (),
+) -> Arm:
+    """One arm of a declarative datapath rule, with automatic totality
+    guards.
 
     ``unguarded`` exempts variables that are dropped from a *non-strict*
     position (a mux branch is never evaluated when not selected, so dropping
     it needs no totality proof).  ``guards`` are checked at search time,
-    ``conditions`` at apply time (see :class:`~repro.egraph.rewrite.Rewrite`).
+    ``conditions`` at apply time (see :class:`~repro.egraph.rewrite.Arm`).
     """
     lhs_pat, rhs_pat = as_pattern(lhs), as_pattern(rhs)
     dropped = sorted(class_vars(lhs_pat) - class_vars(rhs_pat) - set(unguarded))
     if dropped:
-        conditions = (_all_total(dropped), *conditions)
-    return rewrite(name, lhs_pat, rhs_pat, *conditions, once=once, guards=guards)
-
-
-def _all_total(names: list[str]) -> Callable[[EGraph, dict], bool]:
-    def check(egraph: EGraph, env: dict) -> bool:
-        return all(total_of(egraph, env[n]) for n in names if n in env)
-
-    return check
+        conditions = (total(*dropped), *conditions)
+    return arm(lhs_pat, rhs_pat, *conditions, guards=guards)
 
 
 # ------------------------------------------------------------------ conditions
@@ -102,19 +111,75 @@ def attr_lt(small: str, large: str) -> Callable[[EGraph, dict], bool]:
 def boolean(*names: str) -> Callable[[EGraph, dict], bool]:
     """Condition: each named class has range within {0, 1}."""
     zero_one = IntervalSet.of(0, 1)
-
-    def check(egraph: EGraph, env: dict) -> bool:
-        return all(range_of(egraph, env[n]).issubset(zero_one) for n in names)
-
-    return check
+    return _each(names, lambda egraph, c: range_of(egraph, c).issubset(zero_one))
 
 
 def total(*names: str) -> Callable[[EGraph, dict], bool]:
     """Condition: each named class is provably total (never ``*``)."""
+    return _each(names, lambda egraph, c: total_of(egraph, c))
+
+
+def truthy(*names: str) -> Callable[[EGraph, dict], bool]:
+    """Condition: each named class's range excludes zero."""
+    return _each(names, lambda egraph, c: range_of(egraph, c).truthiness() is True)
+
+
+def falsy(*names: str) -> Callable[[EGraph, dict], bool]:
+    """Condition: each named class's range is exactly zero."""
+    return _each(names, lambda egraph, c: range_of(egraph, c).truthiness() is False)
+
+
+def _each(names: tuple, test: Callable[[EGraph, int], bool]) -> Callable[[EGraph, dict], bool]:
+    """Condition: ``test(egraph, class)`` for each class bound to ``names``
+    (each class of a constraint tail); the auditor reads the factory that
+    built ``test`` from its qualified name."""
 
     def check(egraph: EGraph, env: dict) -> bool:
-        return all(total_of(egraph, env[n]) for n in names)
+        for name in names:
+            value = env[name]
+            for c in value if value.__class__ is tuple else (value,):
+                if not test(egraph, c):
+                    return False
+        return True
 
+    return check
+
+
+def pow2(value: str) -> Callable[[EGraph, dict], bool]:
+    """Condition: an attribute (e.g. a ``(const ?v)`` value) is a positive
+    power of two, so ``(log2 ?v)`` is exact."""
+    attr = parse_pattern(value, attr=True)
+
+    def check(egraph: EGraph, env: dict) -> bool:
+        v = eval_attr(attr, env)
+        return v > 0 and v & (v - 1) == 0
+
+    return check
+
+
+def unless(guard: Callable[[EGraph, dict], bool]) -> Callable[[EGraph, dict], bool]:
+    """Condition: ``guard`` does not hold (an ``elif`` after another arm)."""
+
+    def check(egraph: EGraph, env: dict) -> bool:
+        return not guard(egraph, env)
+
+    return check
+
+
+def derive(name: str, value: str) -> Callable[[EGraph, dict], bool]:
+    """Search-time guard binding attribute ``name`` to ``value``, which may
+    read class ranges, e.g. ``derive("k", "(- ?w (bitlen (lo ?x)))")``; it
+    fails when a range it reads has no such bound."""
+    expr = parse_pattern(value, attr=True)
+
+    def check(egraph: EGraph, env: dict) -> bool:
+        def bounds(var: str) -> tuple:
+            return range_of(egraph, env[var]).min(), range_of(egraph, env[var]).max()
+
+        env[name] = eval_attr(expr, env, bounds)
+        return env[name] is not None
+
+    check.derives = name
     return check
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.egraph import EGraph
 from repro.egraph.pattern import AttrVar, PatternNode, PatternVar
 from repro.egraph.query import QueryPlan
-from repro.egraph.rewrite import Rewrite
+from repro.egraph.rewrite import Arm, Rewrite
 from repro.ir import ops
 
 from oracles.ematch import ematch
@@ -103,8 +103,10 @@ lhs_patterns = st.recursive(leaves, _extend, max_leaves=5).filter(
 )
 
 
-def _no_apply(egraph, env, class_id):
-    return None
+def _searched(name, lhs):
+    """A one-arm rule that is only searched (its right-hand side is its
+    left-hand side)."""
+    return Rewrite(name, (Arm(lhs, lhs),))
 
 
 @settings(max_examples=300, deadline=None)
@@ -115,7 +117,7 @@ def _no_apply(egraph, env, class_id):
 def test_query_plan_search_matches_ematch(g, searches):
     """One batched plan over several rules (some sharing a root operator)
     returns, per rule, exactly what ``ematch`` returns for that rule alone."""
-    plan = QueryPlan([Rewrite(f"r{i}", lhs, _no_apply) for i, (lhs, _) in enumerate(searches)])
+    plan = QueryPlan([_searched(f"r{i}", lhs) for i, (lhs, _) in enumerate(searches)])
     found = plan.search(g, {i: limit for i, (_, limit) in enumerate(searches)})
     for position, (lhs, limit) in enumerate(searches):
         assert found.get(position, []) == ematch(g, lhs, limit=limit), lhs
@@ -135,7 +137,7 @@ def test_truncation_keeps_the_interpreted_prefix():
     full = ematch(g, lhs)
     assert len(full) == 4
     for limit in range(1, 6):
-        plan = QueryPlan([Rewrite("sum", lhs, _no_apply)])
+        plan = QueryPlan([_searched("sum", lhs)])
         assert plan.search(g, {0: limit})[0] == full[:limit]
 
 
@@ -154,7 +156,7 @@ def test_repeated_variables_must_agree():
     lhs = PatternNode(
         ops.CONCAT, (AttrVar("w"),), (PatternNode(ops.LZC, (AttrVar("w"),), (a,)), a)
     )
-    plan = QueryPlan([Rewrite("same", lhs, _no_apply)])
+    plan = QueryPlan([_searched("same", lhs)])
     found = plan.search(g, {0: 100})[0]
     assert found == ematch(g, lhs)
     assert [env for _, env in found] == [{"w": 4, "a": x}, {"w": 8, "a": x}]
@@ -171,7 +173,7 @@ def test_a_plan_searched_again_sees_the_changed_graph(g, searches, edits):
     """The per-search member memo is dropped when the search ends: the same
     plan, searched again after nodes are added and classes merged, answers
     what ``ematch`` answers on the changed graph."""
-    plan = QueryPlan([Rewrite(f"r{i}", lhs, _no_apply) for i, (lhs, _) in enumerate(searches)])
+    plan = QueryPlan([_searched(f"r{i}", lhs) for i, (lhs, _) in enumerate(searches)])
     budgets = {i: limit for i, (_, limit) in enumerate(searches)}
     plan.search(g, budgets)
     ids = g.core.class_ids()

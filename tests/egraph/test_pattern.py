@@ -11,7 +11,7 @@ from repro.egraph.pattern import (
     parse_pattern,
     pattern_vars,
 )
-from repro.egraph.query import compile_pattern
+from repro.egraph.query import compile_arms
 from repro.ir import ops, var
 
 from oracles.ematch import ematch, instantiate
@@ -65,7 +65,7 @@ class TestParser:
 
     def test_computed_attr_is_rhs_only(self):
         with pytest.raises(ValueError):
-            compile_pattern(parse_pattern("(trunc (min ?v ?w) ?a)"))
+            compile_arms(((parse_pattern("(trunc (min ?v ?w) ?a)"), False, None),))
 
 
 class TestMatching:

@@ -4,8 +4,10 @@ Two halves, per the subsystem's acceptance bar:
 
 * a corpus of deliberately broken rules — dropped variable without a
   guard, impure condition, semantically unsound identity, RHS using an
-  unbound variable, and mutants of the range-guarded ``trunc-elim`` with
-  its search-time guard dropped, off by one, opaque or impure — each of
+  unbound variable, mutants of the range-guarded ``trunc-elim`` with
+  its search-time guard dropped, off by one, opaque or impure, and one
+  mutant per rule-language feature (an arm, a computed constant, a
+  constraint tail, a tail quantifier, a range-derived attribute) — each of
   which the auditor must flag;
 * the shipped rulesets, every one of which the auditor must pass, with
   every declarative rule carrying an exhaustive proof (or a recorded
@@ -16,8 +18,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.egraph.pattern import parse_pattern
-from repro.egraph.rewrite import Rewrite, rewrite
+from repro.egraph.pattern import PatternNode, parse_pattern
+from repro.egraph.rewrite import Arm, Rewrite, rewrite
 from repro.lint.rules import (
     DYNAMIC_CONTRACTS,
     audit_rule,
@@ -27,8 +29,22 @@ from repro.lint.rules import (
     guard_spec,
     strictly_evaluated_vars,
 )
+from repro.ir import ops
+from repro.rewrites.mux import mux_pull_rule
 from repro.rewrites.rulesets import RULESETS, ruleset
-from repro.rewrites.soundness import attr_lt, drule, fits, total
+from repro.rewrites.soundness import (
+    attr_lt,
+    bounded,
+    darm,
+    derive,
+    drule,
+    fits,
+    pow2,
+    range_le,
+    total,
+    truthy,
+    unless,
+)
 from repro.ir.evaluate import BOT
 
 
@@ -82,10 +98,8 @@ class TestMutationCorpus:
             return True
 
         bad = Rewrite(
-            name="bad-impure",
-            searcher=parse_pattern("(+ ?a 0)"),
-            applier=parse_pattern("?a"),
-            conditions=(mutating_condition,),
+            "bad-impure",
+            (Arm(parse_pattern("(+ ?a 0)"), parse_pattern("?a"), (mutating_condition,)),),
         )
         findings, _ = audit_rule(bad, "corpus")
         assert "RU-IMPURE" in rule_ids(findings)
@@ -97,9 +111,8 @@ class TestMutationCorpus:
         # rewrite() itself rejects this, so construct the Rewrite directly
         # — the auditor must not rely on the constructor's own check.
         bad = Rewrite(
-            name="bad-unbound",
-            searcher=parse_pattern("(+ ?a 0)"),
-            applier=parse_pattern("(+ ?a ?ghost)"),
+            "bad-unbound",
+            (Arm(parse_pattern("(+ ?a 0)"), parse_pattern("(+ ?a ?ghost)")),),
         )
         findings, record = audit_rule(bad, "corpus")
         assert rule_ids(findings) == {"RU-UNBOUND"}
@@ -174,6 +187,98 @@ class TestSearchTimeGuardMutants:
         assert rule_ids(findings) == {"RU-UNSOUND"}
 
 
+class TestRuleLanguageMutants:
+    """One mutant per feature the Table I and Fig. 1 ports use; each must be
+    reported unsound, and each shipped form proved."""
+
+    def test_mux_pull_arm_with_swapped_branches_is_unsound(self):
+        arms = list(mux_pull_rule().arms)
+        shipped = arms[0]  # (+ (mux ?c ?t ?f) ?o1)
+        c, on_true, on_false = shipped.rhs.children
+        arms[0] = darm(shipped.lhs, PatternNode(ops.MUX, (), (c, on_false, on_true)))
+        findings, record = audit_rule(Rewrite("mux-pull", tuple(arms)), "corpus")
+        assert rule_ids(findings) == {"RU-UNSOUND"}
+        assert "(arm 0)" in findings[0].message
+        assert record["status"] == "failed" and record["arms"] == 41
+
+    def test_shift_one_past_log2_is_unsound(self):
+        rule = drule(
+            "mul-pow2-shl", "(* ?a (const ?k))", "(<< ?a (const (+ (log2 ?k) 1)))",
+            guards=(pow2("?k"),),
+        )
+        findings, _ = audit_rule(rule, "corpus")
+        assert rule_ids(findings) == {"RU-UNSOUND"}
+
+    def test_shipped_log2_shift_is_proved(self):
+        rule = drule(
+            "mul-pow2-shl", "(* ?a (const ?k))", "(<< ?a (const (log2 ?k)))",
+            guards=(pow2("?k"),),
+        )
+        findings, record = audit_rule(rule, "corpus")
+        assert findings == [] and record["status"] == "proved"
+
+    def test_merge_dropping_the_inner_tail_is_unsound(self):
+        rule = drule(
+            "assume-merge-nested",
+            "(assume (assume ?x ?inner...) ?outer...)",
+            "(assume ?x ?outer...)",
+        )
+        findings, _ = audit_rule(rule, "corpus")
+        assert "RU-UNSOUND" in rule_ids(findings)
+
+    def test_true_elim_guarded_by_totality_alone_is_unsound(self):
+        rule = drule("assume-true-elim", "(assume ?x ?cs...)", "?x", guards=(total("cs"),))
+        findings, _ = audit_rule(rule, "corpus")
+        assert rule_ids(findings) == {"RU-UNSOUND"}
+
+    def test_shipped_true_elim_quantifies_over_the_tail(self):
+        rule = drule(
+            "assume-true-elim", "(assume ?x ?cs...)", "?x", guards=(total("cs"), truthy("cs"))
+        )
+        findings, record = audit_rule(rule, "corpus")
+        assert findings == [] and record["status"] == "proved"
+        # x times every tuple of one or two constraint values.
+        assert record["envs"] == 7 * (7 + 7 * 7)
+
+    def test_lzc_narrow_from_the_range_maximum_is_unsound(self):
+        rule = drule(
+            "lzc-narrow",
+            "(lzc ?w ?x)",
+            "(lzc (+ ?k 1) (>> ?x (const (- (- ?w ?k) 1))))",
+            guards=(
+                bounded("x", lo=1),
+                derive("k", "(- ?w (bitlen (hi ?x)))"),
+                attr_lt("(+ ?k 1)", "?w"),
+            ),
+        )
+        findings, _ = audit_rule(rule, "corpus")
+        assert rule_ids(findings) == {"RU-UNSOUND"}
+        assert "ranges" in findings[0].detail["counterexample"]
+
+    def test_width_reduce_from_the_range_maximum_is_proved(self):
+        """``lzc-width-reduce`` stays dynamic (its applier builds in another
+        order), but its declarative form is provable: ``m`` is read from
+        the range maximum."""
+        rule = drule(
+            "lzc-width-reduce",
+            "(lzc ?w ?x)",
+            "(+ (const (- ?w ?m)) (lzc ?m ?x))",
+            guards=(derive("m", "(bitlen (hi ?x))"), attr_lt("0", "?m"), attr_lt("?m", "?w")),
+        )
+        findings, record = audit_rule(rule, "corpus")
+        assert findings == [] and record["status"] == "proved"
+
+    def test_minmax_arm_keeping_the_larger_side_is_unsound(self):
+        rule = Rewrite("minmax-resolve", (
+            darm("(min ?a ?b)", "?a", guards=(range_le("a", "b"), total("b"))),
+            darm("(min ?a ?b)", "?a", guards=(range_le("b", "a"), total("b"))),
+        ))
+        findings, record = audit_rule(rule, "corpus")
+        assert rule_ids(findings) == {"RU-UNSOUND"}
+        assert "(arm 1)" in findings[0].message
+        assert record["status"] == "failed"
+
+
 # ------------------------------------------------------- auditor internals
 class TestAuditorInternals:
     def test_guard_spec_recovers_factory_arguments(self):
@@ -194,6 +299,18 @@ class TestAuditorInternals:
 
     def test_guard_spec_rejects_hand_rolled_conditions(self):
         assert guard_spec(lambda egraph, env: True) is None
+        assert guard_spec(unless(lambda egraph, env: True)) is None
+
+    def test_guard_spec_recovers_binding_and_negated_guards(self):
+        kind, (name, expr) = guard_spec(derive("k", "(- ?w (bitlen (lo ?x)))"))
+        assert (kind, name, repr(expr)) == ("derive", "k", "(- ?w (bitlen (lo ?x)))")
+        assert guard_spec(unless(total("a"))) == ("unless", ("total", ("a",)))
+        assert guard_spec(pow2("?v"))[0] == "pow2"
+
+    def test_eval_pattern_splices_tails(self):
+        rhs = parse_pattern("(assume ?x ?outer... ?inner...)")
+        assert eval_pattern(rhs, {"x": 5, "outer": (1,), "inner": (2, 3)}) == 5
+        assert eval_pattern(rhs, {"x": 5, "outer": (1,), "inner": (2, 0)}) is BOT
 
     def test_mux_branches_are_non_strict(self):
         # b only ever appears as an unselected-able mux branch; it needs no
@@ -238,12 +355,22 @@ class TestShippedRulesets:
             assert by_name[name]["status"] == "proved", by_name[name]
             assert name not in DYNAMIC_CONTRACTS
 
+    def test_ported_rules_are_proved_arm_by_arm(self, shipped):
+        _, records = shipped
+        by_name = {r["rule"]: r for r in records}
+        arms = {"mux-pull": 41, "mux-cond-const": 2, "mul-pow2-shl": 2, "minmax-resolve": 4}
+        for name in (*arms, "assume-merge-nested", "assume-true-elim", "lzc-narrow"):
+            record = by_name[name]
+            assert record["status"] == "proved" and record["mode"] == "exhaustive", record
+            assert record.get("arms", 1) == arms.get(name, 1)
+            assert name not in DYNAMIC_CONTRACTS
+
     def test_every_dynamic_rule_has_a_contract(self, shipped):
         _, records = shipped
         dynamic = [r for r in records if r["mode"] == "contract"]
         assert dynamic
         for record in dynamic:
-            assert record["status"] in ("declared", "spot-checked"), record
+            assert record["status"] == "declared", record
             assert record["sound_by"]
 
     def test_contracts_name_only_real_rules(self):

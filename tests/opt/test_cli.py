@@ -119,6 +119,47 @@ class TestCli:
         assert proc.returncode == 1
         assert proc.stderr == "error: stitch requires a sharded schedule\n"
 
+    def test_save_egraph_on_the_default_path_writes_the_artifact(self, tmp_path):
+        """The default ``auto_shard_nodes`` threshold yields to
+        ``--save-egraph``: the run stays monolithic and saves its graph
+        (sharded, it had no graph to save and wrote nothing)."""
+        import subprocess
+        import sys
+
+        from repro.egraph.serialize import load_egraph
+
+        src = tmp_path / "toy.v"
+        src.write_text(SOURCE)
+        saved = tmp_path / "toy.egraph"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "optimize", str(src), "--iters", "2",
+             "--no-verify", "--save-egraph", str(saved)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert load_egraph(saved).egraph.node_count > 0
+
+    def test_sharded_save_egraph_without_stitch_exits_cleanly(self, tmp_path):
+        """Explicit shards without ``--stitch`` leave no merged graph, so
+        saving one is a composition error, reported before any stage runs."""
+        import subprocess
+        import sys
+
+        src = tmp_path / "toy.v"
+        src.write_text(SOURCE)
+        saved = tmp_path / "toy.egraph"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "optimize", str(src), "--shards", "2",
+             "--save-egraph", str(saved)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: save-egraph on a sharded schedule requires stitch "
+            "(unstitched shards leave no e-graph to save)\n"
+        )
+        assert not saved.exists()
+
     @pytest.mark.parametrize(
         "source, reason",
         [

@@ -28,23 +28,26 @@ from oracles.ematch import ematch, instantiate
 
 def saturate(egraph, rules, max_iters: int = 100) -> int:
     """Apply every rule at every match until a fixpoint; returns the number
-    of iterations.  Only for rule sets that saturate finitely."""
+    of iterations.  Only for rule sets that saturate finitely.  A rule's
+    arms are matched one after the other, each with its own guards,
+    conditions and right-hand side."""
     egraph.rebuild()
     for iteration in range(max_iters):
         before = egraph.version
         index = egraph.nodes_by_op()
         found = [
-            (rule, [
+            (arm, [
                 (class_id, env)
-                for class_id, env in ematch(egraph, rule.searcher, index)
-                if all(guard(egraph, env) for guard in rule.guards)
+                for class_id, env in ematch(egraph, arm.lhs, index)
+                if all(guard(egraph, env) for guard in arm.guards)
             ])
             for rule in rules
+            for arm in rule.arms
         ]
-        for rule, matches in found:
+        for arm, matches in found:
             for class_id, env in matches:
-                if all(cond(egraph, env) for cond in rule.conditions):
-                    egraph.union(class_id, instantiate(egraph, rule.applier, env))
+                if all(cond(egraph, env) for cond in arm.conditions):
+                    egraph.union(class_id, instantiate(egraph, arm.rhs, env))
         egraph.rebuild()
         if egraph.version == before:
             return iteration + 1

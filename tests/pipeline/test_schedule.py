@@ -95,6 +95,13 @@ CASES = {
         config={"auto_shard_nodes": 128, "stitch": True, "extract_objective": "ilp"},
         cli=["--stitch", "--objective", "ilp"],
     ),
+    "save-with-unstitched-shards": Case(
+        "save-egraph on a sharded schedule requires stitch (unstitched shards "
+        "leave no e-graph to save)",
+        job={"shards": 2, "save_egraph": "a.egraph"},
+        config={"shards": 2, "save_egraph": "a.egraph"},
+        cli=["--shards", "2", "--save-egraph", "a.egraph"],
+    ),
     "unknown-objective": Case(
         "unknown extract objective: 'simplex'",
         job={"extract_objective": "simplex"},
@@ -117,6 +124,18 @@ CASES = {
         job={"auto_shard_nodes": 128, "warm_start": "a.egraph"},
         config={"auto_shard_nodes": 128, "warm_start": "a.egraph"},
         cli=["--warm-start", "a.egraph"],
+    ),
+    "auto-shard-yields-to-save": Case(
+        ["Ingest", "Saturate", "Extract", "SaveEGraph"],
+        job={"auto_shard_nodes": 128, "save_egraph": "a.egraph"},
+        config={"auto_shard_nodes": 128, "save_egraph": "a.egraph"},
+        cli=["--save-egraph", "a.egraph"],
+    ),
+    "save-with-stitched-shards": Case(
+        [*SHARDED, "SaveEGraph"],
+        job={"shards": 2, "stitch": True, "save_egraph": "a.egraph"},
+        config={"shards": 2, "stitch": True, "save_egraph": "a.egraph"},
+        cli=["--shards", "2", "--stitch", "--save-egraph", "a.egraph"],
     ),
     "stitch-with-shards": Case(
         SHARDED,

@@ -4,13 +4,18 @@ The golden run records (``golden_schedules.json``) pin three iterations;
 a change in *when* a rule's guard is read (at search time, before the
 backoff budget cuts the match list, or at apply time, after earlier
 applications of the same iteration moved the ranges) first shows up
-later.  These pins record, for every saturation iteration of two ``bench``
-jobs at the registry defaults (verification off), the e-graph size after
-the rebuild and how many times each rule changed the graph:
+later.  These pins record, for every saturation iteration of five
+monolithic ``bench`` jobs at the registry defaults (verification off), the
+e-graph size after the rebuild and how many times each rule changed the
+graph:
 
 * ``fp_sub --iters 5`` — the fifth iteration is where an apply-time
   ``trunc-elim`` guard differs (59 applications instead of 58);
-* ``interpolation --iters 4``.
+* ``interpolation --iters 4``;
+* ``lzc_example`` and ``stress_wide --iters 4``, where ``lzc-narrow``
+  fires (``stress_wide`` also fires ``assume-true-elim``);
+* ``unorm_to_float``, the one registry job where ``lzc-width-reduce``
+  fires.
 
 Regenerate with ``PYTHONPATH=src python tests/pipeline/test_trace_pins.py``:
 it computes the pins under ``PYTHONHASHSEED`` 0 and 1, refuses to write
@@ -34,11 +39,17 @@ from repro.pipeline.session import job_design
 
 PINS = Path(__file__).with_name("trace_pins.json")
 
-#: label -> (design, iteration limit).
-JOBS = {"fp_sub/iters5": ("fp_sub", 5), "interpolation/iters4": ("interpolation", 4)}
+#: label -> (design, iteration limit; ``None`` keeps the design's own).
+JOBS = {
+    "fp_sub/iters5": ("fp_sub", 5),
+    "interpolation/iters4": ("interpolation", 4),
+    "lzc_example": ("lzc_example", None),
+    "stress_wide/iters4": ("stress_wide", 4),
+    "unorm_to_float": ("unorm_to_float", None),
+}
 
 
-def trace(design_name: str, iters: int) -> list[dict]:
+def trace(design_name: str, iters: int | None) -> list[dict]:
     """Per-iteration sizes and applications of one ``bench`` job."""
     job = Job(name=design_name, design=design_name, iter_limit=iters)
     design = job_design(job)
