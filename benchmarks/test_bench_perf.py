@@ -16,7 +16,9 @@ edited design, pinning the warm-start speedup), ``perf:stress_wide_stitch``
 ``perf:interpolation`` (the default-schedule, node-limit run where union's
 ASSUME-parent requeue concentrates), ``perf:stress_wide_verify`` (the
 designer run with verification on, where 8 cones of two shapes run 2 shard
-pipelines and 2 BDD proofs) and ``perf:fp_sub_ilp`` (the globally
+pipelines and 2 BDD proofs), ``perf:fp_sub_verify`` (the designer fp_sub
+run with verification on, whose BDD must prove the miter under the 400k
+cap) and ``perf:fp_sub_ilp`` (the globally
 optimal DAG-cost extraction, pinning the ilp objective's
 never-worse-than-greedy win); the bench-smoke factor
 compares each run against the previous entry *of the same series*.
@@ -516,7 +518,7 @@ def test_perf_stress_wide_verify():
     ran = sorted(k for k, v in shard_rows.items() if "reused_from" not in v)
     assert ran == ["shard:out0", "shard:out1"], ran
     assert len(stages["verify"]["reused_from"]) == 6
-    assert stages["verify"]["spent"]["bdd_nodes"] == 8_777 + 28_419
+    assert stages["verify"]["spent"]["bdd_nodes"] == 6_848 + 21_594
 
     payload, history = _load_trajectory()
     entry = record.as_dict()
@@ -531,6 +533,62 @@ def test_perf_stress_wide_verify():
         f"designer stress_wide with verification regressed: {wall:.3f}s"
     )
     _smoke_guard(history, "perf:stress_wide_verify", wall)
+
+
+#: Absolute ceiling on the Verify stage of the designer fp_sub run.  The
+#: BDD proves the miter in ~0.15 s on the baseline box; a variable order
+#: that blows the 400k cap costs ~0.4 s there before the random fallback.
+FP_SUB_VERIFY_WALL_CEILING_S = 5.0
+
+
+def test_perf_fp_sub_verify():
+    """The ``perf:fp_sub_verify`` series: ``optimize fp_sub.v`` as the CLI
+    builds it, verification on.  Its record carries the Verify stage's wall
+    (``wall_s``) and the BDD nodes it built; the BDD must prove the miter
+    under the engine's 400k-node cap, not fall back to random trials."""
+    from repro.cli import build_parser
+
+    design = DESIGNS["fp_sub"]
+    args = build_parser().parse_args(["optimize", "fp_sub.v"])
+    config = OptimizerConfig(
+        iter_limit=args.iters,
+        node_limit=args.nodes,
+        time_limit=args.time_limit,
+        verify=True,
+        split_threshold=args.split_threshold,
+        auto_shard_nodes=args.auto_shard_nodes or None,
+        budget_policy=args.budget_policy,
+    )
+    t0 = time.perf_counter()
+    result = DatapathOptimizer(design.input_ranges, config).optimize_verilog(
+        design.verilog
+    )
+    run_wall = time.perf_counter() - t0
+    verdict = result.outputs["out"].equivalence
+    wall = result.context.stage_timings()["verify"]
+
+    record = record_from_context(
+        "perf:fp_sub_verify", "fp_sub", "out", result.context
+    )
+    assert record.status == "ok", record.error
+    payload, history = _load_trajectory()
+    entry = record.as_dict()
+    entry["wall_s"] = round(wall, 4)
+    entry["run_wall_s"] = round(run_wall, 4)
+    entry["bdd_nodes"] = verdict.bdd_nodes
+    history = _append_entry(payload, history, entry)
+
+    print(
+        f"\nfp_sub designer run, verify on: verify {wall:.3f}s of "
+        f"{run_wall:.3f}s, {verdict!r}"
+    )
+    assert verdict.equivalent is True, verdict
+    assert verdict.method == "bdd", verdict
+    assert verdict.bdd_nodes <= 400_000
+    assert wall < FP_SUB_VERIFY_WALL_CEILING_S, (
+        f"designer fp_sub verification regressed: {wall:.3f}s"
+    )
+    _smoke_guard(history, "perf:fp_sub_verify", wall)
 
 
 #: Minimum fraction of a governed run's wall the per-stage ledger must

@@ -10,7 +10,11 @@ commercial formal tool.  Here:
   when the input space is small, otherwise a BDD proof over a miter netlist
   (``domain_constraint AND (a != b)`` must be the zero BDD), falling back to
   randomized simulation with a documented trial count when the BDD budget
-  blows up.
+  blows up.  Input bits the domain fixes (the high-order bits shared by an
+  input's lowest and highest value) enter the miter as constants, and the
+  variable order is read off the miter: fan-in DFS first reach for a miter
+  with a variable shift, else words in first-reach order with their bits
+  interleaved MSB-first.
 
 Input domain constraints (the paper's "input constraints", e.g. Figure 1's
 ``x >= 128``) restrict the quantification domain of the proof.

@@ -14,6 +14,7 @@ from repro.ir import expr as ir
 from repro.ir.evaluate import compile_evaluator, input_variables
 from repro.ir.expr import Expr
 from repro.synth.lower import LoweringError, lower_to_netlist
+from repro.synth.netlist import Netlist
 from repro.verify.bdd import BDD, BddLimitError
 
 Clock = Callable[[], float]
@@ -49,7 +50,11 @@ class EquivalenceResult:
 
     def __repr__(self) -> str:
         verdict = {True: "EQUIVALENT", False: "DIFFERENT", None: "NO-DIFF-FOUND"}
-        return f"{verdict[self.equivalent]} ({self.method}, {self.trials} trials)"
+        # A BDD verdict's ``trials`` is its node count, so it is named once.
+        counts = [] if self.method == "bdd" else [f"{self.trials} trials"]
+        if self.bdd_nodes:
+            counts.append(f"{self.bdd_nodes} BDD nodes")
+        return f"{verdict[self.equivalent]} ({', '.join([self.method, *counts])})"
 
 
 def _merged_widths(a: Expr, b: Expr) -> dict[str, int]:
@@ -201,6 +206,77 @@ def _domain_condition(widths: dict[str, int], ranges: Mapping[str, IntervalSet])
     return out
 
 
+def _fixed_bits(
+    netlist: Netlist, ranges: Mapping[str, IntervalSet]
+) -> dict[int, int]:
+    """Input nets the domain pins to one value: net -> 0/1.
+
+    Every in-range value of an input shares the high-order bits its lowest
+    and highest values have in common, so those bits are constants over the
+    whole care set.
+    """
+    fixed: dict[int, int] = {}
+    for name, nets in netlist.inputs.items():
+        if name not in ranges:
+            continue
+        domain = IntervalSet.unsigned(len(nets)).intersect(ranges[name])
+        if domain.is_empty:
+            continue
+        lo = domain.min()
+        shared = (lo ^ domain.max()).bit_length()  # bits from here up agree
+        fixed.update((nets[bit], lo >> bit & 1) for bit in range(shared, len(nets)))
+    return fixed
+
+
+def _first_reach(netlist: Netlist, roots: list[int]) -> list[int]:
+    """Input nets in the order a depth-first walk of the fan-in of ``roots``
+    first reaches them (each gate's inputs left to right)."""
+    driver = {gate.output: gate.inputs for gate in netlist.gates}
+    seen: set[int] = set()
+    reached: list[int] = []
+    stack = list(reversed(roots))
+    while stack:
+        net = stack.pop()
+        if net in seen or net < 2:  # nets 0 and 1 are the constants
+            continue
+        seen.add(net)
+        inputs = driver.get(net)
+        if inputs is None:
+            reached.append(net)
+        else:
+            stack.extend(reversed(inputs))
+    return reached
+
+
+def _variable_order(netlist: Netlist, free: set[int]) -> list[int]:
+    """The free input nets in BDD variable order, read off the miter.
+
+    A miter that shifts by a variable amount (lowering tags each barrel
+    shifter ``shift<n>``) orders bits by fan-in DFS first reach from the
+    output (Fujita et al.; Malik et al., ICCAD 1988).  Otherwise words are
+    taken in first-reach order and their bits interleaved MSB-first, which
+    suits comparators and adders.  Nets the walk misses follow in that
+    interleave, unreached words in name order.  The order reads names only
+    through a sort, so an order-preserving renaming gives the same BDD.
+    """
+    reached = _first_reach(netlist, netlist.outputs["out"].bits)
+    word_of = {net: name for name, nets in netlist.inputs.items() for net in nets}
+    words = dict.fromkeys(word_of[net] for net in reached)
+    words.update(dict.fromkeys(sorted(netlist.inputs)))
+    interleaved = []
+    max_width = max(map(len, netlist.inputs.values()), default=0)
+    for bit in range(max_width - 1, -1, -1):
+        for name in words:
+            nets = netlist.inputs[name]
+            if bit < len(nets) and nets[bit] in free:
+                interleaved.append(nets[bit])
+    if not any(gate.tag.startswith("shift") for gate in netlist.gates):
+        return interleaved
+    reached = [net for net in reached if net in free]
+    first = set(reached)
+    return reached + [net for net in interleaved if net not in first]
+
+
 def _bdd_check(
     a: Expr,
     b: Expr,
@@ -210,26 +286,21 @@ def _bdd_check(
     limit: float = math.inf,
     clock: Clock = time.monotonic,
 ) -> EquivalenceResult:
-    """Prove by building the BDD of ``domain & (a != b)`` over a miter."""
+    """Prove by building the BDD of ``domain & (a != b)`` over a miter.
+
+    Input bits the domain fixes (see :func:`_fixed_bits`) enter the gates
+    as constants, so the BDD is built over the care set's free bits only;
+    a counterexample gets the fixed bits back.  The free bits are ordered
+    from the miter's structure (:func:`_variable_order`).
+    """
     miter: Expr = ir.ne(a, b)
     domain = _domain_condition(widths, ranges)
     if domain is not None:
         miter = Expr(ir.ops.AND, (), (miter, domain))
-    lowered = lower_to_netlist(miter, ranges)
-    netlist = lowered.netlist
-
-    # Variable order: interleave input bits MSB-first (good for comparators
-    # and subtractors alike).
-    order: dict[int, int] = {}
-    names = sorted(netlist.inputs)
-    position = 0
-    max_width = max((len(netlist.inputs[n]) for n in names), default=0)
-    for bit in range(max_width - 1, -1, -1):
-        for name in names:
-            nets = netlist.inputs[name]
-            if bit < len(nets):
-                order[nets[bit]] = position
-                position += 1
+    netlist = lower_to_netlist(miter, ranges).netlist
+    fixed = _fixed_bits(netlist, ranges)
+    free = {net for nets in netlist.inputs.values() for net in nets} - fixed.keys()
+    order = _variable_order(netlist, free)
 
     bdd = BDD(
         node_limit,
@@ -237,31 +308,26 @@ def _bdd_check(
         clock=clock,
     )
     values: dict[int, int] = {0: bdd.FALSE, 1: bdd.TRUE}
-    for net, var_index in order.items():
+    for net, bit_value in fixed.items():
+        values[net] = bdd.TRUE if bit_value else bdd.FALSE
+    for var_index, net in enumerate(order):
         values[net] = bdd.var(var_index)
     for gate in netlist.gates:
         operands = [values[i] for i in gate.inputs]
         values[gate.output] = bdd.apply_gate(gate.kind, *operands)
-    root_bits = netlist.outputs["out"].bits
     diff = bdd.FALSE
-    for net in root_bits:
+    for net in netlist.outputs["out"].bits:
         diff = bdd.apply_or(diff, values[net])
 
     if diff == bdd.FALSE:
         return EquivalenceResult(True, "bdd", trials=len(bdd), bdd_nodes=len(bdd))
-    assignment = bdd.any_sat(diff)
-    env = {}
-    inverse = {pos: net for net, pos in order.items()}
-    net_bit = {}
-    for name in names:
-        for bit, net in enumerate(netlist.inputs[name]):
-            net_bit[net] = (name, bit)
-        env[name] = 0
-    for var_index, bit_value in (assignment or {}).items():
-        net = inverse.get(var_index)
-        if net is not None and bit_value:
-            name, bit = net_bit[net]
-            env[name] |= 1 << bit
+    assignment = bdd.any_sat(diff) or {}
+    ones = {net for net, bit_value in fixed.items() if bit_value}
+    ones.update(order[var] for var, bit_value in assignment.items() if bit_value)
+    env = {
+        name: sum(1 << bit for bit, net in enumerate(nets) if net in ones)
+        for name, nets in sorted(netlist.inputs.items())
+    }
     return EquivalenceResult(
         False, "bdd", counterexample=env, trials=len(bdd), bdd_nodes=len(bdd)
     )
