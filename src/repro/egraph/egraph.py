@@ -262,7 +262,7 @@ class EGraph:
         """Index op -> [(class id, e-node)], from the core's per-op index.
 
         Class ids are canonical at snapshot time (the core keeps
-        ``node_class`` canonical for alive nodes); searchers that cache the
+        ``node_class`` canonical for alive nodes); callers that cache the
         index across unions must still resolve through :meth:`find`.
         """
         core = self.core

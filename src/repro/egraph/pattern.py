@@ -9,6 +9,8 @@ Patterns are written as s-expressions, egg-style::
     (trunc (min ?v ?w) ?a)  a right-hand side computes an attribute
     (mux ?c ?t ?f)        ternary
     (assume ?x ?cs...)    ?cs... binds an ASSUME's constraint tail
+    ?e@(- ?a ?b)          ?e also names the class the node matched in
+    (strict ?xs...)       any member with a strict operator (an OpSet)
 
 ``?name`` in a child position is a :class:`PatternVar` (binds an e-class id);
 in an attribute position it is an :class:`AttrVar` (binds the attribute
@@ -16,9 +18,15 @@ value).  ``?name...``, the last child of an ``ASSUME`` left-hand side,
 binds the tuple of its constraint classes; a right-hand ``ASSUME`` splices
 the tails it names into its constraint set.  An :class:`AttrExpr` computes
 an attribute from bound ones; only right-hand sides and guards use them,
-and only guards read a class's range (``(lo ?x)``, ``(hi ?x)``).  Patterns
-are searched by the compiled matchers and built by the compiled builders
-of :mod:`repro.egraph.query`.
+and only guards read a class's range (``(lo ?x)``, ``(hi ?x)``).
+
+An :class:`OpSet` node matches, in member order, every member whose
+operator is in the set, binding the set's name to that node and its
+``?xs...`` tail to the node's children.  On a right-hand side,
+``(strict ?xs... T)`` rebuilds the matched operator, with its attributes,
+over one copy of ``T`` per class of ``?xs`` (``T``'s ``?xs`` naming that
+class).  Patterns are searched by the compiled matchers and built by the
+compiled builders of :mod:`repro.egraph.query`.
 """
 
 from __future__ import annotations
@@ -56,8 +64,8 @@ class AttrVar:
 
 #: Functions an :class:`AttrExpr` may apply, by their pattern symbol.
 ATTR_FUNCTIONS = MappingProxyType({
-    "min": min, "+": operator.add, "-": operator.sub, "bitlen": int.bit_length,
-    "log2": lambda value: value.bit_length() - 1,
+    "min": min, "max": max, "+": operator.add, "-": operator.sub, "bitlen": int.bit_length,
+    "log2": lambda value: value.bit_length() - 1, "exp2": lambda value: 1 << value,
     "lo": None, "hi": None,  # a class's range bounds (see ``eval_attr``)
 })
 
@@ -88,25 +96,40 @@ def eval_attr(attr, env: dict, bounds=None):
 
 
 @dataclass(frozen=True, slots=True)
-class PatternNode:
-    """An operator application over sub-patterns."""
+class OpSet:
+    """The operator of a node that matches any operator in ``ops``; the
+    set's ``name`` binds the matched node."""
 
-    op: Op
+    name: str
+    ops: tuple[Op, ...]
+    arity = None
+    attr_names = ()
+
+
+@dataclass(frozen=True, slots=True)
+class PatternNode:
+    """An operator application over sub-patterns; ``name`` (``?name@``)
+    also binds the class it matches in."""
+
+    op: "Op | OpSet"
     attrs: tuple = ()
     children: tuple["Pattern", ...] = ()
+    name: str | None = None
 
     def __repr__(self) -> str:
         parts = [self.op.name.lower()]
         parts += [repr(a) for a in self.attrs]
         parts += [repr(c) for c in self.children]
-        return "(" + " ".join(parts) + ")"
+        named = f"?{self.name}@" if self.name else ""
+        return named + "(" + " ".join(parts) + ")"
 
 
 Pattern = Union[PatternVar, PatternNode]
 
-#: Symbols accepted by :func:`parse_pattern`, mapped to operators.  The
-#: number of leading attribute slots is given by ``op.attr_names``.
-_SYMBOLS: dict[str, Op] = {
+#: Symbols accepted by :func:`parse_pattern`, mapped to operators (or an
+#: operator set).  The number of leading attribute slots is given by
+#: ``op.attr_names``.
+_SYMBOLS: dict[str, "Op | OpSet"] = {
     "+": ops.ADD,
     "-": ops.SUB,
     "*": ops.MUL,
@@ -134,6 +157,7 @@ _SYMBOLS: dict[str, Op] = {
     "max": ops.MAX,
     "assume": ops.ASSUME,
     "const": ops.CONST,
+    "strict": OpSet("strict", ops.STRICT),
 }
 
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")
@@ -171,6 +195,11 @@ def parse_pattern(text: str, attr: bool = False) -> Pattern:
 
     def parse() -> Pattern:
         tok = take()
+        if tok.startswith("?") and tok.endswith("@"):
+            node = parse()
+            if not isinstance(node, PatternNode):
+                raise ValueError(f"{tok} must name an operator node in {text!r}")
+            return PatternNode(node.op, node.attrs, node.children, tok[1:-1])
         if tok == "(":
             head = take()
             op = _SYMBOLS.get(head)
@@ -178,8 +207,9 @@ def parse_pattern(text: str, attr: bool = False) -> Pattern:
                 raise ValueError(f"unknown operator {head!r} in {text!r}")
             attrs = tuple(parse_attr() for _ in op.attr_names)
             children = until_close(parse)
-            if op is not ops.ASSUME and class_vars(PatternNode(op, (), children), tails=True):
-                raise ValueError(f"only an ASSUME has a constraint tail: {text!r}")
+            tails = class_vars(PatternNode(op, (), children), tails=True)
+            if tails and op is not ops.ASSUME and not isinstance(op, OpSet):
+                raise ValueError(f"only an ASSUME or an OpSet has a tail: {text!r}")
             if op.arity is not None and len(children) != op.arity:
                 raise ValueError(
                     f"{op.name} wants {op.arity} children, got "
@@ -217,6 +247,10 @@ def pattern_vars(pattern: Pattern) -> set[str]:
         elif isinstance(p, AttrExpr):
             stack.extend(p.args)
         elif isinstance(p, PatternNode):
+            if p.name:
+                out.add(p.name)
+            if isinstance(p.op, OpSet):
+                out.add(p.op.name)
             stack.extend(p.attrs)
             stack.extend(p.children)
     return out
@@ -228,3 +262,23 @@ def class_vars(pattern: Pattern, tails: bool = False) -> set[str]:
     if isinstance(pattern, PatternVar):
         return {pattern.name} if pattern.tail or not tails else set()
     return set().union(*(class_vars(c, tails) for c in pattern.children))
+
+
+def named(pattern: Pattern) -> dict[str, PatternNode]:
+    """The nodes an as-pattern ``?name@(...)`` names, by name."""
+    if isinstance(pattern, PatternVar):
+        return {}
+    out = {pattern.name: pattern} if pattern.name else {}
+    for child in pattern.children:
+        out.update(named(child))
+    return out
+
+
+def inline(pattern: Pattern, names: dict[str, PatternNode]) -> Pattern:
+    """``pattern`` with each ``?name@(...)`` of ``names``, and each bare
+    ``?name`` of one, written out as the node it names."""
+    if isinstance(pattern, PatternVar):
+        node = names.get(pattern.name)
+        return pattern if node is None or pattern.tail else inline(node, names)
+    kids = tuple(inline(child, names) for child in pattern.children)
+    return PatternNode(pattern.op, pattern.attrs, kids)

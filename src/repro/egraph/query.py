@@ -30,20 +30,23 @@ A rule's search-time guards run on each full match before it counts
 against the limit, a ``(const ?s)`` leaf binds the value of the class's
 first ``CONST`` member, as :meth:`CoreGraph.class_const` reads it, and a
 constraint tail ``?cs...`` binds the tuple of an ``ASSUME``'s remaining
-children.
+children.  An operator-set node (``(strict ?xs...)``) walks a class's
+members whose op is in the set, in member order, through the same memo,
+an as-pattern (``?e@(...)``) binds the class its node is matched in,
+and consecutive arms with one left-hand side share its loops, so each of
+its matches tries them in order.
 
 Generated code for ``(* (+ ?a ?b) 2)`` looks like::
 
     def _matcher(core, cands, limit, out, keeps=(), probe=None):
         ... array locals; probe = {} when the caller passes none ...
-        _id4 = op_ids.get(_K5)           # ADD — resolved per call
-        _pm6 = probe.get(_id4)           # the search's ADD-member memo
-        if _pm6 is None: _pm6 = probe[_id4] = _OpMembers(core, _id4)
+        _pm4 = probe.get(_K5)            # the search's ADD-member memo
+        if _pm4 is None: _pm4 = probe[_K5] = _OpMembers(core, _K6)  # (ADD,)
         _lf14 = memo.get((_id10, _id12, ()))  # the Const(2) leaf, one hit
         _lc15 = -1 if _lf14 is None else node_class[_lf14]
         for _n1 in cands:                # the MUL nodes
             _t2 = kid_tups[_n1]
-            for _n3 in _pm6[_t2[0]]:     # ADD members of the left class
+            for _n3 in _pm4[_t2[0]]:     # ADD members of the left class
                 _t7 = kid_tups[_n3]
                 _v8 = _t7[0]
                 _v9 = _t7[1]
@@ -87,7 +90,9 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.egraph.pattern import AttrExpr, AttrVar, Pattern, PatternNode, PatternVar, eval_attr
+from repro.egraph.pattern import (
+    AttrExpr, AttrVar, OpSet, Pattern, PatternNode, PatternVar, eval_attr,
+)
 from repro.ir import ops
 from repro.ir.ops import Op
 
@@ -210,17 +215,16 @@ class _Emitter(_Codegen):
         else:
             self.body.append(f"{ind}if {value} != {bound}: continue")
 
-    def members(self, op: Op) -> str:
+    def members(self, op: "Op | OpSet") -> str:
         """Prelude local holding the search's ``class -> members with op``
-        memo for one operator (see :class:`_OpMembers`)."""
+        memo for one operator or operator set (see :class:`_OpMembers`)."""
         local = self.probes.get(op)
         if local is None:
-            op_local = self.interned("op_ids", op)
+            key, ops_ = self.lit(op), self.lit(op.ops if isinstance(op, OpSet) else (op,))
             local = self.fresh("_pm")
-            self.prelude.append(f"    {local} = probe.get({op_local})")
+            self.prelude.append(f"    {local} = probe.get({key})")
             self.prelude.append(
-                f"    if {local} is None: "
-                f"{local} = probe[{op_local}] = _OpMembers(core, {op_local})"
+                f"    if {local} is None: {local} = probe[{key}] = _OpMembers(core, {ops_})"
             )
             self.globals["_OpMembers"] = _OpMembers
             self.probes[op] = local
@@ -256,6 +260,19 @@ class _Emitter(_Codegen):
             if isinstance(child, PatternVar):
                 self.bind(child.name, f"{kids}[{i}:]" if child.tail else cell, ind)
                 step(i + 1, depth)
+                return
+            if child.name:
+                self.bind(child.name, cell, ind)
+            if isinstance(child.op, OpSet):
+                # ``(strict ?xs...)``: every member with an op of the set, in
+                # member order; the set's name binds the node.
+                if len(child.children) != 1 or not getattr(child.children[0], "tail", False):
+                    raise ValueError(f"an operator set takes one tail: {child}")
+                inner = self.fresh("_n")
+                self.body.append(f"{ind}for {inner} in {self.members(child.op)}[{cell}]:")
+                self.bind(child.op.name, inner, ind + "    ")
+                self.bind(child.children[0].name, f"kid_tups[{inner}]", ind + "    ")
+                step(i + 1, depth + 1)
             elif not child.children and not any(
                 isinstance(a, AttrVar) for a in child.attrs
             ):
@@ -290,26 +307,40 @@ class _Emitter(_Codegen):
 
     def compile(self) -> Matcher:
         root = self.fresh("_n")
-        several = len(self.arms) > 1
-        bodies: list[str] = []
+        # Consecutive arms with one left-hand side share its loops: each
+        # match of it tries them in order.
+        groups: list[tuple[Pattern, list]] = []
         for index, (pattern, guarded, tag) in enumerate(self.arms):
-            self.body, self.bound = [], {}
-            keep = f"_keep{index}"
             if guarded:
-                self.prelude.append(f"    {keep} = keeps[{index}]")
+                self.prelude.append(f"    _keep{index} = keeps[{index}]")
+            if groups and groups[-1][0] == pattern:
+                groups[-1][1].append((index, guarded, tag))
+            else:
+                groups.append((pattern, [(index, guarded, tag)]))
+        several = len(groups) > 1
+        bodies: list[str] = []
+        for pattern, members in groups:
+            self.body, self.bound = [], {}
 
-            def finish(depth: int, tag=tag, guarded=guarded, keep=keep) -> None:
-                ind = "    " * depth
-                env = [f"{name!r}: {local}" for name, local in self.bound.items()]
-                if tag is not None:
-                    env.append(f"{ARM!r}: {self.lit(tag)}")
-                self.body.append(f"{ind}_env = {{{', '.join(env)}}}")
-                if guarded:
-                    self.body.append(f"{ind}if not {keep}(_env): continue")
-                self.body.append(f"{ind}out_append((node_class[{root}], _env))")
-                self.body.append(f"{ind}if len(out) >= limit: return")
+            def finish(depth: int, members=members) -> None:
+                for index, guarded, tag in members:
+                    ind = "    " * depth
+                    env = [f"{name!r}: {local}" for name, local in self.bound.items()]
+                    if tag is not None:
+                        env.append(f"{ARM!r}: {self.lit(tag)}")
+                    self.body.append(f"{ind}_env = {{{', '.join(env)}}}")
+                    if guarded and len(members) == 1:
+                        self.body.append(f"{ind}if not _keep{index}(_env): continue")
+                    elif guarded:
+                        self.body.append(f"{ind}if _keep{index}(_env):")
+                        ind += "    "
+                    self.body.append(f"{ind}out_append((node_class[{root}], _env))")
+                    self.body.append(f"{ind}if len(out) >= limit: return")
 
-            self.emit_node(root, pattern, 2 + several, finish)
+            depth = 2 + several
+            if pattern.name:
+                self.bind(pattern.name, f"node_class[{root}]", "    " * depth)
+            self.emit_node(root, pattern, depth, finish)
             bodies += ["        for _ in _ONCE:"] * several + self.body
         self.globals["_ONCE"] = (None,)
 
@@ -334,29 +365,29 @@ class _Emitter(_Codegen):
 
 
 class _OpMembers(dict):
-    """One search's memo of a class's members with one operator.
+    """One search's memo of a class's members with one of some operators.
 
-    ``members[class_id]`` is the class's nids whose op is ``op_id``, in
-    member order: filled on the first probe of the class (none when the op
-    is not interned or the class's op mask rules it out), read on every later
-    probe of the same class and op, by any matcher of the same search.
+    ``members[class_id]`` is the class's nids whose op is in ``ops``, in
+    member order: filled on the first probe of the class (none when no op
+    is interned or the class's op mask rules them out), read on every later
+    probe of the same class and ops, by any matcher of the same search.
     The memo is only valid while the graph does not change, so each
     :meth:`QueryPlan.search` starts a fresh one and drops it at the end.
     """
 
-    __slots__ = ("core", "op_id")
+    __slots__ = ("core", "op_ids", "mask")
 
-    def __init__(self, core, op_id: int) -> None:
+    def __init__(self, core, ops: tuple) -> None:
         super().__init__()
         self.core = core
-        self.op_id = op_id
+        self.op_ids = frozenset(core.op_ids[op] for op in ops if op in core.op_ids)
+        self.mask = sum(1 << op_id for op_id in self.op_ids)
 
     def __missing__(self, class_id: int) -> list[int] | tuple:
         core = self.core
-        op_id = self.op_id
-        if op_id is not None and core.class_ops[class_id] >> op_id & 1:
-            node_op = core.node_op
-            found = [nid for nid in core.class_nodes[class_id] if node_op[nid] == op_id]
+        if core.class_ops[class_id] & self.mask:
+            node_op, op_ids = core.node_op, self.op_ids
+            found = [nid for nid in core.class_nodes[class_id] if node_op[nid] in op_ids]
         else:
             found = ()
         self[class_id] = found
@@ -411,6 +442,8 @@ class _BuilderEmitter(_Codegen):
             self.body.append(f"    {local} = env[{pat.name!r}]")
             self.body.append(f"    if parent[{local}] != {local}: {local} = core.uf.find({local})")
             return local
+        if isinstance(pat.op, OpSet):
+            return self.emit_rebuilt(pat)
         tails = [c.name for c in pat.children if getattr(c, "tail", False)]
         kids = [self.emit(child) for child in pat.children if not getattr(child, "tail", False)]
         op_local, op_const = self.interned("op_ids", pat.op)
@@ -442,17 +475,37 @@ class _BuilderEmitter(_Codegen):
             self.body.append(
                 f"    if {at_local} is None: {at_local} = core.intern_attrs({at_const})"
             )
-        sig, nid, cls = f"s{serial}", f"n{serial}", f"c{serial}"
+        return self.probe(serial, op_local, at_local)
+
+    def probe(self, serial: str, op: str, attr: str) -> str:
+        """The hashcons probe of node ``serial`` (children in ``t<serial>``):
+        its existing class, or the class :meth:`CoreGraph.insert` makes."""
+        sig, nid, cls, tup = f"s{serial}", f"n{serial}", f"c{serial}", f"t{serial}"
         self.body += [
-            f"    {sig} = ({op_local}, {at_local}, {tup})",
+            f"    {sig} = ({op}, {attr}, {tup})",
             f"    {nid} = memo.get({sig})",
             f"    if {nid} is None:",
-            f"        {cls} = core.insert({op_local}, {at_local}, {tup}, {sig})",
+            f"        {cls} = core.insert({op}, {attr}, {tup}, {sig})",
             "    else:",
             f"        {cls} = node_class[{nid}]",
             f"        if parent[{cls}] != {cls}: {cls} = core.uf.find({cls})",
         ]
         return cls
+
+    def emit_rebuilt(self, pat: PatternNode) -> str:
+        """``(strict ?xs... T)``: the op and attributes of the node the set's
+        name binds, over one build of ``T`` per class of ``?xs``."""
+        tail, *template = pat.children
+        build = self.lit(compile_builder(template[0] if template else PatternVar(tail.name)))
+        serial = self.fresh("")
+        found, kids = f"m{serial}", f"k{serial}"
+        self.body += [
+            f"    {found} = env[{pat.op.name!r}]",
+            f"    {kids} = [{build}(core, {{**env, {tail.name!r}: k}})"
+            f" for k in env[{tail.name!r}]]",
+            f"    t{serial} = tuple([k if parent[k] == k else core.uf.find(k) for k in {kids}])",
+        ]
+        return self.probe(serial, f"core.node_op[{found}]", f"core.node_attr[{found}]")
 
     def attr_source(self, attr) -> str:
         """A Python expression computing one attribute slot from ``env``."""
@@ -508,8 +561,6 @@ class QueryPlan:
     its arms), all cut by its one budget.  Rules are keyed by their
     *position* in the runner's rule list, never by name: two rules may
     share a name, and each must get its own matchers, matches and builders.
-    Dynamic rules are not part of the plan; the runner keeps dispatching
-    those through :meth:`Rewrite.search`.
     """
 
     def __init__(self, rules) -> None:
@@ -519,11 +570,11 @@ class QueryPlan:
         #: rule position -> the compiled builder of each arm's RHS.
         self.builders: dict[int, tuple[Builder, ...]] = {}
         for position, rule in enumerate(rules):
-            if not rule.arms:
-                continue
             several = len(rule.arms) > 1
             by_op: dict[Op, list[int]] = {}
             for index, arm in enumerate(rule.arms):
+                if isinstance(arm.lhs.op, OpSet):
+                    raise ValueError(f"an operator set cannot be a root: {arm.lhs}")
                 by_op.setdefault(arm.lhs.op, []).append(index)
             self.matchers[position] = [
                 (
@@ -552,9 +603,9 @@ class QueryPlan:
         op_nodes = core.op_nodes
         #: root op -> its candidate nids, snapshotted once per search.
         cands_of: dict[Op, list] = {}
-        #: op id -> :class:`_OpMembers`, shared by every matcher of this
-        #: search and dropped with it (the apply phase changes members).
-        probe: dict[int, _OpMembers] = {}
+        #: op or op set -> :class:`_OpMembers`, shared by every matcher of
+        #: this search and dropped with it (the apply phase changes members).
+        probe: dict = {}
         for position, limit in budgets.items():
             out: list = []
             for op, matcher, guards in self.matchers[position]:

@@ -1,6 +1,6 @@
-"""Rewrite rules: declarative (pattern -> pattern) and dynamic (Python).
+"""Rewrite rules: declarative pattern -> pattern rewrites.
 
-A declarative :class:`Rewrite` is a name, one backoff budget and an ordered
+A :class:`Rewrite` is a name, one backoff budget and an ordered
 list of arms (:class:`Arm`): a left-hand side, side conditions and a
 right-hand side each.  The runner's :class:`~repro.egraph.query.QueryPlan`
 tries the arms in order on each candidate node; applying a match builds
@@ -9,19 +9,15 @@ its arm's right-hand side and unions it with the matched class
 Section II of the paper emphasizes).  Side conditions run at one of two
 times: *guards* on each match in the search phase, before the backoff
 budget cuts the match list, and *conditions* at apply time, after earlier
-applications of the same iteration.
-
-Dynamic rules bypass the pattern language: a searcher inspects the e-graph
-and an applier returns the class to union.  What the language cannot
-express stays dynamic (negative guards, right-hand sides that rebuild
-whichever operator was found, or that are built in another order than
-bottom-up).
+applications of the same iteration.  Every rule is written this way, so
+every rule is a pattern pair the rule auditor (:mod:`repro.lint.rules`)
+can check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.egraph.egraph import EGraph
 from repro.egraph.pattern import Pattern, PatternNode, as_pattern, pattern_vars
@@ -29,15 +25,6 @@ from repro.egraph.query import ARM, Builder
 
 #: A condition receives (egraph, env) and vetoes the application when False.
 Condition = Callable[[EGraph, dict], bool]
-
-#: Dynamic searcher: egraph, per-op index -> iterable of (class_id, env).
-#: The index is read through ``index.get(op, ())`` only: a list of
-#: ``(class_id, enode)`` per operator, as :meth:`EGraph.nodes_by_op` maps it.
-Searcher = Callable[[EGraph, dict], Iterable[tuple[int, dict]]]
-
-#: Dynamic applier: egraph, env, matched class -> replacement class id or
-#: None to skip.  The rewrite unions the result with the matched class.
-Applier = Callable[[EGraph, dict, int], "int | None"]
 
 
 @dataclass(frozen=True)
@@ -52,29 +39,14 @@ class Arm:
 
 @dataclass
 class Rewrite:
-    """A named rewrite rule: declarative ``arms``, or a dynamic
-    ``searcher`` and ``applier``."""
+    """A named rewrite rule: its ordered ``arms``, searched by the runner's
+    compiled :class:`~repro.egraph.query.QueryPlan`."""
 
     name: str
     arms: tuple[Arm, ...] = ()
     #: Rules marked ``once`` stop firing after their first successful
-    #: application (used for case-split introduction, Section V).
+    #: application.
     once: bool = False
-    searcher: Searcher | None = None
-    applier: Applier | None = None
-
-    def search(self, egraph: EGraph, index: dict, limit: int) -> list[tuple[int, dict]]:
-        """All match candidates of a dynamic rule, capped at ``limit``.
-
-        Declarative rules are searched by the runner's compiled
-        :class:`~repro.egraph.query.QueryPlan`, not here.
-        """
-        found = []
-        for item in self.searcher(egraph, index):
-            found.append(item)
-            if len(found) >= limit:
-                break
-        return found
 
     def bind(
         self, egraph: EGraph, builders: "tuple[Builder, ...]" = ()
@@ -87,35 +59,22 @@ class Rewrite:
         Each arm's right-hand side is built by its ``builders`` entry (the
         runner's :class:`~repro.egraph.query.QueryPlan` compiles them); a
         match of a rule with several arms names its arm under
-        :data:`~repro.egraph.query.ARM`.  A dynamic rule calls its applier.
+        :data:`~repro.egraph.query.ARM`.
         """
         core = egraph.core
-        if self.applier is None:
-            union = core.union
-            table = [
-                (arm.conditions, build)
-                for arm, build in zip(self.arms, builders, strict=True)
-            ]
-
-            def step(class_id: int, env: dict) -> bool:
-                conditions, build = table[env.get(ARM, 0)]
-                for cond in conditions:
-                    if not cond(egraph, env):
-                        return False
-                before = core.version
-                union(class_id, build(core, env))
-                return core.version != before
-
-            return step
-
-        applier = self.applier
+        union = core.union
+        table = [
+            (arm.conditions, build) for arm, build in zip(self.arms, builders, strict=True)
+        ]
 
         def step(class_id: int, env: dict) -> bool:
-            before = egraph.version
-            new_id = applier(egraph, env, egraph.find(class_id))
-            if new_id is not None:
-                egraph.union(class_id, new_id)
-            return egraph.version != before
+            conditions, build = table[env.get(ARM, 0)]
+            for cond in conditions:
+                if not cond(egraph, env):
+                    return False
+            before = core.version
+            union(class_id, build(core, env))
+            return core.version != before
 
         return step
 
@@ -149,7 +108,3 @@ def rewrite(
     """
     return Rewrite(name, (arm(lhs, rhs, *conditions, guards=guards),), once)
 
-
-def dynamic(name: str, searcher: Searcher, applier: Applier, once: bool = False) -> Rewrite:
-    """A fully dynamic rule."""
-    return Rewrite(name, once=once, searcher=searcher, applier=applier)

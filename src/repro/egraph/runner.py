@@ -59,16 +59,6 @@ class IterationStats:
     rebuild_time: float = 0.0
 
     @property
-    def nodes(self) -> int:
-        """Size after the iteration's rebuild (backwards-compatible alias)."""
-        return self.nodes_after
-
-    @property
-    def classes(self) -> int:
-        """Classes after the iteration's rebuild (backwards-compatible)."""
-        return self.classes_after
-
-    @property
     def node_growth(self) -> int:
         """E-nodes added by this iteration."""
         return self.nodes_after - self.nodes_before
@@ -101,11 +91,11 @@ class RunnerReport:
 
     @property
     def nodes(self) -> int:
-        return self.iterations[-1].nodes if self.iterations else 0
+        return self.iterations[-1].nodes_after if self.iterations else 0
 
     @property
     def classes(self) -> int:
-        return self.iterations[-1].classes if self.iterations else 0
+        return self.iterations[-1].classes_after if self.iterations else 0
 
     @property
     def nodes_grown(self) -> int:
@@ -198,37 +188,6 @@ class BackoffScheduler:
         self._banned_until[rule.name] = iteration + (self.ban_length << banned)
 
 
-class _LazyOpIndex:
-    """The per-op node index dynamic searchers read, built op by op.
-
-    ``get(op, default)`` answers what :meth:`EGraph.nodes_by_op` would map
-    ``op`` to — ``[(class id, e-node), ...]`` in the core's ``op_nodes``
-    order — but materializes an operator's list only when a searcher first
-    asks for it, so an iteration pays for the operators its dynamic rules
-    read, not for a view of every node in the graph.  Valid while the graph
-    does not change, as during one search phase.
-    """
-
-    __slots__ = ("_core", "_lists")
-
-    def __init__(self, egraph: EGraph) -> None:
-        self._core = egraph.core
-        self._lists: dict = {}
-
-    def get(self, op, default=()):
-        entries = self._lists.get(op)
-        if entries is None:
-            core = self._core
-            op_id = core.op_ids.get(op)
-            nids = core.op_nodes[op_id] if op_id is not None else None
-            if not nids:
-                return default
-            node_class = core.node_class
-            view = core.node_enode
-            entries = self._lists[op] = [(node_class[nid], view(nid)) for nid in nids]
-        return entries
-
-
 class Runner:
     """Drive a set of rewrites over an e-graph until a stop condition.
 
@@ -262,7 +221,7 @@ class Runner:
         #: check is a full sweep).
         self.check_invariants = check_invariants
         self._spent_once_rules: set[str] = set()
-        #: Every declarative rule's arms lowered once: left-hand sides into
+        #: Every rule's arms lowered once: left-hand sides into
         #: matchers searched in one batched per-op scan each iteration,
         #: right-hand sides into builders (see :meth:`Rewrite.bind`).
         self._plan = QueryPlan(self.rules)
@@ -310,7 +269,6 @@ class Runner:
                 classes_before=self.egraph.class_count,
             )
             version_before = self.egraph.version
-            index: _LazyOpIndex | None = None
 
             # --- search phase -------------------------------------------
             t0 = clock()
@@ -322,8 +280,7 @@ class Runner:
                 budgets = {
                     position: self.scheduler.budget(rule)
                     for position, rule in enumerate(self.rules)
-                    if rule.arms
-                    and not (rule.once and rule.name in self._spent_once_rules)
+                    if not (rule.once and rule.name in self._spent_once_rules)
                     and self.scheduler.enabled(rule, iteration)
                 }
                 if budgets:
@@ -336,15 +293,7 @@ class Runner:
                     continue
                 if not self.scheduler.enabled(rule, iteration):
                     continue
-                if rule.arms:
-                    found = plan_results[position]
-                else:
-                    # Dynamic rule: its callable searcher reads the façade.
-                    if index is None:
-                        index = _LazyOpIndex(self.egraph)
-                    found = rule.search(
-                        self.egraph, index, self.scheduler.budget(rule)
-                    )
+                found = plan_results[position]
                 self.scheduler.record(rule, len(found), iteration)
                 if found:
                     matches.append((position, found))
@@ -366,7 +315,7 @@ class Runner:
                         # conditions and compiled builders stay out of the
                         # per-match loop below.
                         step = steps[position] = rule.bind(
-                            egraph, self._plan.builders.get(position, ())
+                            egraph, self._plan.builders[position]
                         )
                     applied = 0
                     for class_id, env in found:

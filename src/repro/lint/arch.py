@@ -163,8 +163,6 @@ SHARED_STATE_ALLOWLIST: dict[tuple[str, str], str] = {
         "fan-out entry-point table; written once at import",
     ("repro.lint.concurrency", "AUDITED_WRITES"):
         "audited-write ledger; written once at import",
-    ("repro.lint.rules", "DYNAMIC_CONTRACTS"):
-        "dynamic-rule contract registry; written once at import",
 }
 
 
@@ -506,7 +504,7 @@ def _walk_calls(tree: ast.Module):
 
 
 # ------------------------------------------------------------------ AR-VIEWSCAN
-#: Units on the saturation hot path: rule searchers, appliers and analysis
+#: Units on the saturation hot path: rule guards, conditions and analysis
 #: hooks run per match or per rebuilt node.
 _HOT_PATH_UNITS = frozenset({"rewrites", "analysis"})
 

@@ -25,10 +25,9 @@ Four layers of audit, mirroring how a rule can go wrong:
   ranges over every interval of :data:`INTERVALS` (the guards and the
   derived attribute see the interval) and then over every value inside it.
 
-Dynamic rules bypass the pattern language, so they get a declared-metadata
-contract instead (:data:`DYNAMIC_CONTRACTS`): a ``sound_by`` tag naming
-the argument.  A dynamic rule without a contract is a finding
-(``RU-NO-CONTRACT``) — adding a rule forces writing down why it is sound.
+Every rule is declarative, so every rule is audited this way.  An arm over
+an operator set (``(strict ?xs...)``) is audited once per operator of the
+set, and a class an as-pattern (``?e@(...)``) names is its node.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ from typing import Callable, Mapping
 
 from repro.analysis import DatapathAnalysis
 from repro.egraph.egraph import EGraph
-from repro.egraph.pattern import AttrVar, Pattern, PatternVar
-from repro.egraph.pattern import class_vars, eval_attr, pattern_vars
+from repro.egraph.pattern import AttrVar, OpSet, Pattern, PatternNode, PatternVar
+from repro.egraph.pattern import class_vars, eval_attr, inline, named, pattern_vars
 from repro.egraph.rewrite import Arm, Rewrite
 from repro.ir import ops
 from repro.ir.evaluate import BOT, _apply
@@ -156,6 +155,8 @@ _SPECS: Mapping[str, Callable[[dict], tuple]] = MappingProxyType({
     "pow2": lambda c: ("pow2", c["attr"]),
     "derive": lambda c: ("derive", (c["name"], c["expr"])),
     "unless": lambda c: ("unless", guard_spec(c["guard"])),
+    "among": lambda c: ("among", (c["pattern"], c["tail"])),
+    "unassumed": lambda c: ("unassumed", (c["branch"], c["cond"])),
 })
 
 
@@ -184,10 +185,11 @@ def _guard_holds(spec: tuple[str, tuple], env: dict, ranges: dict) -> bool:
     On a class with an interval in ``ranges`` they read the interval, as
     they read the range in the e-graph; ``truthy``/``falsy`` read the value
     (a range excluding zero need not be an interval that does).  A negated
-    guard (``unless``) only narrows which arm fires, so it admits every
-    valuation, and a ``derive`` binds its attribute in ``env`` from the
-    intervals.  (``attr_lt``/``pow2`` compare attributes, which are never
-    ``*``.)
+    guard (``unless``) only narrows which arm fires and ``unassumed`` only
+    vetoes a match, so both admit every valuation, and a ``derive`` binds
+    its attribute in ``env`` from the intervals.  ``among`` places a class
+    in a constraint tail, so its value equals one of the tail's.
+    (``attr_lt``/``pow2`` compare attributes, which are never ``*``.)
     """
     kind, payload = spec
     if kind == "total":
@@ -203,6 +205,7 @@ def _guard_holds(spec: tuple[str, tuple], env: dict, ranges: dict) -> bool:
         kind, payload = "bounded", ((name,), 0, (1 << eval_attr(width, env)) - 1)
     if kind == "bounded":
         names, lo, hi = payload
+        lo, hi = eval_attr(lo, env), eval_attr(hi, env)
         return all(
             span is None
             or ((lo is None or lo <= span[0]) and (hi is None or span[1] <= hi))
@@ -217,8 +220,12 @@ def _guard_holds(spec: tuple[str, tuple], env: dict, ranges: dict) -> bool:
     if kind == "pow2":
         value = eval_attr(payload, env)
         return value > 0 and value & (value - 1) == 0
-    if kind == "unless":
+    if kind in ("unless", "unassumed"):
         return True
+    if kind == "among":
+        pattern, tail = payload
+        value = eval_pattern(pattern, env)
+        return any(v is value or (v is not BOT and v == value) for v in env[tail])
     if kind == "derive":
         name, expr = payload
         env[name] = eval_attr(expr, env, ranges.__getitem__)
@@ -306,88 +313,25 @@ def _render_env(env: dict) -> dict:
     return {k: ("*" if v is BOT else v) for k, v in env.items()}
 
 
-# ------------------------------------------------------- dynamic-rule contracts
-#: Declared soundness contracts for every dynamic rule in ``RULESETS``:
-#: ``sound_by`` names the argument (and where the repo pins it).
-DYNAMIC_CONTRACTS: dict[str, dict] = {
-    "mux-branch-assume": {
-        "sound_by": "Table I row 1: each branch is only reachable when its "
-        "condition holds, so wrapping it in ASSUME(branch, cond) changes no "
-        "selected valuation; pinned by tests/rewrites/test_assume_rules.py",
-    },
-    "assume-distribute": {
-        "sound_by": "Table I row 2: for strict ops, ASSUME(a op b, c) and "
-        "ASSUME(a, c) op ASSUME(b, c) are * under exactly the same "
-        "valuations (c fails, or an operand is *); pinned by "
-        "tests/rewrites/test_assume_rules.py",
-    },
-    "assume-mux-prune": {
-        "sound_by": "Table I rows 4/5: under constraint c (resp. ~c) the mux "
-        "selects exactly the kept branch whenever the ASSUME is not already *",
-    },
-    "lzc-width-reduce": {
-        "sound_by": "x < 2^m makes every bit above m a leading zero: "
-        "lzc_w(x) == (w-m) + lzc_m(x), including x == 0; negative x is * on "
-        "both sides",
-    },
-    "lzc-norm-invariant": {
-        "sound_by": "pre-shifting by total c >= 0 reduces the leading-zero "
-        "count by exactly c while both operands fit w bits, so the "
-        "normalizing shift lands on the same value (Section V); pinned by "
-        "the fp_sub differential tests",
-    },
-    "case-split-shift-gt1": {
-        "sound_by": "inserts cond ? x : x with both branches the matched "
-        "class itself — an identity for every valuation of cond (including "
-        "*, where the mux is * exactly when membership in an ASSUME-refined "
-        "class is; the branches only diverge through later ASSUME refinement "
-        "of the copies, which Table I justifies)",
-    },
-}
-
-
 # ------------------------------------------------------------------ the audit
 def audit_rule(rule: Rewrite, origin: str = "adhoc") -> tuple[list[Finding], dict]:
     """Audit one rule; returns ``(findings, audit_record)``."""
     anchor = f"{origin}/{rule.name}"
     record: dict = {"rule": rule.name, "ruleset": origin}
-    if rule.searcher is not None:
-        return _audit_dynamic(rule, anchor, record)
-    return _audit_declarative(rule, anchor, record)
-
-
-def _audit_dynamic(rule: Rewrite, anchor: str, record: dict):
-    record["mode"] = "contract"
-    contract = DYNAMIC_CONTRACTS.get(rule.name)
-    if contract is None:
-        record["status"] = "no-contract"
-        return [
-            Finding(
-                "RU-NO-CONTRACT",
-                anchor,
-                f"dynamic rule {rule.name!r} has no soundness contract — "
-                "declare one in repro.lint.rules.DYNAMIC_CONTRACTS "
-                "(its sound_by argument)",
-                module="repro.lint.rules",
-            )
-        ], record
-    record["sound_by"] = contract["sound_by"]
-    record["status"] = "declared"
-    return [], record
-
-
-#: Arm statuses, worst first: a rule's record is its worst arm's.
-_STATUS_ORDER = ("ill-formed", "opaque-guard", "failed", "trials-passed", "proved")
-
-
-def _audit_declarative(rule: Rewrite, anchor: str, record: dict):
     findings: list[Finding] = []
     arms = []
     for index, arm in enumerate(rule.arms):
-        where = f" (arm {index})" if len(rule.arms) > 1 else ""
-        arm_findings, arm_record = _audit_arm(rule.name, arm, anchor, where)
-        findings += arm_findings
-        arms.append(arm_record)
+        for op_name, lhs, rhs in _per_operator(arm.lhs, arm.rhs):
+            where = ", ".join(
+                [f"arm {index}"] * (len(rule.arms) > 1) + [op_name] * bool(op_name)
+            )
+            names = named(lhs)
+            instance = Arm(inline(lhs, names), inline(rhs, names), arm.conditions, arm.guards)
+            arm_findings, arm_record = _audit_arm(
+                rule.name, instance, anchor, f" ({where})" if where else "", names
+            )
+            findings += arm_findings
+            arms.append(arm_record)
     record.update(min(arms, key=lambda r: _STATUS_ORDER.index(r["status"])))
     if len(arms) > 1:
         record["arms"] = len(arms)
@@ -396,7 +340,50 @@ def _audit_declarative(rule: Rewrite, anchor: str, record: dict):
     return findings, record
 
 
-def _audit_arm(name: str, arm: Arm, anchor: str, where: str):
+def _per_operator(lhs: Pattern, rhs: Pattern) -> list[tuple[str, Pattern, Pattern]]:
+    """``(operator name, lhs, rhs)`` for each operator of the arm's operator
+    set (one instance, named ``""``, without one).  An instance writes the
+    set's node ``(set ?xs... T)`` as ``(op ?set.attr.. T[?xs0] .. T[?xsN])``
+    with one fresh class variable per child of ``op``."""
+    found = [p.op for p in _nodes(lhs) if isinstance(p.op, OpSet)]
+    if not found:
+        return [("", lhs, rhs)]
+    op_set = found[0]
+
+    def fix(p: Pattern, op) -> Pattern:
+        if isinstance(p, PatternVar):
+            return p
+        if p.op != op_set:
+            return PatternNode(p.op, p.attrs, tuple(fix(c, op) for c in p.children), p.name)
+        tail, *template = p.children
+        each = fix(template[0], op) if template else PatternVar(tail.name)
+        attrs = tuple(AttrVar(f"{op_set.name}.{a}") for a in op.attr_names)
+        kids = tuple(_rename(each, tail.name, f"{tail.name}{i}") for i in range(op.arity))
+        return PatternNode(op, attrs, kids, p.name)
+
+    return [(op.name, fix(lhs, op), fix(rhs, op)) for op in op_set.ops]
+
+
+def _nodes(pattern: Pattern) -> list[PatternNode]:
+    """Every operator node of a pattern."""
+    if isinstance(pattern, PatternVar):
+        return []
+    return [pattern, *(n for child in pattern.children for n in _nodes(child))]
+
+
+def _rename(pattern: Pattern, old: str, new: str) -> Pattern:
+    """``pattern`` with the class variable ``?old`` (not a tail) renamed."""
+    if isinstance(pattern, PatternVar):
+        return PatternVar(new) if pattern.name == old and not pattern.tail else pattern
+    kids = tuple(_rename(child, old, new) for child in pattern.children)
+    return PatternNode(pattern.op, pattern.attrs, kids, pattern.name)
+
+
+#: Arm statuses, worst first: a rule's record is its worst arm's.
+_STATUS_ORDER = ("ill-formed", "opaque-guard", "failed", "trials-passed", "proved")
+
+
+def _audit_arm(name: str, arm: Arm, anchor: str, where: str, names: dict):
     findings = []
     record: dict = {}
     lhs, rhs = arm.lhs, arm.rhs
@@ -415,12 +402,11 @@ def _audit_arm(name: str, arm: Arm, anchor: str, where: str):
                 Finding(
                     "RU-OPAQUE-GUARD",
                     anchor,
-                    f"declarative rule {name!r}{where} carries a condition "
+                    f"rule {name!r}{where} carries a condition "
                     f"{getattr(condition, '__qualname__', condition)!r} that "
                     "is not a recognized soundness-factory guard — the "
                     "semantic audit cannot concretize it (build the rule "
-                    "with guards from repro.rewrites.soundness, or make it "
-                    "a dynamic rule with a contract)",
+                    "with guards from repro.rewrites.soundness)",
                 )
             )
         else:
@@ -449,6 +435,9 @@ def _audit_arm(name: str, arm: Arm, anchor: str, where: str):
     for kind, payload in specs:
         if kind == "total":
             guarded.update(payload)
+        elif kind == "among" and payload[1] in rhs_class:
+            # Its value is in a kept constraint tail: a * makes both sides *.
+            guarded.update(strictly_evaluated_vars(payload[0]))
     missing = sorted(needs_guard - guarded)
     if missing:
         findings.append(
@@ -464,7 +453,7 @@ def _audit_arm(name: str, arm: Arm, anchor: str, where: str):
         )
 
     # --- guard purity -----------------------------------------------------
-    trap, probe_env = _probe_graph(lhs_class, class_vars(lhs, tails=True))
+    trap, probe_env = _probe_graph(lhs_class | set(names), class_vars(lhs, tails=True))
     probe_env.update({attr: 2 for attr in lhs_attr | derived})
     for condition in premises:
         try:
@@ -476,7 +465,7 @@ def _audit_arm(name: str, arm: Arm, anchor: str, where: str):
                     anchor,
                     f"condition of {name!r}{where} mutates the e-graph during "
                     f"matching ({attempt}) — conditions must be pure "
-                    "observers; mutation belongs in the applier",
+                    "observers; mutation belongs in the right-hand side",
                 )
             )
         except Exception:
@@ -490,11 +479,13 @@ def _audit_arm(name: str, arm: Arm, anchor: str, where: str):
         record["mode"] = "skipped"
         record["status"] = "opaque-guard"
         return findings, record
-    findings += _semantic_audit(name, arm, anchor, where, specs, lhs_class, lhs_attr, record)
+    findings += _semantic_audit(
+        name, arm, anchor, where, specs, lhs_class, lhs_attr, record, as_names=names
+    )
     return findings, record
 
 
-def _semantic_audit(name, arm, anchor, where, specs, lhs_class, lhs_attr, record):
+def _semantic_audit(name, arm, anchor, where, specs, lhs_class, lhs_attr, record, as_names):
     lhs, rhs = arm.lhs, arm.rhs
     consts = const_vars(lhs)
     tails = class_vars(lhs, tails=True)
@@ -539,6 +530,8 @@ def _semantic_audit(name, arm, anchor, where, specs, lhs_class, lhs_attr, record
     checked = skipped = 0
     for env, ranges in envs():
         try:
+            for as_name, node in as_names.items():
+                env[as_name] = eval_pattern(inline(node, as_names), env)
             if not all(_guard_holds(spec, env, ranges) for spec in specs):
                 continue
             lhs_value = eval_pattern(lhs, env)

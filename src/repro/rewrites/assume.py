@@ -10,10 +10,12 @@ Left-hand side                                  Right-hand side
 ``ASSUME((a ? b : c), ~a)``                     ``ASSUME(c, ~a)``
 ==============================================  =================================================
 
-Row 3 is declarative (a constraint tail ``?cs...`` binds an ASSUME's
-constraint set).  Rows 1, 2 and 4/5 stay dynamic: row 1 needs a negative
-guard, row 2 rebuilds whichever strict operator it finds, and rows 4/5
-look up a constraint's negation in the graph.
+Every row is a declarative rule.  Row 1 carries a guard that reads the
+graph's structure (the branch is not already assumed under the
+condition), row 2 matches any strict operator in member order and
+rebuilds the one it found, row 3 unites constraint tails (``?cs...``), and
+rows 4/5 are two arms that look the condition, or its existing negation,
+up in the constraint tail.
 
 One extra rule, ``assume-true-elim``, discharges an ASSUME whose constraints
 the analysis proves always hold — the degenerate case where a sub-domain
@@ -23,15 +25,8 @@ over the constraint tail.
 
 from __future__ import annotations
 
-from repro.egraph.egraph import EGraph
-from repro.egraph.enode import ENode
-from repro.egraph.rewrite import Rewrite, dynamic
-from repro.ir import ops
-from repro.rewrites.soundness import drule, total, truthy
-
-#: Rule 2 of Table I distributes over the strict operators; MUX has the
-#: dedicated rules 4/5.
-_DISTRIBUTES = frozenset(ops.STRICT)
+from repro.egraph.rewrite import Rewrite
+from repro.rewrites.soundness import among, darm, drule, total, truthy, unassumed, unless
 
 
 def assume_rules() -> list[Rewrite]:
@@ -46,58 +41,24 @@ def assume_rules() -> list[Rewrite]:
 
 
 def mux_branch_assume_rule() -> Rewrite:
-    """Row 1: wrap each mux branch in an ASSUME of its branch condition."""
-
-    def _already_assumed(egraph: EGraph, branch: int, cond: int) -> bool:
-        """Is this branch already an ASSUME carrying this condition?"""
-        for node in egraph.members(branch, ops.ASSUME):
-            if cond in (egraph.find(c) for c in node.children[1:]):
-                return True
-        return False
-
-    def search(egraph: EGraph, index: dict):
-        for class_id, enode in index.get(ops.MUX, ()):
-            cond, if_true, if_false = (egraph.find(c) for c in enode.children)
-            # Idempotence: never wrap a branch that is already assumed under
-            # this condition (prevents ASSUME(ASSUME(...)) towers).
-            if _already_assumed(egraph, if_true, cond):
-                continue
-            yield egraph.find(class_id), {"c": cond, "t": if_true, "f": if_false}
-
-    def apply(egraph: EGraph, env: dict, class_id: int):
-        cond = egraph.find(env["c"])
-        not_cond = egraph.add_node(ops.LNOT, (), (cond,))
-        assumed_t = egraph.add_node(ops.ASSUME, (), (egraph.find(env["t"]), cond))
-        assumed_f = egraph.add_node(ops.ASSUME, (), (egraph.find(env["f"]), not_cond))
-        return egraph.add_node(ops.MUX, (), (cond, assumed_t, assumed_f))
-
-    return dynamic("mux-branch-assume", search, apply)
+    """Row 1: wrap each mux branch in an ASSUME of its branch condition.
+    Never a branch already assumed under this condition (no
+    ``ASSUME(ASSUME(...))`` towers)."""
+    return drule(
+        "mux-branch-assume",
+        "(mux ?c ?t ?f)",
+        "(mux ?c (assume ?t ?c) (assume ?f (lnot ?c)))",
+        guards=(unassumed("t", "c"),),
+    )
 
 
 def assume_distribute_rule() -> Rewrite:
     """Row 2: push an ASSUME through any strict operator toward the inputs."""
-
-    def search(egraph: EGraph, index: dict):
-        for class_id, enode in index.get(ops.ASSUME, ()):
-            guarded = egraph.find(enode.children[0])
-            constraints = tuple(egraph.find(c) for c in enode.children[1:])
-            for inner in egraph.members(guarded, _DISTRIBUTES):
-                if inner.children:
-                    yield egraph.find(class_id), {
-                        "inner": inner,
-                        "constraints": constraints,
-                    }
-
-    def apply(egraph: EGraph, env: dict, class_id: int):
-        inner: ENode = env["inner"]
-        constraints: tuple[int, ...] = env["constraints"]
-        assumed_kids = tuple(
-            egraph.add_node(ops.ASSUME, (), (egraph.find(k),) + constraints)
-            for k in inner.children
-        )
-        return egraph.add_node(inner.op, inner.attrs, assumed_kids)
-
-    return dynamic("assume-distribute", search, apply)
+    return drule(
+        "assume-distribute",
+        "(assume (strict ?xs...) ?cs...)",
+        "(strict ?xs... (assume ?xs ?cs...))",
+    )
 
 
 def assume_merge_nested_rule() -> Rewrite:
@@ -107,33 +68,19 @@ def assume_merge_nested_rule() -> Rewrite:
 
 
 def assume_mux_prune_rule() -> Rewrite:
-    """Rows 4/5: under its own branch condition, a mux is just that branch."""
-
-    def search(egraph: EGraph, index: dict):
-        for class_id, enode in index.get(ops.ASSUME, ()):
-            guarded = egraph.find(enode.children[0])
-            constraints = tuple(egraph.find(c) for c in enode.children[1:])
-            constraint_set = set(constraints)
-            for inner in egraph.members(guarded, ops.MUX):
-                cond, if_true, if_false = (egraph.find(c) for c in inner.children)
-                if cond in constraint_set:
-                    yield egraph.find(class_id), {
-                        "keep": if_true, "constraints": constraints,
-                    }
-                    continue
-                # Is some constraint class the logical negation of cond?
-                negated = egraph.lookup(ENode(ops.LNOT, (), (cond,)))
-                if negated is not None and egraph.find(negated) in constraint_set:
-                    yield egraph.find(class_id), {
-                        "keep": if_false, "constraints": constraints,
-                    }
-
-    def apply(egraph: EGraph, env: dict, class_id: int):
-        return egraph.add_node(
-            ops.ASSUME, (), (egraph.find(env["keep"]),) + env["constraints"]
-        )
-
-    return dynamic("assume-mux-prune", search, apply)
+    """Rows 4/5: under its own branch condition, a mux is just that branch.
+    The condition itself keeps the true branch; else its negation, when
+    the graph has one, keeps the false branch.  The dropped condition is
+    in the kept constraint tail, so it needs no totality guard."""
+    lhs = "(assume (mux ?c ?t ?f) ?cs...)"
+    on_true = among("?c", "cs")
+    return Rewrite("assume-mux-prune", (
+        darm(lhs, "(assume ?t ?cs...)", unguarded=("c", "f"), guards=(on_true,)),
+        darm(
+            lhs, "(assume ?f ?cs...)", unguarded=("c", "t"),
+            guards=(unless(on_true), among("(lnot ?c)", "cs")),
+        ),
+    ))
 
 
 def assume_true_elim_rule() -> Rewrite:

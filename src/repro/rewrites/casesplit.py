@@ -8,7 +8,9 @@ subtractor with one rewrite::
 Both branches start as the *same* e-class; the split only becomes useful
 once Table I wraps each branch in its branch-condition ASSUME and the
 constraint-aware rules specialize the two copies.  The rewrite is idempotent
-by hashconsing (re-applying it builds the identical mux e-node).
+by hashconsing (re-applying it builds the identical mux e-node).  It is a
+declarative rule: the as-pattern ``?e@`` names the matched class, so both
+branches are that class.
 
 ``case_split_on`` exposes the paper's "interactive" future-work idea: split
 any class on an arbitrary designer-provided condition.
@@ -18,9 +20,10 @@ from __future__ import annotations
 
 from repro.egraph.egraph import EGraph
 from repro.egraph.enode import ENode
-from repro.egraph.rewrite import Rewrite, dynamic
+from repro.egraph.rewrite import Rewrite
 from repro.ir import ops
 from repro.ir.expr import Expr
+from repro.rewrites.soundness import drule
 
 
 def casesplit_rules(threshold: int = 1) -> list[Rewrite]:
@@ -29,22 +32,13 @@ def casesplit_rules(threshold: int = 1) -> list[Rewrite]:
 
 
 def split_sub_shift_rule(threshold: int = 1) -> Rewrite:
-    """``a - (b >> c) -> (c > T) ? same : same`` (T = ``threshold``)."""
-
-    def search(egraph: EGraph, index: dict):
-        for class_id, enode in index.get(ops.SUB, ()):
-            rhs = egraph.find(enode.children[1])
-            for inner in egraph.members(rhs, ops.SHR):
-                shift_amount = egraph.find(inner.children[1])
-                yield egraph.find(class_id), {"c": shift_amount}
-                break
-
-    def apply(egraph: EGraph, env: dict, class_id: int):
-        limit = egraph.add_const(threshold)
-        cond = egraph.add_node(ops.GT, (), (egraph.find(env["c"]), limit))
-        return egraph.add_node(ops.MUX, (), (cond, class_id, class_id))
-
-    return dynamic(f"case-split-shift-gt{threshold}", search, apply)
+    """``a - (b >> c) -> (c > T) ? same : same`` (T = ``threshold``), once
+    per ``SHR`` member of the subtrahend's class."""
+    return drule(
+        f"case-split-shift-gt{threshold}",
+        "?e@(- ?a (>> ?b ?c))",
+        f"(mux (> ?c {int(threshold)}) ?e ?e)",
+    )
 
 
 def case_split_on(egraph: EGraph, class_id: int, condition: Expr) -> int:

@@ -6,8 +6,7 @@ rules exploit it structurally.  (Pure constant folding — a class whose range
 is a singleton — happens in the analysis ``modify`` hook, both for total
 classes and, wrapped in the same constraints, for ASSUME classes.)  A
 pattern plus range guards is a declarative rule, and an attribute computed
-from a range is bound at search time by a ``derive`` guard; two rules stay
-dynamic:
+from a range is bound at search time by a ``derive`` guard:
 
 * ``abs-identity`` / ``abs-negate`` — the paper's ``fabs(ASSUME(x, x>0)) ->
   ASSUME(x, x>0)`` example (Section IV-B);
@@ -17,8 +16,10 @@ dynamic:
   zeros, a ``w``-bit LZC shrinks to a ``k+1``-bit LZC of the top bits;
 * ``lzc-shl`` — an LZC of a left-shifted value counts on the unshifted value
   at reduced width;
-* ``lzc-width-reduce`` (dynamic: it builds its LZC before its constant, the
-  reverse of a bottom-up build) and ``lzc-norm-invariant`` (dynamic);
+* ``lzc-width-reduce`` — an LZC of a value that fits ``m`` bits counts
+  ``w - m`` constant zeros plus an ``m``-bit LZC;
+* ``lzc-norm-invariant`` — normalizing a pre-shifted value lands where
+  normalizing the unshifted one does;
 * ``minmax-resolve`` — order proven by disjoint ranges, one arm per outcome.
 """
 
@@ -26,10 +27,7 @@ from __future__ import annotations
 
 import math
 
-from repro.analysis import range_of, total_of
-from repro.egraph.egraph import EGraph
-from repro.egraph.rewrite import Rewrite, dynamic
-from repro.ir import ops
+from repro.egraph.rewrite import Rewrite
 from repro.rewrites.soundness import (
     attr_lt,
     bounded,
@@ -87,27 +85,15 @@ def lzc_width_reduce_rule() -> Rewrite:
     Unlike ``lzc-narrow`` this works even when ``x`` may be zero (the near
     path of the FP subtractor, where catastrophic cancellation can zero the
     significand): every leading zero above bit ``m`` is a constant.
+    Negative values make both sides * (LZC is undefined there), so only the
+    upper bound constrains the rewrite.
     """
-
-    def search(egraph: EGraph, index: dict):
-        for class_id, enode in index.get(ops.LZC, ()):
-            (width,) = enode.attrs
-            child = egraph.find(enode.children[0])
-            top = range_of(egraph, child).max()
-            if top is None:
-                continue
-            # Negative values make both sides * (LZC is undefined there),
-            # so only the upper bound constrains the rewrite.
-            m = max(top.bit_length(), 1)
-            if m < width:
-                yield egraph.find(class_id), {"x": child, "w": width, "m": m}
-
-    def apply(egraph: EGraph, env: dict, class_id: int):
-        narrow = egraph.add_node(ops.LZC, (env["m"],), (egraph.find(env["x"]),))
-        offset = egraph.add_const(env["w"] - env["m"])
-        return egraph.add_node(ops.ADD, (), (offset, narrow))
-
-    return dynamic("lzc-width-reduce", search, apply)
+    return drule(
+        "lzc-width-reduce",
+        "(lzc ?w ?x)",
+        "(+ (const (- ?w ?m)) (lzc ?m ?x))",
+        guards=(derive("m", "(max (bitlen (hi ?x)) 1)"), attr_lt("?m", "?w")),
+    )
 
 
 def lzc_norm_invariant_rule() -> Rewrite:
@@ -118,37 +104,14 @@ def lzc_norm_invariant_rule() -> Rewrite:
     then does not need to apply.  This is the rewrite that collapses the
     behavioural FP subtractor's 42-bit normalize onto the narrow near-path
     significand (Section V).  Requires ``c`` total and non-negative and both
-    ``a`` and ``a << c`` to fit ``w`` bits.
+    ``a`` and ``a << c`` below ``2^w`` (negative values are * on both sides).
     """
-
-    def search(egraph: EGraph, index: dict):
-        for class_id, enode in index.get(ops.SHL, ()):
-            shifted, amount = (egraph.find(c) for c in enode.children)
-            for lzc_node in egraph.members(amount, ops.LZC):
-                (width,) = lzc_node.attrs
-                if egraph.find(lzc_node.children[0]) != shifted:
-                    continue
-                # Negative values are * on both sides; only the upper bound
-                # must stay inside the LZC's width.
-                top = range_of(egraph, shifted).max()
-                if top is None or top >= (1 << width):
-                    continue
-                for inner in egraph.members(shifted, ops.SHL):
-                    base, pre = (egraph.find(c) for c in inner.children)
-                    pre_lo = range_of(egraph, pre).min()
-                    if pre_lo is None or pre_lo < 0 or not total_of(egraph, pre):
-                        continue
-                    base_top = range_of(egraph, base).max()
-                    if base_top is None or base_top >= (1 << width):
-                        continue
-                    yield egraph.find(class_id), {"a": base, "w": width}
-
-    def apply(egraph: EGraph, env: dict, class_id: int):
-        base = egraph.find(env["a"])
-        count = egraph.add_node(ops.LZC, (env["w"],), (base,))
-        return egraph.add_node(ops.SHL, (), (base, count))
-
-    return dynamic("lzc-norm-invariant", search, apply)
+    return drule(
+        "lzc-norm-invariant",
+        "(<< ?s (lzc ?w ?s@(<< ?a ?c)))",
+        "(<< ?a (lzc ?w ?a))",
+        guards=(bounded("s", "a", hi="(- (exp2 ?w) 1)"), nonneg("c"), total("c")),
+    )
 
 
 def minmax_resolve_rule() -> Rewrite:

@@ -14,6 +14,7 @@ attribute slots in pattern syntax: ``"0"``, ``"?w"``, ``"(- ?w ?s)"``.
 A class name may name a constraint tail (``?cs...``): the condition then
 holds for each class of the tail.  :func:`derive` is the one guard that
 binds: it computes an attribute from class ranges at search time.
+:func:`among` and :func:`unassumed` read the graph's structure, not ranges.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from typing import Callable
 
 from repro.analysis import range_of, total_of
 from repro.egraph.egraph import EGraph
-from repro.egraph.pattern import as_pattern, class_vars, eval_attr, parse_pattern
+from repro.egraph.pattern import (
+    PatternVar, as_pattern, class_vars, eval_attr, inline, named, parse_pattern,
+)
 from repro.egraph.rewrite import Arm, Rewrite, arm
 from repro.intervals import IntervalSet
 
@@ -53,11 +56,15 @@ def darm(
 
     ``unguarded`` exempts variables that are dropped from a *non-strict*
     position (a mux branch is never evaluated when not selected, so dropping
-    it needs no totality proof).  ``guards`` are checked at search time,
-    ``conditions`` at apply time (see :class:`~repro.egraph.rewrite.Arm`).
+    it needs no totality proof) or whose value a kept constraint tail
+    carries (see :func:`among`).  A class an as-pattern names stands for
+    its node.  ``guards`` are checked at search time, ``conditions`` at
+    apply time (see :class:`~repro.egraph.rewrite.Arm`).
     """
     lhs_pat, rhs_pat = as_pattern(lhs), as_pattern(rhs)
-    dropped = sorted(class_vars(lhs_pat) - class_vars(rhs_pat) - set(unguarded))
+    names = named(lhs_pat)
+    dropped = class_vars(inline(lhs_pat, names)) - class_vars(inline(rhs_pat, names))
+    dropped = sorted(dropped - set(unguarded))
     if dropped:
         conditions = (total(*dropped), *conditions)
     return arm(lhs_pat, rhs_pat, *conditions, guards=guards)
@@ -65,17 +72,21 @@ def darm(
 
 # ------------------------------------------------------------------ conditions
 def bounded(
-    *names: str, lo: int | None = None, hi: int | None = None
+    *names: str, lo: int | None = None, hi: "int | str | None" = None
 ) -> Callable[[EGraph, dict], bool]:
     """Condition: each named class's range has a lower bound ``>= lo`` and
-    an upper bound ``<= hi`` (an unbounded or empty range has neither)."""
+    an upper bound ``<= hi`` (an unbounded or empty range has neither);
+    ``hi`` may be an attribute slot such as ``"(- (exp2 ?w) 1)"``."""
+    if isinstance(hi, str):
+        hi = parse_pattern(hi, attr=True)
 
     def check(egraph: EGraph, env: dict) -> bool:
+        top = eval_attr(hi, env)
         for name in names:
             iset = range_of(egraph, env[name])
             if lo is not None and (iset.min() is None or iset.min() < lo):
                 return False
-            if hi is not None and (iset.max() is None or iset.max() > hi):
+            if top is not None and (iset.max() is None or iset.max() > top):
                 return False
         return True
 
@@ -180,6 +191,47 @@ def derive(name: str, value: str) -> Callable[[EGraph, dict], bool]:
         return env[name] is not None
 
     check.derives = name
+    return check
+
+
+def among(term: str, tail: str) -> Callable[[EGraph, dict], bool]:
+    """Guard: the class of ``term`` is one of the constraint tail's classes.
+    ``term`` is a variable or a node over bound variables, e.g.
+    ``"(lnot ?c)"``; a node is looked up, never added, and is absent when
+    the graph lacks it."""
+    pattern = parse_pattern(term)
+
+    def check(egraph: EGraph, env: dict) -> bool:
+        found = _lookup(egraph, pattern, env)
+        return found is not None and found in env[tail]
+
+    return check
+
+
+def _lookup(egraph: EGraph, pattern, env: dict) -> int | None:
+    """The class of ``pattern``'s instance under ``env`` if the graph has
+    it, else None."""
+    if isinstance(pattern, PatternVar):
+        return env[pattern.name]
+    kids = [_lookup(egraph, child, env) for child in pattern.children]
+    if None in kids:
+        return None
+    attrs = tuple(eval_attr(a, env) for a in pattern.attrs)
+    return egraph.core.lookup(pattern.op, attrs, tuple(kids))
+
+
+def unassumed(branch: str, cond: str) -> Callable[[EGraph, dict], bool]:
+    """Guard: no ``ASSUME`` member of ``branch``'s class carries ``cond``
+    among its constraints.  It only ever vetoes a match, so a proof of the
+    rule holds without it."""
+
+    def check(egraph: EGraph, env: dict) -> bool:
+        core, c = egraph.core, env[cond]
+        return not any(
+            c in core.node_enode(nid).children[1:]
+            for nid in core.class_assume_members.get(env[branch], ())
+        )
+
     return check
 
 

@@ -12,9 +12,8 @@ same graphs each class's op mask must cover the ops of its members (an
 absorbed class has none), and a member probe must answer what a scan of
 the member set answers, including when the mask lets it skip the scan.
 
-The member probes (:meth:`EGraph.members`) and the runner's lazy per-op
-index must answer exactly what a filter over the façade views answers, on
-saturated registry designs.
+The member probes (:meth:`EGraph.members`) must answer exactly what a
+filter over the façade views answers, on saturated registry designs.
 """
 
 from __future__ import annotations
@@ -29,11 +28,9 @@ from repro.analysis.constr import CONSTR_OPS
 from repro.designs import DESIGNS
 from repro.egraph import EGraph
 from repro.egraph.core import Analysis
-from repro.egraph.runner import _LazyOpIndex
 from repro.ir import ops
 from repro.pipeline import Ingest, Pipeline, Saturate
 from repro.rewrites import compose_rules
-from repro.rewrites.assume import _DISTRIBUTES
 
 
 class LowAnalysis(Analysis):
@@ -272,7 +269,7 @@ def saturated(request) -> EGraph:
 
 def test_members_match_a_filter_over_the_class_views(saturated):
     egraph = saturated
-    op_sets = [CONSTR_OPS, _DISTRIBUTES, frozenset()]
+    op_sets = [CONSTR_OPS, frozenset(ops.STRICT), frozenset()]
     for eclass in egraph.classes():
         nodes = eclass.nodes
         for op in egraph.core.ops:
@@ -281,14 +278,3 @@ def test_members_match_a_filter_over_the_class_views(saturated):
             assert egraph.members(eclass.id, op_set) == [
                 n for n in nodes if n.op in op_set
             ]
-
-
-def test_lazy_op_index_matches_nodes_by_op(saturated):
-    egraph = saturated
-    eager = egraph.nodes_by_op()
-    lazy = _LazyOpIndex(egraph)
-    for op in ops.OPS_BY_NAME.values():
-        assert lazy.get(op, ()) == eager.get(op, ())
-    # Materialized once: a second read returns the same list.
-    for op in eager:
-        assert lazy.get(op) is lazy.get(op)

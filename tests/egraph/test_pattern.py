@@ -61,7 +61,7 @@ class TestParser:
 
     def test_unknown_attr_function(self):
         with pytest.raises(ValueError):
-            parse_pattern("(trunc (max ?v ?w) ?a)")
+            parse_pattern("(trunc (mul ?v ?w) ?a)")
 
     def test_computed_attr_is_rhs_only(self):
         with pytest.raises(ValueError):

@@ -7,11 +7,11 @@ Two halves, per the subsystem's acceptance bar:
   unbound variable, mutants of the range-guarded ``trunc-elim`` with
   its search-time guard dropped, off by one, opaque or impure, and one
   mutant per rule-language feature (an arm, a computed constant, a
-  constraint tail, a tail quantifier, a range-derived attribute) — each of
-  which the auditor must flag;
+  constraint tail, a tail quantifier, a range-derived attribute, a
+  structural guard, a tail lookup, an operator set, an as-pattern, ``max``
+  and an attribute upper bound) — each of which the auditor must flag;
 * the shipped rulesets, every one of which the auditor must pass, with
-  every declarative rule carrying an exhaustive proof (or a recorded
-  trial budget) and every dynamic rule a contract.
+  every rule carrying an exhaustive proof (or a recorded trial budget).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import pytest
 from repro.egraph.pattern import PatternNode, parse_pattern
 from repro.egraph.rewrite import Arm, Rewrite, rewrite
 from repro.lint.rules import (
-    DYNAMIC_CONTRACTS,
     audit_rule,
     audit_rules,
     audit_rulesets,
@@ -30,19 +29,29 @@ from repro.lint.rules import (
     strictly_evaluated_vars,
 )
 from repro.ir import ops
+from repro.rewrites.assume import (
+    assume_distribute_rule,
+    assume_mux_prune_rule,
+    mux_branch_assume_rule,
+)
+from repro.rewrites.casesplit import split_sub_shift_rule
 from repro.rewrites.mux import mux_pull_rule
-from repro.rewrites.rulesets import RULESETS, ruleset
+from repro.rewrites.range_rules import lzc_norm_invariant_rule, lzc_width_reduce_rule
+from repro.rewrites.rulesets import RULESETS
 from repro.rewrites.soundness import (
+    among,
     attr_lt,
     bounded,
     darm,
     derive,
     drule,
     fits,
+    nonneg,
     pow2,
     range_le,
     total,
     truthy,
+    unassumed,
     unless,
 )
 from repro.ir.evaluate import BOT
@@ -117,15 +126,6 @@ class TestMutationCorpus:
         findings, record = audit_rule(bad, "corpus")
         assert rule_ids(findings) == {"RU-UNBOUND"}
         assert record["status"] == "ill-formed"
-
-    def test_dynamic_rule_without_contract_is_flagged(self):
-        phantom = Rewrite(
-            name="corpus-phantom-dynamic",
-            searcher=lambda egraph, index: [],
-            applier=lambda egraph, class_id, env: [],
-        )
-        findings, _ = audit_rule(phantom, "corpus")
-        assert rule_ids(findings) == {"RU-NO-CONTRACT"}
 
     def test_audit_rules_aggregates_per_rule(self):
         rules = [
@@ -256,17 +256,20 @@ class TestRuleLanguageMutants:
         assert "ranges" in findings[0].detail["counterexample"]
 
     def test_width_reduce_from_the_range_maximum_is_proved(self):
-        """``lzc-width-reduce`` stays dynamic (its applier builds in another
-        order), but its declarative form is provable: ``m`` is read from
-        the range maximum."""
+        """``lzc-width-reduce`` reads ``m`` from the range maximum, at least
+        one bit (``max``)."""
+        findings, record = audit_rule(lzc_width_reduce_rule(), "corpus")
+        assert findings == [] and record["status"] == "proved"
+
+    def test_width_reduce_from_the_range_minimum_is_unsound(self):
         rule = drule(
             "lzc-width-reduce",
             "(lzc ?w ?x)",
             "(+ (const (- ?w ?m)) (lzc ?m ?x))",
-            guards=(derive("m", "(bitlen (hi ?x))"), attr_lt("0", "?m"), attr_lt("?m", "?w")),
+            guards=(derive("m", "(max (bitlen (lo ?x)) 1)"), attr_lt("?m", "?w")),
         )
-        findings, record = audit_rule(rule, "corpus")
-        assert findings == [] and record["status"] == "proved"
+        findings, _ = audit_rule(rule, "corpus")
+        assert rule_ids(findings) == {"RU-UNSOUND"}
 
     def test_minmax_arm_keeping_the_larger_side_is_unsound(self):
         rule = Rewrite("minmax-resolve", (
@@ -277,6 +280,74 @@ class TestRuleLanguageMutants:
         assert rule_ids(findings) == {"RU-UNSOUND"}
         assert "(arm 1)" in findings[0].message
         assert record["status"] == "failed"
+
+
+class TestStructuralMutants:
+    """One mutant per feature the last six ports use (a structural guard,
+    a tail lookup, an operator set, as-patterns, an attribute upper bound);
+    each must be reported unsound, and each shipped form proved."""
+
+    @pytest.mark.parametrize("make", [
+        mux_branch_assume_rule, assume_distribute_rule, assume_mux_prune_rule,
+        lzc_norm_invariant_rule, split_sub_shift_rule,
+    ])
+    def test_shipped_form_is_proved(self, make):
+        findings, record = audit_rule(make(), "corpus")
+        assert findings == [] and record["status"] == "proved", record
+
+    def test_swapped_branch_constraints_are_unsound(self):
+        rule = drule(
+            "mux-branch-assume",
+            "(mux ?c ?t ?f)",
+            "(mux ?c (assume ?t (lnot ?c)) (assume ?f ?c))",
+            guards=(unassumed("t", "c"),),
+        )
+        findings, _ = audit_rule(rule, "corpus")
+        assert rule_ids(findings) == {"RU-UNSOUND"}
+
+    def test_prune_keeping_the_wrong_branch_is_unsound(self):
+        lhs = "(assume (mux ?c ?t ?f) ?cs...)"
+        on_true = among("?c", "cs")
+        rule = Rewrite("assume-mux-prune", (
+            darm(lhs, "(assume ?t ?cs...)", unguarded=("c", "f"), guards=(on_true,)),
+            darm(
+                lhs, "(assume ?t ?cs...)", unguarded=("c", "f"),
+                guards=(unless(on_true), among("(lnot ?c)", "cs")),
+            ),
+        ))
+        findings, record = audit_rule(rule, "corpus")
+        assert rule_ids(findings) == {"RU-UNSOUND"}
+        assert "(arm 1)" in findings[0].message and record["status"] == "failed"
+
+    def test_prune_without_its_lookup_drops_the_condition(self):
+        rule = drule(
+            "assume-mux-prune", "(assume (mux ?c ?t ?f) ?cs...)", "(assume ?t ?cs...)",
+            unguarded=("c", "f"),
+        )
+        findings, _ = audit_rule(rule, "corpus")
+        assert rule_ids(findings) == {"RU-DROPPED", "RU-UNSOUND"}
+
+    def test_distribute_dropping_the_tail_is_unsound_per_operator(self):
+        rule = drule("assume-distribute", "(assume (strict ?xs...) ?cs...)", "(strict ?xs...)")
+        findings, record = audit_rule(rule, "corpus")
+        assert rule_ids(findings) == {"RU-UNSOUND"}
+        assert "(ADD)" in findings[0].message
+        assert record["arms"] == len(ops.STRICT)
+
+    def test_case_split_keeping_an_operand_is_unsound(self):
+        rule = drule("case-split-shift-gt1", "?e@(- ?a (>> ?b ?c))", "(mux (> ?c 1) ?e ?a)")
+        findings, _ = audit_rule(rule, "corpus")
+        assert rule_ids(findings) == {"RU-UNSOUND"}
+
+    def test_norm_invariant_bound_one_past_the_width_is_unsound(self):
+        rule = drule(
+            "lzc-norm-invariant",
+            "(<< ?s (lzc ?w ?s@(<< ?a ?c)))",
+            "(<< ?a (lzc ?w ?a))",
+            guards=(bounded("s", "a", hi="(exp2 ?w)"), nonneg("c"), total("c")),
+        )
+        findings, _ = audit_rule(rule, "corpus")
+        assert rule_ids(findings) == {"RU-UNSOUND"}
 
 
 # ------------------------------------------------------- auditor internals
@@ -306,6 +377,13 @@ class TestAuditorInternals:
         assert (kind, name, repr(expr)) == ("derive", "k", "(- ?w (bitlen (lo ?x)))")
         assert guard_spec(unless(total("a"))) == ("unless", ("total", ("a",)))
         assert guard_spec(pow2("?v"))[0] == "pow2"
+
+    def test_guard_spec_recovers_structural_guards(self):
+        kind, (term, tail) = guard_spec(among("(lnot ?c)", "cs"))
+        assert (kind, repr(term), tail) == ("among", "(lnot ?c)", "cs")
+        assert guard_spec(unassumed("t", "c")) == ("unassumed", ("t", "c"))
+        kind, (names, lo, hi) = guard_spec(bounded("s", hi="(- (exp2 ?w) 1)"))
+        assert (kind, names, lo, repr(hi)) == ("bounded", ("s",), None, "(- (exp2 ?w) 1)")
 
     def test_eval_pattern_splices_tails(self):
         rhs = parse_pattern("(assume ?x ?outer... ?inner...)")
@@ -341,9 +419,8 @@ class TestShippedRulesets:
 
     def test_every_declarative_rule_is_proved_or_trialed(self, shipped):
         _, records = shipped
-        declarative = [r for r in records if r["mode"] != "contract"]
-        assert declarative
-        for record in declarative:
+        assert records
+        for record in records:
             assert record["status"] in ("proved", "trials-passed"), record
             # The audited budget is recorded either way.
             assert record["envs"] > 0 and record["checked"] > 0, record
@@ -353,32 +430,21 @@ class TestShippedRulesets:
         by_name = {r["rule"]: r for r in records}
         for name in ("abs-identity", "abs-negate", "trunc-elim", "trunc-trunc", "lzc-shl"):
             assert by_name[name]["status"] == "proved", by_name[name]
-            assert name not in DYNAMIC_CONTRACTS
 
     def test_ported_rules_are_proved_arm_by_arm(self, shipped):
         _, records = shipped
         by_name = {r["rule"]: r for r in records}
-        arms = {"mux-pull": 41, "mux-cond-const": 2, "mul-pow2-shl": 2, "minmax-resolve": 4}
-        for name in (*arms, "assume-merge-nested", "assume-true-elim", "lzc-narrow"):
+        arms = {
+            "mux-pull": 41, "mux-cond-const": 2, "mul-pow2-shl": 2, "minmax-resolve": 4,
+            "assume-mux-prune": 2, "assume-distribute": len(ops.STRICT),
+        }
+        for name in (
+            *arms, "assume-merge-nested", "assume-true-elim", "lzc-narrow", "mux-branch-assume",
+            "lzc-width-reduce", "lzc-norm-invariant", "case-split-shift-gt1",
+        ):
             record = by_name[name]
             assert record["status"] == "proved" and record["mode"] == "exhaustive", record
             assert record.get("arms", 1) == arms.get(name, 1)
-            assert name not in DYNAMIC_CONTRACTS
-
-    def test_every_dynamic_rule_has_a_contract(self, shipped):
-        _, records = shipped
-        dynamic = [r for r in records if r["mode"] == "contract"]
-        assert dynamic
-        for record in dynamic:
-            assert record["status"] == "declared", record
-            assert record["sound_by"]
-
-    def test_contracts_name_only_real_rules(self):
-        shipped_names = {
-            rule.name for name in RULESETS for rule in ruleset(name)
-        }
-        stale = set(DYNAMIC_CONTRACTS) - shipped_names
-        assert not stale, f"contracts for rules that no longer exist: {stale}"
 
     def test_audit_covers_every_registered_ruleset(self, shipped):
         _, records = shipped

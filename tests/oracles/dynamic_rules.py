@@ -1,4 +1,4 @@
-"""Twelve rules as they were written before the rule language could
+"""Eighteen rules as they were written before the rule language could
 express them: Python searchers and appliers.
 
 ``abs-identity``, ``abs-negate``, ``trunc-elim`` and ``lzc-shl`` (from
@@ -8,24 +8,78 @@ guards.  ``mux-pull`` and ``mux-cond-const`` (``repro.rewrites.mux``),
 ``mul-pow2-shl`` (``repro.rewrites.arith``), ``assume-merge-nested`` and
 ``assume-true-elim`` (``repro.rewrites.assume``), and ``lzc-narrow`` and
 ``minmax-resolve`` (``repro.rewrites.range_rules``) followed as rules with
-arms, constraint tails and search-time attributes.  These verbatim copies
+arms, constraint tails and search-time attributes.  The last six —
+``mux-branch-assume``, ``assume-distribute`` and ``assume-mux-prune``
+(``repro.rewrites.assume``), ``lzc-width-reduce`` and
+``lzc-norm-invariant`` (``repro.rewrites.range_rules``) and
+``case-split-shift-gt1`` (``repro.rewrites.casesplit``) — followed with
+structural guards, an operator set and as-patterns.  These verbatim copies
 of their dynamic versions are the reference
 ``tests/rewrites/test_declarative_port.py`` diffs the declarative rules
 against: the same matches in the same order, and the same graph after
 applying them.
+
+The package's runner only runs declarative rules, so a dynamic rule here
+is a :class:`Dynamic` record and :func:`run_once` is its one-iteration
+reference driver.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable, Iterable
+
 from repro.analysis import range_of, total_of
 from repro.egraph.egraph import EGraph
 from repro.egraph.enode import ENode
-from repro.egraph.rewrite import Rewrite, dynamic
 from repro.intervals import IntervalSet
 from repro.ir import ops
 
 
-def abs_identity_rule() -> Rewrite:
+@dataclass(frozen=True)
+class Dynamic:
+    """A rule as a Python ``searcher`` (egraph, per-op index -> ``(class
+    id, env)`` pairs; the index is :meth:`EGraph.nodes_by_op`) and an
+    ``applier`` (egraph, env, matched class -> the class to union, or
+    None)."""
+
+    name: str
+    searcher: Callable[[EGraph, dict], Iterable[tuple[int, dict]]]
+    applier: Callable[[EGraph, dict, int], "int | None"]
+
+    def search(self, egraph: EGraph, index: dict, limit: int) -> list[tuple[int, dict]]:
+        """The searcher's first ``limit`` matches."""
+        found = []
+        for item in self.searcher(egraph, index):
+            found.append(item)
+            if len(found) >= limit:
+                break
+        return found
+
+
+def dynamic(name: str, searcher, applier) -> Dynamic:
+    return Dynamic(name, searcher, applier)
+
+
+def run_once(egraph: EGraph, rule: Dynamic, limit: int) -> dict[str, int]:
+    """One saturation iteration of a dynamic rule, as the runner ran one:
+    rebuild, search at most ``limit`` matches, apply each (union the
+    applier's class with the matched one), rebuild.  Returns the
+    application count by rule name, as ``IterationStats.applied`` does."""
+    egraph.rebuild()
+    found = rule.search(egraph, egraph.nodes_by_op(), limit)
+    applied = 0
+    for class_id, env in found:
+        before = egraph.version
+        new_id = rule.applier(egraph, env, egraph.find(class_id))
+        if new_id is not None:
+            egraph.union(class_id, new_id)
+        applied += egraph.version != before
+    egraph.rebuild()
+    return {rule.name: applied} if applied else {}
+
+
+def abs_identity_rule() -> Dynamic:
     """``ABS(x) -> x`` when the range proves ``x >= 0``."""
 
     def search(egraph: EGraph, index: dict):
@@ -41,7 +95,7 @@ def abs_identity_rule() -> Rewrite:
     return dynamic("abs-identity", search, apply)
 
 
-def abs_negate_rule() -> Rewrite:
+def abs_negate_rule() -> Dynamic:
     """``ABS(x) -> NEG(x)`` when the range proves ``x <= 0``."""
 
     def search(egraph: EGraph, index: dict):
@@ -57,7 +111,7 @@ def abs_negate_rule() -> Rewrite:
     return dynamic("abs-negate", search, apply)
 
 
-def trunc_elim_rule() -> Rewrite:
+def trunc_elim_rule() -> Dynamic:
     """``TRUNC_w(x) -> x`` when the range proves ``x`` fits in ``w`` bits."""
 
     def search(egraph: EGraph, index: dict):
@@ -73,7 +127,7 @@ def trunc_elim_rule() -> Rewrite:
     return dynamic("trunc-elim", search, apply)
 
 
-def lzc_shl_rule() -> Rewrite:
+def lzc_shl_rule() -> Dynamic:
     """``LZC_w(a << s) -> LZC_{w-s}(a)`` when ``a`` fits in ``w - s`` bits."""
 
     def search(egraph: EGraph, index: dict):
@@ -100,7 +154,7 @@ def lzc_shl_rule() -> Rewrite:
     return dynamic("lzc-shl", search, apply)
 
 
-def trunc_trunc_rule() -> Rewrite:
+def trunc_trunc_rule() -> Dynamic:
     """``TRUNC_v(TRUNC_w(a)) -> TRUNC_min(v,w)(a)``."""
 
     def search(egraph: EGraph, index: dict):
@@ -128,7 +182,7 @@ _PULLABLE = (
     ops.LZC, ops.TRUNC, ops.SLICE, ops.CONCAT, ops.ABS, ops.MIN, ops.MAX,
 )
 
-def mux_pull_rule() -> Rewrite:
+def mux_pull_rule() -> Dynamic:
     """Pull a mux from any operand position up through a strict operator."""
 
     def search(egraph: EGraph, index: dict):
@@ -161,7 +215,7 @@ def mux_pull_rule() -> Rewrite:
     return dynamic("mux-pull", search, apply)
 
 
-def mux_cond_const_rule() -> Rewrite:
+def mux_cond_const_rule() -> Dynamic:
     """Prune a mux whose condition the analysis proves constant (Sec. VI)."""
 
     def search(egraph: EGraph, index: dict):
@@ -181,7 +235,7 @@ def mux_cond_const_rule() -> Rewrite:
     return dynamic("mux-cond-const", search, apply)
 
 
-def mul_pow2_to_shl() -> Rewrite:
+def mul_pow2_to_shl() -> Dynamic:
     """``a * 2^k -> a << k`` for constant powers of two (strength reduction)."""
 
     def search(egraph: EGraph, index: dict):
@@ -202,7 +256,7 @@ def mul_pow2_to_shl() -> Rewrite:
     return dynamic("mul-pow2-shl", search, apply)
 
 
-def assume_merge_nested_rule() -> Rewrite:
+def assume_merge_nested_rule() -> Dynamic:
     """Row 3: collapse nested ASSUMEs, uniting their constraint sets."""
 
     def search(egraph: EGraph, index: dict):
@@ -222,7 +276,7 @@ def assume_merge_nested_rule() -> Rewrite:
     return dynamic("assume-merge-nested", search, apply)
 
 
-def assume_true_elim_rule() -> Rewrite:
+def assume_true_elim_rule() -> Dynamic:
     """``ASSUME(x, C) -> x`` when every constraint provably always holds."""
 
     def search(egraph: EGraph, index: dict):
@@ -240,7 +294,7 @@ def assume_true_elim_rule() -> Rewrite:
     return dynamic("assume-true-elim", search, apply)
 
 
-def lzc_narrow_rule() -> Rewrite:
+def lzc_narrow_rule() -> Dynamic:
     """Figure 1: ``LZC_w(x) -> LZC_{k+1}(x >> (w-k-1))`` when lzc(x) <= k.
 
     The bound ``k`` comes from the analysis: ``x >= 2^(w-1-k)`` implies at
@@ -270,7 +324,7 @@ def lzc_narrow_rule() -> Rewrite:
     return dynamic("lzc-narrow", search, apply)
 
 
-def minmax_resolve_rule() -> Rewrite:
+def minmax_resolve_rule() -> Dynamic:
     """Resolve MIN/MAX whose operand ranges are provably ordered."""
 
     def search(egraph: EGraph, index: dict):
@@ -294,3 +348,182 @@ def minmax_resolve_rule() -> Rewrite:
         return egraph.find(env["keep"])
 
     return dynamic("minmax-resolve", search, apply)
+
+
+#: Rule 2 of Table I distributes over the strict operators; MUX has the
+#: dedicated rules 4/5.
+_DISTRIBUTES = frozenset(ops.STRICT)
+
+
+def mux_branch_assume_rule() -> Dynamic:
+    """Row 1: wrap each mux branch in an ASSUME of its branch condition."""
+
+    def _already_assumed(egraph: EGraph, branch: int, cond: int) -> bool:
+        """Is this branch already an ASSUME carrying this condition?"""
+        for node in egraph.members(branch, ops.ASSUME):
+            if cond in (egraph.find(c) for c in node.children[1:]):
+                return True
+        return False
+
+    def search(egraph: EGraph, index: dict):
+        for class_id, enode in index.get(ops.MUX, ()):
+            cond, if_true, if_false = (egraph.find(c) for c in enode.children)
+            # Idempotence: never wrap a branch that is already assumed under
+            # this condition (prevents ASSUME(ASSUME(...)) towers).
+            if _already_assumed(egraph, if_true, cond):
+                continue
+            yield egraph.find(class_id), {"c": cond, "t": if_true, "f": if_false}
+
+    def apply(egraph: EGraph, env: dict, class_id: int):
+        cond = egraph.find(env["c"])
+        not_cond = egraph.add_node(ops.LNOT, (), (cond,))
+        assumed_t = egraph.add_node(ops.ASSUME, (), (egraph.find(env["t"]), cond))
+        assumed_f = egraph.add_node(ops.ASSUME, (), (egraph.find(env["f"]), not_cond))
+        return egraph.add_node(ops.MUX, (), (cond, assumed_t, assumed_f))
+
+    return dynamic("mux-branch-assume", search, apply)
+
+
+def assume_distribute_rule() -> Dynamic:
+    """Row 2: push an ASSUME through any strict operator toward the inputs."""
+
+    def search(egraph: EGraph, index: dict):
+        for class_id, enode in index.get(ops.ASSUME, ()):
+            guarded = egraph.find(enode.children[0])
+            constraints = tuple(egraph.find(c) for c in enode.children[1:])
+            for inner in egraph.members(guarded, _DISTRIBUTES):
+                if inner.children:
+                    yield egraph.find(class_id), {
+                        "inner": inner,
+                        "constraints": constraints,
+                    }
+
+    def apply(egraph: EGraph, env: dict, class_id: int):
+        inner: ENode = env["inner"]
+        constraints: tuple[int, ...] = env["constraints"]
+        assumed_kids = tuple(
+            egraph.add_node(ops.ASSUME, (), (egraph.find(k),) + constraints)
+            for k in inner.children
+        )
+        return egraph.add_node(inner.op, inner.attrs, assumed_kids)
+
+    return dynamic("assume-distribute", search, apply)
+
+
+def assume_mux_prune_rule() -> Dynamic:
+    """Rows 4/5: under its own branch condition, a mux is just that branch."""
+
+    def search(egraph: EGraph, index: dict):
+        for class_id, enode in index.get(ops.ASSUME, ()):
+            guarded = egraph.find(enode.children[0])
+            constraints = tuple(egraph.find(c) for c in enode.children[1:])
+            constraint_set = set(constraints)
+            for inner in egraph.members(guarded, ops.MUX):
+                cond, if_true, if_false = (egraph.find(c) for c in inner.children)
+                if cond in constraint_set:
+                    yield egraph.find(class_id), {
+                        "keep": if_true, "constraints": constraints,
+                    }
+                    continue
+                # Is some constraint class the logical negation of cond?
+                negated = egraph.lookup(ENode(ops.LNOT, (), (cond,)))
+                if negated is not None and egraph.find(negated) in constraint_set:
+                    yield egraph.find(class_id), {
+                        "keep": if_false, "constraints": constraints,
+                    }
+
+    def apply(egraph: EGraph, env: dict, class_id: int):
+        return egraph.add_node(
+            ops.ASSUME, (), (egraph.find(env["keep"]),) + env["constraints"]
+        )
+
+    return dynamic("assume-mux-prune", search, apply)
+
+
+def lzc_width_reduce_rule() -> Dynamic:
+    """``LZC_w(x) -> (w - m) + LZC_m(x)`` when ``x`` provably fits m bits.
+
+    Unlike ``lzc-narrow`` this works even when ``x`` may be zero (the near
+    path of the FP subtractor, where catastrophic cancellation can zero the
+    significand): every leading zero above bit ``m`` is a constant.
+    """
+
+    def search(egraph: EGraph, index: dict):
+        for class_id, enode in index.get(ops.LZC, ()):
+            (width,) = enode.attrs
+            child = egraph.find(enode.children[0])
+            top = range_of(egraph, child).max()
+            if top is None:
+                continue
+            # Negative values make both sides * (LZC is undefined there),
+            # so only the upper bound constrains the rewrite.
+            m = max(top.bit_length(), 1)
+            if m < width:
+                yield egraph.find(class_id), {"x": child, "w": width, "m": m}
+
+    def apply(egraph: EGraph, env: dict, class_id: int):
+        narrow = egraph.add_node(ops.LZC, (env["m"],), (egraph.find(env["x"]),))
+        offset = egraph.add_const(env["w"] - env["m"])
+        return egraph.add_node(ops.ADD, (), (offset, narrow))
+
+    return dynamic("lzc-width-reduce", search, apply)
+
+
+def lzc_norm_invariant_rule() -> Dynamic:
+    """``(a << c) << LZC_w(a << c)  ->  a << LZC_w(a)``.
+
+    Normalization is left-shift invariant: pre-shifting by ``c`` only
+    reduces the leading-zero count by ``c``, which the normalizing shift
+    then does not need to apply.  This is the rewrite that collapses the
+    behavioural FP subtractor's 42-bit normalize onto the narrow near-path
+    significand (Section V).  Requires ``c`` total and non-negative and both
+    ``a`` and ``a << c`` to fit ``w`` bits.
+    """
+
+    def search(egraph: EGraph, index: dict):
+        for class_id, enode in index.get(ops.SHL, ()):
+            shifted, amount = (egraph.find(c) for c in enode.children)
+            for lzc_node in egraph.members(amount, ops.LZC):
+                (width,) = lzc_node.attrs
+                if egraph.find(lzc_node.children[0]) != shifted:
+                    continue
+                # Negative values are * on both sides; only the upper bound
+                # must stay inside the LZC's width.
+                top = range_of(egraph, shifted).max()
+                if top is None or top >= (1 << width):
+                    continue
+                for inner in egraph.members(shifted, ops.SHL):
+                    base, pre = (egraph.find(c) for c in inner.children)
+                    pre_lo = range_of(egraph, pre).min()
+                    if pre_lo is None or pre_lo < 0 or not total_of(egraph, pre):
+                        continue
+                    base_top = range_of(egraph, base).max()
+                    if base_top is None or base_top >= (1 << width):
+                        continue
+                    yield egraph.find(class_id), {"a": base, "w": width}
+
+    def apply(egraph: EGraph, env: dict, class_id: int):
+        base = egraph.find(env["a"])
+        count = egraph.add_node(ops.LZC, (env["w"],), (base,))
+        return egraph.add_node(ops.SHL, (), (base, count))
+
+    return dynamic("lzc-norm-invariant", search, apply)
+
+
+def split_sub_shift_rule(threshold: int = 1) -> Dynamic:
+    """``a - (b >> c) -> (c > T) ? same : same`` (T = ``threshold``)."""
+
+    def search(egraph: EGraph, index: dict):
+        for class_id, enode in index.get(ops.SUB, ()):
+            rhs = egraph.find(enode.children[1])
+            for inner in egraph.members(rhs, ops.SHR):
+                shift_amount = egraph.find(inner.children[1])
+                yield egraph.find(class_id), {"c": shift_amount}
+                break
+
+    def apply(egraph: EGraph, env: dict, class_id: int):
+        limit = egraph.add_const(threshold)
+        cond = egraph.add_node(ops.GT, (), (egraph.find(env["c"]), limit))
+        return egraph.add_node(ops.MUX, (), (cond, class_id, class_id))
+
+    return dynamic(f"case-split-shift-gt{threshold}", search, apply)
